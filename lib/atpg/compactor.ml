@@ -1,12 +1,14 @@
 module Fault_sim = Tvs_fault.Fault_sim
 
 (* Greedy static compaction: fold each cube into the first compatible
-   earlier survivor, scanning in reverse generation order. *)
+   earlier survivor, scanning in reverse generation order. Most survivors
+   conflict early, so the non-allocating compatibility test runs first. *)
 let merge_cubes cubes =
   let survivors = ref [] in
   let fold_in cube =
     let rec try_merge = function
       | [] -> survivors := cube :: !survivors
+      | s :: rest when not (Cube.compatible s cube) -> try_merge rest
       | s :: rest -> (
           match Cube.merge s cube with
           | Some merged ->

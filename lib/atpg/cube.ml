@@ -23,10 +23,9 @@ let specified_bits (t : t) = count_specified t.pi + count_specified t.scan
 let total_bits (t : t) = Array.length t.pi + Array.length t.scan
 
 let arrays_compatible a b =
-  Array.length a = Array.length b
-  && (let ok = ref true in
-      Array.iteri (fun i v -> if not (Ternary.compatible v b.(i)) then ok := false) a;
-      !ok)
+  let n = Array.length a in
+  let rec from i = i >= n || (Ternary.compatible a.(i) b.(i) && from (i + 1)) in
+  n = Array.length b && from 0
 
 let compatible (a : t) (b : t) = arrays_compatible a.pi b.pi && arrays_compatible a.scan b.scan
 

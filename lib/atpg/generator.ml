@@ -48,15 +48,17 @@ let random_vector rng c =
 (* Simulate [vec] against the not-yet-detected faults; flip their [detected]
    flags. Returns how many new faults the vector catches. *)
 let drop_detected sim faults detected (vec : Cube.vector) =
-  let undetected_idx =
-    Array.to_list faults
-    |> List.mapi (fun i f -> (i, f))
-    |> List.filter (fun (i, _) -> not detected.(i))
-  in
-  if undetected_idx = [] then 0
+  let idxs = Array.make (Array.length faults) 0 and live = ref 0 in
+  Array.iteri
+    (fun i d ->
+      if not d then begin
+        idxs.(!live) <- i;
+        incr live
+      end)
+    detected;
+  if !live = 0 then 0
   else begin
-    let idxs = Array.of_list (List.map fst undetected_idx) in
-    let subset = Array.of_list (List.map snd undetected_idx) in
+    let subset = Array.init !live (fun k -> faults.(idxs.(k))) in
     let flags = Fault_sim.detected_faults sim ~pi:vec.Cube.pi ~state:vec.Cube.scan subset in
     let news = ref 0 in
     Array.iteri

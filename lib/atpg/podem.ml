@@ -1,8 +1,10 @@
 module Circuit = Tvs_netlist.Circuit
-module Gate = Tvs_netlist.Gate
 module Ternary = Tvs_logic.Ternary
-module Fivev = Tvs_logic.Fivev
 module Fault = Tvs_fault.Fault
+module Soa = Tvs_sim.Soa
+module Metrics = Tvs_obs.Metrics
+module Clock = Tvs_util.Clock
+module K = Fivev_kernel
 
 type result = Detected of Cube.t | Untestable | Aborted
 
@@ -10,444 +12,508 @@ type config = { backtrack_limit : int; guided : bool }
 
 let default_config = { backtrack_limit = 100; guided = true }
 
-(* Assignable positions: primary inputs and scan cells. *)
-type pos = Pi of int | Cell of int
+let m_calls = Metrics.counter "atpg.calls"
+let m_detected = Metrics.counter "atpg.detected"
+let m_untestable = Metrics.counter "atpg.untestable"
+let m_aborted = Metrics.counter "atpg.aborted"
+let m_decisions = Metrics.counter "atpg.decisions"
+let m_backtracks = Metrics.counter "atpg.backtracks"
+let m_implications = Metrics.counter "atpg.implications"
+let h_detected_us = Metrics.histogram ~stable:false "atpg.detected_us"
+let h_untestable_us = Metrics.histogram ~stable:false "atpg.untestable_us"
+let h_aborted_us = Metrics.histogram ~stable:false "atpg.aborted_us"
+
+(* Values are {!Fivev_kernel} codes, one byte per net or position; every
+   index is a net or position of the context's circuit. *)
+let get values net = Char.code (Bytes.unsafe_get values net)
+let set values net v = Bytes.unsafe_set values net (Char.unsafe_chr v)
+let is_error v = v = K.d || v = K.dbar
 
 type ctx = {
-  c : Circuit.t;
+  soa : Soa.t;
   guide : Scoap.t;
-  values : Fivev.t array; (* per net, kept current by event-driven implication *)
-  positions : (pos * Circuit.net) array;
-  pos_of_net : int array; (* net -> index into [positions], or -1 *)
-  levels : int array;
-  depth : int;
-  (* Event queue: one bucket of nets per logic level, processed ascending so
-     each net is evaluated at most once per propagation. *)
-  buckets : Circuit.net list array;
+  npi : int;
+  pos_net : int array;  (* assignable positions: primary inputs, then scan cells *)
+  pos_of_net : int array;  (* net -> index into [pos_net], or -1 *)
+  pos_val : Bytes.t;  (* per position: [K.zero], [K.one] or [K.x] *)
+  values : Bytes.t;  (* per net, kept current by event-driven implication *)
+  (* Event queue: one flat bucket per logic level, sized by the level's
+     gate count and processed ascending (up to [top], the highest level
+     queued), so each net is evaluated at most once per propagation. *)
+  bucket_base : int array;
+  bucket_len : int array;
+  bucket : int array;
   queued : bool array;
-  (* Fault-cone marking, generation-stamped to avoid O(nets) clears. *)
+  mutable top : int;
+  (* Undo trail of [net lsl 3 lor old_value] entries; each decision records
+     the trail height its implications start at. *)
+  mutable trail : int array;
+  mutable trail_len : int;
+  dec_pos : int array;
+  dec_value : bool array;
+  dec_flipped : bool array;
+  dec_height : int array;
+  mutable ndec : int;
+  (* The fault's transitive fanout: its gates in DFS discovery order and its
+     observation points. Generation-stamped to avoid O(nets) clears. *)
   tfo_stamp : int array;
   mutable stamp : int;
-  (* Fault-free implied values for the last-seen constraint array, so that
-     repeated calls under one cycle's constraints (the stitching engine's
-     pattern) pay a blit instead of a full re-evaluation. *)
-  mutable memo_key : Ternary.t array option;
-  memo_values : Fivev.t array;
+  tfo : int array;
+  mutable ntfo : int;
+  obs_po : int array;
+  mutable npo : int;
+  obs_flop : int array;
+  mutable nobs_flop : int;
+  frontier : int array;  (* the D-frontier gates of the latest scan *)
+  seen : int array;  (* X-path visit marks, stamped like [tfo_stamp] *)
+  mutable seen_stamp : int;
+  (* Fault-free implied values for the last-seen constraint contents, so
+     that repeated calls under one cycle's constraints (the stitching
+     engine's pattern) pay a blit instead of a full re-evaluation. The key
+     is a private copy of the constraints' codes: a caller may mutate and
+     reuse its array. *)
+  mutable memo_valid : bool;
+  memo_key : Bytes.t;
+  memo_values : Bytes.t;
+  mutable implications : int;  (* nets evaluated by [propagate], this call *)
 }
 
 let create ?scoap c =
   let guide = match scoap with Some s -> s | None -> Scoap.compute c in
-  let pis = Circuit.inputs c and ffs = Circuit.flops c in
-  let positions =
-    Array.append
-      (Array.mapi (fun i net -> (Pi i, net)) pis)
-      (Array.mapi (fun i net -> (Cell i, net)) ffs)
-  in
+  let soa = Soa.create c in
   let n = Circuit.num_nets c in
+  let npi = Circuit.num_inputs c and nflops = Circuit.num_flops c in
+  let pos_net = Array.append (Circuit.inputs c) (Circuit.flops c) in
   let pos_of_net = Array.make n (-1) in
-  Array.iteri (fun idx (_, net) -> pos_of_net.(net) <- idx) positions;
-  let levels = Array.init n (fun net -> Circuit.level c net) in
-  let depth = Circuit.depth c in
+  Array.iteri (fun pos net -> pos_of_net.(net) <- pos) pos_net;
+  let bucket_base = Array.make (soa.depth + 2) 0 in
+  for l = 0 to soa.depth do
+    bucket_base.(l + 1) <- bucket_base.(l) + soa.level_pop.(l)
+  done;
+  let npos = Array.length pos_net in
   {
-    c;
+    soa;
     guide;
-    values = Array.make n Fivev.X;
-    positions;
+    npi;
+    pos_net;
     pos_of_net;
-    levels;
-    depth;
-    buckets = Array.make (depth + 1) [];
+    pos_val = Bytes.make npos (Char.chr K.x);
+    values = Bytes.make n (Char.chr K.x);
+    bucket_base;
+    bucket_len = Array.make (soa.depth + 1) 0;
+    bucket = Array.make bucket_base.(soa.depth + 1) 0;
     queued = Array.make n false;
+    top = 0;
+    trail = Array.make (max 16 n) 0;
+    trail_len = 0;
+    dec_pos = Array.make npos 0;
+    dec_value = Array.make npos false;
+    dec_flipped = Array.make npos false;
+    dec_height = Array.make npos 0;
+    ndec = 0;
     tfo_stamp = Array.make n (-1);
     stamp = 0;
-    memo_key = None;
-    memo_values = Array.make n Fivev.X;
+    tfo = Array.make n 0;
+    ntfo = 0;
+    obs_po = Array.make n 0;
+    npo = 0;
+    obs_flop = Array.make nflops 0;
+    nobs_flop = 0;
+    frontier = Array.make n 0;
+    seen = Array.make n (-1);
+    seen_stamp = 0;
+    memo_valid = false;
+    memo_key = Bytes.make nflops (Char.chr K.x);
+    memo_values = Bytes.make n (Char.chr K.x);
+    implications = 0;
   }
 
-let circuit ctx = ctx.c
+let circuit ctx = Soa.circuit ctx.soa
 let scoap ctx = ctx.guide
 
-(* Value of the faulty machine forced at the fault site, given the fault-free
-   value [v] flowing there. Unknown good value stays unknown. *)
-let site_transform (fault : Fault.t) v =
-  match Fivev.good v with
-  | Ternary.X -> Fivev.X
-  | g -> Fivev.of_pair g (Ternary.of_bool fault.stuck)
-
-(* Per-generate state: the fault, its transitive fanout (the only region
-   where D values can live), the observation points inside it, and the
-   current input assignment. *)
-type run = {
-  ctx : ctx;
-  fault : Fault.t;
-  assignment : Ternary.t array;
-  tfo_gates : Circuit.net list;  (* gate nets in the fault's fanout cone *)
-  obs_po : Circuit.net list;  (* primary-output nets in the cone *)
-  obs_flops : Circuit.net list;  (* flop nets whose D capture lies in the cone *)
+(* The fault of one [generate] call, as the kernel reads it. *)
+type site = {
+  stem : int;
+  stuck : bool;
+  stem_site : int;  (* [stem] for a stem fault, else -1 *)
+  branch_sink : int;  (* the consumer of a faulty branch, else -1 *)
+  branch_pin : int;
 }
 
-let is_branch_read (fault : Fault.t) sink pin =
-  match fault.branch with Some (s, p) -> s = sink && p = pin | None -> false
+let site_of (fault : Fault.t) =
+  match fault.branch with
+  | None ->
+      { stem = fault.stem; stuck = fault.stuck; stem_site = fault.stem; branch_sink = -1; branch_pin = -1 }
+  | Some (sink, pin) ->
+      { stem = fault.stem; stuck = fault.stuck; stem_site = -1; branch_sink = sink; branch_pin = pin }
 
-(* Value of [src] as seen by pin [pin] of [sink], fault-aware. *)
-let read run ~sink ~pin src =
-  let v = run.ctx.values.(src) in
-  if run.fault.stem = src && is_branch_read run.fault sink pin then site_transform run.fault v
-  else v
+(* The stem value as the faulty branch's consumer sees it. *)
+let branch_value ctx s = K.site s.stuck (get ctx.values s.stem)
 
-let eval_net run net =
-  let ctx = run.ctx in
+(* Gate or constant [net], fault-aware: the consumer of a faulty branch
+   reads the site value on its pin, and a stem fault's net carries the site
+   value itself. *)
+let[@inline] eval_gate ctx s net =
   let v =
-    match Circuit.driver ctx.c net with
-    | Circuit.Gate_node (kind, ins) ->
-        Gate.eval_fivev kind (Array.mapi (fun pin src -> read run ~sink:net ~pin src) ins)
-    | Circuit.Const b -> if b then Fivev.One else Fivev.Zero
-    | Circuit.Primary_input | Circuit.Flip_flop _ -> (
-        match run.assignment.(ctx.pos_of_net.(net)) with
-        | Ternary.X -> Fivev.X
-        | Ternary.Zero -> Fivev.Zero
-        | Ternary.One -> Fivev.One)
+    if net = s.branch_sink then
+      K.eval_pin ctx.soa ctx.values net ~pin:s.branch_pin (branch_value ctx s)
+    else K.eval ctx.soa ctx.values net
   in
-  if run.fault.branch = None && net = run.fault.stem then site_transform run.fault v else v
+  if net = s.stem_site then K.site s.stuck v else v
+
+(* Any net: positions read their assignment. *)
+let eval_net ctx s net =
+  let pos = ctx.pos_of_net.(net) in
+  if pos < 0 then eval_gate ctx s net
+  else if net = s.stem_site then K.site s.stuck (get ctx.pos_val pos)
+  else get ctx.pos_val pos
 
 (* Fault-free full evaluation of the constraint-only assignment. The fault
-   transform is layered on afterwards by [init_values] via propagation, so
-   this result can be memoized across faults sharing one constraint array. *)
-let eval_fault_free run =
-  let ctx = run.ctx in
-  let base_eval net =
-    match Circuit.driver ctx.c net with
-    | Circuit.Gate_node (kind, ins) ->
-        Gate.eval_fivev kind (Array.map (fun src -> ctx.values.(src)) ins)
-    | Circuit.Const b -> if b then Fivev.One else Fivev.Zero
-    | Circuit.Primary_input | Circuit.Flip_flop _ -> (
-        match run.assignment.(ctx.pos_of_net.(net)) with
-        | Ternary.X -> Fivev.X
-        | Ternary.Zero -> Fivev.Zero
-        | Ternary.One -> Fivev.One)
-  in
-  Array.iter (fun net -> ctx.values.(net) <- base_eval net) (Circuit.inputs ctx.c);
-  Array.iter (fun net -> ctx.values.(net) <- base_eval net) (Circuit.flops ctx.c);
-  Array.iter (fun net -> ctx.values.(net) <- base_eval net) (Circuit.topo_order ctx.c)
+   is layered on afterwards by propagation, so this result can be memoized
+   across faults sharing one constraint vector. *)
+let eval_fault_free ctx =
+  Array.iteri (fun pos net -> set ctx.values net (get ctx.pos_val pos)) ctx.pos_net;
+  Array.iter (fun net -> set ctx.values net (K.eval ctx.soa ctx.values net)) ctx.soa.order
 
-let enqueue ctx net =
-  if not ctx.queued.(net) then begin
-    ctx.queued.(net) <- true;
-    let l = ctx.levels.(net) in
-    ctx.buckets.(l) <- net :: ctx.buckets.(l)
+let[@inline] enqueue ctx net =
+  if not (Array.unsafe_get ctx.queued net) then begin
+    Array.unsafe_set ctx.queued net true;
+    let l = Array.unsafe_get ctx.soa.level_of net in
+    let len = ctx.bucket_len.(l) in
+    ctx.bucket.(ctx.bucket_base.(l) + len) <- net;
+    ctx.bucket_len.(l) <- len + 1;
+    if l > ctx.top then ctx.top <- l
   end
 
-(* Event-driven implication from one changed source net. Returns the trail of
-   (net, old_value) pairs for undo. *)
-let propagate run source =
-  let ctx = run.ctx in
-  let trail = ref [] in
-  enqueue ctx source;
-  for level = 0 to ctx.depth do
-    let rec drain = function
-      | [] -> ()
-      | net :: rest ->
-          ctx.queued.(net) <- false;
-          let old_v = ctx.values.(net) in
-          let new_v = eval_net run net in
-          if not (Fivev.equal old_v new_v) then begin
-            trail := (net, old_v) :: !trail;
-            ctx.values.(net) <- new_v;
-            Array.iter
-              (fun (sink, _pin) ->
-                match Circuit.driver ctx.c sink with
-                | Circuit.Gate_node _ -> enqueue ctx sink
-                | Circuit.Primary_input | Circuit.Flip_flop _ | Circuit.Const _ -> ())
-              (Circuit.fanout ctx.c net)
-          end;
-          drain rest
-    in
-    let nets = ctx.buckets.(level) in
-    ctx.buckets.(level) <- [];
-    drain nets
+(* Give [net] the value [v]: on a change, log the old value for undo and
+   schedule the gates it feeds. *)
+let[@inline] update ctx net v =
+  let old_v = get ctx.values net in
+  if v <> old_v then begin
+    if ctx.trail_len = Array.length ctx.trail then begin
+      let bigger = Array.make (2 * ctx.trail_len) 0 in
+      Array.blit ctx.trail 0 bigger 0 ctx.trail_len;
+      ctx.trail <- bigger
+    end;
+    Array.unsafe_set ctx.trail ctx.trail_len ((net lsl 3) lor old_v);
+    ctx.trail_len <- ctx.trail_len + 1;
+    set ctx.values net v;
+    let soa = ctx.soa in
+    for e = Array.unsafe_get soa.sink_base net to Array.unsafe_get soa.sink_base (net + 1) - 1 do
+      enqueue ctx (Array.unsafe_get soa.sink e)
+    done
+  end
+
+(* Event-driven implication from one changed source net. Every queued net
+   is a gate above the source's level, and sinks sit above their fanins, so
+   a level's bucket is complete when reached. The helpers above are inlined
+   into this loop: it runs once per implication. *)
+let propagate ctx s source =
+  let level0 = ctx.soa.level_of.(source) in
+  ctx.top <- level0;
+  update ctx source (eval_net ctx s source);
+  let evaluated = ref 1 and level = ref (level0 + 1) in
+  (* [ctx.top] grows as the loop queues sinks. *)
+  while !level <= ctx.top do
+    let base = ctx.bucket_base.(!level) and len = ctx.bucket_len.(!level) in
+    for k = base to base + len - 1 do
+      let net = Array.unsafe_get ctx.bucket k in
+      Array.unsafe_set ctx.queued net false;
+      update ctx net (eval_gate ctx s net)
+    done;
+    evaluated := !evaluated + len;
+    ctx.bucket_len.(!level) <- 0;
+    incr level
   done;
-  !trail
+  ctx.implications <- ctx.implications + !evaluated
 
-let undo run trail = List.iter (fun (net, old_v) -> run.ctx.values.(net) <- old_v) trail
+let undo ctx height =
+  for k = ctx.trail_len - 1 downto height do
+    let entry = ctx.trail.(k) in
+    set ctx.values (entry lsr 3) (entry land 7)
+  done;
+  ctx.trail_len <- height
 
-(* Mark the fault's transitive fanout cone; collect its observation points
-   and gate nets. *)
+(* Mark the fault's transitive fanout cone; collect its gates in DFS
+   discovery order (sinks in [Soa.sink] order, which is [Circuit.fanout]
+   order) and its observation points. *)
 let mark_tfo ctx (fault : Fault.t) =
+  let soa = ctx.soa in
   ctx.stamp <- ctx.stamp + 1;
+  ctx.ntfo <- 0;
+  ctx.npo <- 0;
+  ctx.nobs_flop <- 0;
   let stamp = ctx.stamp in
-  let gates = ref [] and obs_po = ref [] and obs_flops = ref [] in
-  let add_flop fnet = if not (List.memq fnet !obs_flops) then obs_flops := fnet :: !obs_flops in
+  let add_flop fnet =
+    ctx.obs_flop.(ctx.nobs_flop) <- fnet;
+    ctx.nobs_flop <- ctx.nobs_flop + 1
+  in
   let rec visit net =
     if ctx.tfo_stamp.(net) <> stamp then begin
       ctx.tfo_stamp.(net) <- stamp;
-      (match Circuit.driver ctx.c net with
-      | Circuit.Gate_node _ -> gates := net :: !gates
-      | Circuit.Primary_input | Circuit.Flip_flop _ | Circuit.Const _ -> ());
-      if Circuit.is_output ctx.c net then obs_po := net :: !obs_po;
-      Array.iter
-        (fun (sink, _pin) ->
-          match Circuit.driver ctx.c sink with
-          | Circuit.Flip_flop _ -> add_flop sink
-          | Circuit.Gate_node _ -> visit sink
-          | Circuit.Primary_input | Circuit.Const _ -> ())
-        (Circuit.fanout ctx.c net)
+      if soa.is_gate.(net) then begin
+        ctx.tfo.(ctx.ntfo) <- net;
+        ctx.ntfo <- ctx.ntfo + 1
+      end;
+      if soa.is_po.(net) then begin
+        ctx.obs_po.(ctx.npo) <- net;
+        ctx.npo <- ctx.npo + 1
+      end;
+      for e = soa.dflop_base.(net) to soa.dflop_base.(net + 1) - 1 do
+        add_flop soa.dflop.(e)
+      done;
+      for e = soa.sink_base.(net) to soa.sink_base.(net + 1) - 1 do
+        visit soa.sink.(e)
+      done
     end
   in
-  (match fault.branch with
+  match fault.branch with
   | None -> visit fault.stem
-  | Some (sink, _pin) -> (
-      match Circuit.driver ctx.c sink with
-      | Circuit.Flip_flop _ -> add_flop sink
-      | Circuit.Gate_node _ -> visit sink
-      | Circuit.Primary_input | Circuit.Const _ -> ()));
-  (!gates, !obs_po, !obs_flops)
+  | Some (sink, _pin) ->
+      if soa.is_flop.(sink) then add_flop sink else if soa.is_gate.(sink) then visit sink
 
-let error_observed run =
-  List.exists (fun net -> Fivev.is_error run.ctx.values.(net)) run.obs_po
-  || List.exists
-       (fun fnet ->
-         match Circuit.driver run.ctx.c fnet with
-         | Circuit.Flip_flop d -> Fivev.is_error (read run ~sink:fnet ~pin:0 d)
-         | Circuit.Primary_input | Circuit.Gate_node _ | Circuit.Const _ -> false)
-       run.obs_flops
-
-let site_value run =
-  match run.fault.branch with
-  | None -> run.ctx.values.(run.fault.stem)
-  | Some _ -> site_transform run.fault run.ctx.values.(run.fault.stem)
-
-(* Gates in the fault cone whose output is X while a (fault-aware) input
-   carries an error. *)
-let d_frontier run =
-  let has_error_input net ins =
-    let found = ref false in
-    Array.iteri (fun pin src -> if Fivev.is_error (read run ~sink:net ~pin src) then found := true) ins;
-    !found
+let error_observed ctx s =
+  let values = ctx.values in
+  let rec po k = k < ctx.npo && (is_error (get values ctx.obs_po.(k)) || po (k + 1)) in
+  let captured fnet =
+    if fnet = s.branch_sink then branch_value ctx s
+    else get values ctx.soa.flop_d.(ctx.pos_of_net.(fnet) - ctx.npi)
   in
-  List.filter
-    (fun net ->
-      Fivev.equal run.ctx.values.(net) Fivev.X
-      &&
-      match Circuit.driver run.ctx.c net with
-      | Circuit.Gate_node (_, ins) -> has_error_input net ins
-      | Circuit.Primary_input | Circuit.Flip_flop _ | Circuit.Const _ -> false)
-    run.tfo_gates
+  let rec flop k = k < ctx.nobs_flop && (is_error (captured ctx.obs_flop.(k)) || flop (k + 1)) in
+  po 0 || flop 0
 
-(* Can an error at some D-frontier gate still reach an observation point
-   through X-valued nets? *)
-let x_path_exists run frontier =
-  let c = run.ctx.c and values = run.ctx.values in
-  let visited = Hashtbl.create 64 in
+let site_value ctx s = if s.stem_site >= 0 then get ctx.values s.stem else branch_value ctx s
+
+(* Does a (fault-aware) input of gate [g] carry an error? *)
+let has_error_input ctx s g =
+  let soa = ctx.soa in
+  let base = soa.fanin_base.(g) and stop = soa.fanin_base.(g + 1) in
+  let rec scan p =
+    p < stop
+    && (is_error
+          (if g = s.branch_sink && p - base = s.branch_pin then branch_value ctx s
+           else get ctx.values soa.fanin.(p))
+       || scan (p + 1))
+  in
+  scan base
+
+(* Can an error at one of the first [n] frontier gates still reach an
+   observation point through X-valued nets? *)
+let x_path_exists ctx n =
+  let soa = ctx.soa and values = ctx.values in
+  ctx.seen_stamp <- ctx.seen_stamp + 1;
+  let stamp = ctx.seen_stamp in
   let rec reachable net =
-    if Hashtbl.mem visited net then false
-    else begin
-      Hashtbl.add visited net ();
-      Fivev.equal values.(net) Fivev.X
-      && (Circuit.is_output c net
-         || Array.exists
-              (fun (sink, _pin) ->
-                match Circuit.driver c sink with
-                | Circuit.Flip_flop _ -> true
-                | Circuit.Gate_node _ -> reachable sink
-                | Circuit.Primary_input | Circuit.Const _ -> false)
-              (Circuit.fanout c net))
-    end
-  in
-  List.exists reachable frontier
+    ctx.seen.(net) <> stamp
+    && begin
+         ctx.seen.(net) <- stamp;
+         get values net = K.x
+         && (soa.is_po.(net)
+            || soa.dflop_base.(net + 1) > soa.dflop_base.(net)
+            || sinks soa.sink_base.(net) soa.sink_base.(net + 1))
+       end
+  and sinks e stop = e < stop && (reachable soa.sink.(e) || sinks (e + 1) stop) in
+  let rec any k = k < n && (reachable ctx.frontier.(k) || any (k + 1)) in
+  any 0
 
-(* Backtrace an objective (net, value) to an unassigned input position.
-   Heuristic only; soundness comes from implication plus backtracking. *)
-let backtrace run ~guided (net0, v0) =
-  let ctx = run.ctx in
-  let c = ctx.c and values = ctx.values and guide = ctx.guide in
-  let first_x ins =
-    let best = ref None in
-    Array.iter (fun i -> if !best = None && Fivev.equal values.(i) Fivev.X then best := Some (i, 0)) ins;
+(* The D-frontier scan fused with the propagation objective's gate pick:
+   over the cone's gates in reverse discovery order, collect those whose
+   output is X while an input carries an error, keeping the first of least
+   stem observability. That gate, or -1 when the frontier is empty or no
+   X path leads from it to an observation point. *)
+let frontier_gate ctx s =
+  let best = ref (-1) and best_cost = ref 0 and n = ref 0 in
+  for k = ctx.ntfo - 1 downto 0 do
+    let g = ctx.tfo.(k) in
+    if get ctx.values g = K.x && has_error_input ctx s g then begin
+      ctx.frontier.(!n) <- g;
+      incr n;
+      let cost = Scoap.co_stem ctx.guide g in
+      if !best < 0 || cost < !best_cost then begin
+        best := g;
+        best_cost := cost
+      end
+    end
+  done;
+  if !best >= 0 && x_path_exists ctx !n then !best else -1
+
+let first_x_fanin ctx g =
+  let soa = ctx.soa in
+  let stop = soa.fanin_base.(g + 1) in
+  let rec go p =
+    if p >= stop then -1
+    else if get ctx.values soa.fanin.(p) = K.x then soa.fanin.(p)
+    else go (p + 1)
+  in
+  go soa.fanin_base.(g)
+
+(* Backtrace an objective (net, value) to an unassigned input position:
+   [2 * position + value], or -1. Heuristic only; soundness comes from
+   implication plus backtracking. *)
+let backtrace ctx ~guided net0 v0 =
+  let soa = ctx.soa and values = ctx.values and guide = ctx.guide in
+  (* The X fanin of [net] to pursue for value [v]: unguided, the first;
+     guided, the first of least (with [hardest], greatest) cost. *)
+  let pick ~hardest net v =
+    let best = ref (-1) and best_cost = ref 0 in
+    for p = soa.fanin_base.(net) to soa.fanin_base.(net + 1) - 1 do
+      let i = soa.fanin.(p) in
+      if get values i = K.x then
+        if not guided then (if !best < 0 then best := i)
+        else begin
+          let cost = Scoap.cc guide i v in
+          if !best < 0 || (if hardest then cost > !best_cost else cost < !best_cost) then begin
+            best := i;
+            best_cost := cost
+          end
+        end
+    done;
     !best
   in
-  let pick prefer_high v ins =
-    if not guided then first_x ins
-    else begin
-      let best = ref None in
-      Array.iter
-        (fun i ->
-          if Fivev.equal values.(i) Fivev.X then
-            let cost = Scoap.cc guide i v in
-            match !best with
-            | Some (_, bcost) when (if prefer_high then bcost >= cost else bcost <= cost) -> ()
-            | Some _ | None -> best := Some (i, cost))
-        ins;
-      !best
-    end
-  in
-  let easiest = pick false and hardest = pick true in
   let rec walk net v fuel =
-    if fuel = 0 then None
+    if fuel = 0 then -1
     else
-      let idx = ctx.pos_of_net.(net) in
-      if idx >= 0 then
-        if Ternary.equal run.assignment.(idx) Ternary.X then Some (idx, v) else None
+      let pos = ctx.pos_of_net.(net) in
+      if pos >= 0 then if get ctx.pos_val pos = K.x then (2 * pos) + Bool.to_int v else -1
+      else if not soa.is_gate.(net) then -1 (* constant *)
       else
-        match Circuit.driver c net with
-        | Circuit.Const _ -> None
-        | Circuit.Primary_input | Circuit.Flip_flop _ -> None
-        | Circuit.Gate_node (kind, ins) -> (
-            let u = v <> Gate.inversion kind in
-            match Gate.controlling_value kind with
-            | Some ctrl ->
-                let choice = if u = ctrl then easiest u ins else hardest u ins in
-                (match choice with Some (i, _) -> walk i u (fuel - 1) | None -> None)
-            | None -> (
-                match kind with
-                | Gate.Not | Gate.Buf -> walk ins.(0) u (fuel - 1)
-                | Gate.Xor | Gate.Xnor ->
-                    (* Choose an X input; its target makes the total parity
-                       match, counting specified inputs and treating other X
-                       inputs as 0 ([u] already accounts for XNOR inversion). *)
-                    let parity = ref u in
-                    Array.iter
-                      (fun i ->
-                        match Fivev.good values.(i) with
-                        | Ternary.One -> parity := not !parity
-                        | Ternary.Zero | Ternary.X -> ())
-                      ins;
-                    (match easiest !parity ins with
-                    | Some (i, _) -> walk i !parity (fuel - 1)
-                    | None -> None)
-                | Gate.And | Gate.Or | Gate.Nand | Gate.Nor -> None))
+        let u = v <> (soa.inv.(net) <> 0) in
+        let op = soa.op.(net) in
+        if op = Soa.op_copy then walk soa.fanin.(soa.fanin_base.(net)) u (fuel - 1)
+        else begin
+          (* XOR-fold: an X input whose target makes the total parity
+             match, counting specified inputs and treating other X inputs
+             as 0 ([u] already accounts for XNOR inversion). AND-fold
+             (controlling 0) or OR-fold (controlling 1): the easiest input
+             for the controlling value, else the hardest. *)
+          let target = ref u and hardest = ref false in
+          if op = Soa.op_xor then
+            for p = soa.fanin_base.(net) to soa.fanin_base.(net + 1) - 1 do
+              let g = get values soa.fanin.(p) in
+              if g = K.one || g = K.d then target := not !target
+            done
+          else hardest := u <> (op = Soa.op_or);
+          let i = pick ~hardest:!hardest net !target in
+          if i < 0 then -1 else walk i !target (fuel - 1)
+        end
   in
-  walk net0 v0 (Circuit.num_nets c + 1)
+  walk net0 v0 (Array.length ctx.pos_of_net + 1)
 
-(* Pick the propagation objective from the D-frontier: the gate whose output
-   is cheapest to observe, targeting one of its X inputs with the gate's
-   non-controlling value. *)
-let propagation_objective run frontier =
-  let values = run.ctx.values and guide = run.ctx.guide in
-  let cheapest =
-    List.fold_left
-      (fun acc net ->
-        let cost = Scoap.co_stem guide net in
-        match acc with Some (_, c0) when c0 <= cost -> acc | Some _ | None -> Some (net, cost))
-      None frontier
+let extract_cube ctx : Cube.t =
+  let ternary pos = K.to_ternary (get ctx.pos_val pos) in
+  {
+    pi = Array.init ctx.npi ternary;
+    scan = Array.init (Array.length ctx.pos_net - ctx.npi) (fun i -> ternary (ctx.npi + i));
+  }
+
+(* Restore the fault-free values under the current constraints from the
+   memo, or compute and remember them. *)
+let load_fault_free ctx =
+  let nflops = Bytes.length ctx.memo_key in
+  let rec same i = i >= nflops || (get ctx.memo_key i = get ctx.pos_val (ctx.npi + i) && same (i + 1)) in
+  let n = Bytes.length ctx.values in
+  if ctx.memo_valid && same 0 then Bytes.blit ctx.memo_values 0 ctx.values 0 n
+  else begin
+    eval_fault_free ctx;
+    Bytes.blit ctx.values 0 ctx.memo_values 0 n;
+    Bytes.blit ctx.pos_val ctx.npi ctx.memo_key 0 nflops;
+    ctx.memo_valid <- true
+  end
+
+let record result ~decisions ~backtracks ~implications ~t0 =
+  Metrics.incr m_calls;
+  Metrics.add m_decisions decisions;
+  Metrics.add m_backtracks backtracks;
+  Metrics.add m_implications implications;
+  let outcome, hist =
+    match result with
+    | Detected _ -> (m_detected, h_detected_us)
+    | Untestable -> (m_untestable, h_untestable_us)
+    | Aborted -> (m_aborted, h_aborted_us)
   in
-  match cheapest with
-  | None -> None
-  | Some (net, _) -> (
-      match Circuit.driver run.ctx.c net with
-      | Circuit.Gate_node (kind, ins) -> (
-          let target = match Gate.controlling_value kind with Some c -> not c | None -> false in
-          let x_input = Array.find_opt (fun i -> Fivev.equal values.(i) Fivev.X) ins in
-          match x_input with Some i -> Some (i, target) | None -> None)
-      | Circuit.Primary_input | Circuit.Flip_flop _ | Circuit.Const _ -> None)
-
-type decision = {
-  pos_idx : int;
-  mutable value : bool;
-  mutable flipped : bool;
-  mutable trail : (Circuit.net * Fivev.t) list;
-}
+  Metrics.incr outcome;
+  Metrics.observe hist (int_of_float ((Clock.now () -. t0) *. 1e6))
 
 let generate ?(config = default_config) ?constraints ctx (fault : Fault.t) =
-  let c = ctx.c in
-  let nflops = Circuit.num_flops c in
-  let constraints =
-    match constraints with
-    | Some arr ->
-        if Array.length arr <> nflops then invalid_arg "Podem.generate: constraints length mismatch";
-        arr
-    | None -> Array.make nflops Ternary.X
-  in
-  let npos = Array.length ctx.positions in
-  let assignment = Array.make npos Ternary.X in
-  Array.iteri
-    (fun i v ->
-      match fst ctx.positions.(Circuit.num_inputs c + i) with
-      | Cell _ -> assignment.(Circuit.num_inputs c + i) <- v
-      | Pi _ -> assert false)
-    constraints;
-  let tfo_gates, obs_po, obs_flops = mark_tfo ctx fault in
-  let run = { ctx; fault; assignment; tfo_gates; obs_po; obs_flops } in
-  let n = Array.length ctx.values in
-  (match ctx.memo_key with
-  | Some key when key == constraints -> Array.blit ctx.memo_values 0 ctx.values 0 n
-  | Some _ | None ->
-      eval_fault_free run;
-      Array.blit ctx.values 0 ctx.memo_values 0 n;
-      ctx.memo_key <- Some constraints);
-  (* Layer the fault transform on the fault-free base. *)
+  let t0 = Clock.now () in
+  let nflops = Bytes.length ctx.memo_key in
+  Bytes.fill ctx.pos_val 0 ctx.npi (Char.chr K.x);
+  (match constraints with
+  | Some arr ->
+      if Array.length arr <> nflops then invalid_arg "Podem.generate: constraints length mismatch";
+      Array.iteri (fun i v -> set ctx.pos_val (ctx.npi + i) (K.of_ternary v)) arr
+  | None -> Bytes.fill ctx.pos_val ctx.npi nflops (Char.chr K.x));
+  let s = site_of fault in
+  mark_tfo ctx fault;
+  load_fault_free ctx;
+  ctx.implications <- 0;
+  (* Layer the fault transform on the fault-free base; no decision ever
+     undoes it, so its trail entries are dropped. *)
   (match fault.branch with
-  | None -> ignore (propagate run fault.stem)
-  | Some (sink, _pin) -> (
-      match Circuit.driver c sink with
-      | Circuit.Gate_node _ -> ignore (propagate run sink)
-      | Circuit.Flip_flop _ | Circuit.Primary_input | Circuit.Const _ -> ()));
-  let assign pos_idx v =
-    assignment.(pos_idx) <- Ternary.of_bool v;
-    propagate run (snd ctx.positions.(pos_idx))
+  | None -> propagate ctx s fault.stem
+  | Some (sink, _pin) -> if ctx.soa.is_gate.(sink) then propagate ctx s sink);
+  ctx.trail_len <- 0;
+  ctx.ndec <- 0;
+  let decisions = ref 0 and backtracks = ref 0 in
+  let assign pos v =
+    incr decisions;
+    set ctx.pos_val pos (if v then K.one else K.zero);
+    propagate ctx s ctx.pos_net.(pos)
   in
-  let unassign pos_idx trail =
-    assignment.(pos_idx) <- Ternary.X;
-    undo run trail
+  let decide pos v =
+    let k = ctx.ndec in
+    ctx.dec_pos.(k) <- pos;
+    ctx.dec_value.(k) <- v;
+    ctx.dec_flipped.(k) <- false;
+    ctx.dec_height.(k) <- ctx.trail_len;
+    ctx.ndec <- k + 1;
+    assign pos v
   in
-  let extract_cube () =
-    let pi = Array.make (Circuit.num_inputs c) Ternary.X in
-    let scan = Array.make nflops Ternary.X in
-    Array.iteri
-      (fun idx (p, _) ->
-        match p with Pi i -> pi.(i) <- assignment.(idx) | Cell i -> scan.(i) <- assignment.(idx))
-      ctx.positions;
-    ({ pi; scan } : Cube.t)
-  in
-  let stack = ref [] in
-  let backtracks = ref 0 in
   (* Pop fully explored decisions, then flip the most recent unexplored one.
-     [None] when the whole space is exhausted. *)
+     [false] when the whole space is exhausted. *)
   let rec flip_last () =
-    match !stack with
-    | [] -> None
-    | d :: rest ->
-        unassign d.pos_idx d.trail;
-        if d.flipped then begin
-          stack := rest;
-          flip_last ()
-        end
-        else begin
-          d.value <- not d.value;
-          d.flipped <- true;
-          d.trail <- assign d.pos_idx d.value;
-          Some ()
-        end
-  in
-  let rec search () =
-    if error_observed run then Detected (extract_cube ())
+    ctx.ndec > 0
+    &&
+    let k = ctx.ndec - 1 in
+    set ctx.pos_val ctx.dec_pos.(k) K.x;
+    undo ctx ctx.dec_height.(k);
+    if ctx.dec_flipped.(k) then begin
+      ctx.ndec <- k;
+      flip_last ()
+    end
     else begin
-      let site = site_value run in
-      let activated = Fivev.is_error site in
-      let objective =
-        if activated then begin
-          let frontier = d_frontier run in
-          if frontier = [] || not (x_path_exists run frontier) then None
-          else propagation_objective run frontier
-        end
-        else if Fivev.equal site Fivev.X then Some (fault.stem, not fault.stuck)
-        else None (* activation impossible under current assignments *)
-      in
-      let next =
-        match objective with
-        | Some (net, v) -> backtrace run ~guided:config.guided (net, v)
-        | None -> None
-      in
-      match next with
-      | Some (pos_idx, v) ->
-          let trail = assign pos_idx v in
-          stack := { pos_idx; value = v; flipped = false; trail } :: !stack;
-          search ()
-      | None ->
-          if !backtracks >= config.backtrack_limit then Aborted
-          else begin
-            incr backtracks;
-            match flip_last () with Some () -> search () | None -> Untestable
-          end
+      ctx.dec_value.(k) <- not ctx.dec_value.(k);
+      ctx.dec_flipped.(k) <- true;
+      assign ctx.dec_pos.(k) ctx.dec_value.(k);
+      true
     end
   in
-  search ()
+  (* The next decision, [2 * position + value], or -1. *)
+  let next_decision () =
+    let site = site_value ctx s in
+    if is_error site then begin
+      let g = frontier_gate ctx s in
+      let i = if g < 0 then -1 else first_x_fanin ctx g in
+      (* Target the gate's non-controlling value (1 for the AND-fold). *)
+      if i < 0 then -1 else backtrace ctx ~guided:config.guided i (ctx.soa.op.(g) = Soa.op_and)
+    end
+    else if site = K.x then backtrace ctx ~guided:config.guided fault.stem (not fault.stuck)
+    else -1 (* activation impossible under current assignments *)
+  in
+  let rec search () =
+    if error_observed ctx s then Detected (extract_cube ctx)
+    else
+      let next = next_decision () in
+      if next >= 0 then begin
+        decide (next lsr 1) (next land 1 = 1);
+        search ()
+      end
+      else if !backtracks >= config.backtrack_limit then Aborted
+      else begin
+        incr backtracks;
+        if flip_last () then search () else Untestable
+      end
+  in
+  let result = search () in
+  record result ~decisions:!decisions ~backtracks:!backtracks ~implications:ctx.implications ~t0;
+  result

@@ -24,6 +24,9 @@ val eval_bool : kind -> bool array -> bool
 val eval_ternary : kind -> Tvs_logic.Ternary.t array -> Tvs_logic.Ternary.t
 
 val eval_fivev : kind -> Tvs_logic.Fivev.t array -> Tvs_logic.Fivev.t
+(** The reference five-valued evaluation (a left fold of the
+    {!Tvs_logic.Fivev} connectives); PODEM's table kernel is tested
+    against it. *)
 
 val eval_word : kind -> int array -> int -> int
 (** [eval_word kind inputs mask] evaluates bit-parallel over machine words

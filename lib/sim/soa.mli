@@ -38,6 +38,12 @@ type t = private {
   dflop : int array;  (** flop nets consuming each net as their D input *)
 }
 
+val op_and : int
+val op_or : int
+val op_xor : int
+val op_copy : int
+(** The values of [op]. *)
+
 val create : Tvs_netlist.Circuit.t -> t
 (** Extract the flat tables from a circuit. O(nets + edges); intended to run
     once per circuit and be shared by every engine context over it. *)

@@ -4,6 +4,8 @@
 module Circuit = Tvs_netlist.Circuit
 module Gate = Tvs_netlist.Gate
 module Ternary = Tvs_logic.Ternary
+module Fivev = Tvs_logic.Fivev
+module Soa = Tvs_sim.Soa
 module Fault = Tvs_fault.Fault
 module Fault_gen = Tvs_fault.Fault_gen
 module Fault_sim = Tvs_fault.Fault_sim
@@ -11,6 +13,7 @@ module Parallel = Tvs_sim.Parallel
 module Cube = Tvs_atpg.Cube
 module Scoap = Tvs_atpg.Scoap
 module Podem = Tvs_atpg.Podem
+module Kernel = Tvs_atpg.Fivev_kernel
 module Generator = Tvs_atpg.Generator
 module Rng = Tvs_util.Rng
 
@@ -108,6 +111,94 @@ let test_scoap_hardness_orders () =
       Alcotest.(check bool) "finite hardness" true (Scoap.fault_hardness t f < Scoap.unreachable))
     (Fault_gen.collapsed s27)
 
+(* --- five-valued kernel ------------------------------------------------ *)
+
+let fivev_values = [ Fivev.Zero; Fivev.One; Fivev.D; Fivev.Dbar; Fivev.X ]
+
+(* One gate of [kind] over [n] primary inputs. *)
+let single_gate kind n =
+  let b = Circuit.Builder.create "single" in
+  let ins = List.init n (fun i -> Circuit.Builder.input b (Printf.sprintf "i%d" i)) in
+  let g = Circuit.Builder.gate b ~name:"g" kind ins in
+  Circuit.Builder.mark_output b g;
+  (Circuit.Builder.finish b, Array.of_list ins, g)
+
+let test_kernel_matches_eval_fivev () =
+  (* The table fold against the [Gate.eval_fivev] oracle: every kind, every
+     legal arity up to 4, every input tuple, plus every single-pin override
+     of [eval_pin]. *)
+  List.iter
+    (fun kind ->
+      let arities =
+        match kind with
+        | Gate.Not | Gate.Buf -> [ 1 ]
+        | Gate.Xor | Gate.Xnor -> [ 2; 3; 4 ]
+        | Gate.And | Gate.Nand | Gate.Or | Gate.Nor -> [ 1; 2; 3; 4 ]
+      in
+      List.iter
+        (fun n ->
+          let c, ins, g = single_gate kind n in
+          let soa = Soa.create c in
+          let values = Bytes.make (Circuit.num_nets c) '\000' in
+          let tuple = Array.make n Fivev.Zero in
+          let label () =
+            Printf.sprintf "%s(%s)" (Gate.to_string kind)
+              (String.concat "," (Array.to_list (Array.map Fivev.to_string tuple)))
+          in
+          let check () =
+            Array.iteri (fun i net -> Bytes.set values net (Char.chr (Kernel.code tuple.(i)))) ins;
+            Alcotest.(check string) (label ())
+              (Fivev.to_string (Gate.eval_fivev kind tuple))
+              (Fivev.to_string (Kernel.of_code (Kernel.eval soa values g)));
+            for pin = 0 to n - 1 do
+              List.iter
+                (fun v ->
+                  let forced = Array.copy tuple in
+                  forced.(pin) <- v;
+                  let got = Kernel.eval_pin soa values g ~pin (Kernel.code v) in
+                  if not (Fivev.equal (Gate.eval_fivev kind forced) (Kernel.of_code got)) then
+                    Alcotest.failf "%s with pin %d forced to %s" (label ()) pin (Fivev.to_string v))
+                fivev_values
+            done
+          in
+          let rec each i =
+            if i = n then check ()
+            else
+              List.iter
+                (fun v ->
+                  tuple.(i) <- v;
+                  each (i + 1))
+                fivev_values
+          in
+          each 0)
+        arities)
+    [ Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor; Gate.Not; Gate.Buf ]
+
+let test_kernel_constants_and_site () =
+  let b = Circuit.Builder.create "consts" in
+  let k0 = Circuit.Builder.const b ~name:"k0" false and k1 = Circuit.Builder.const b ~name:"k1" true in
+  let c = Circuit.Builder.finish b in
+  let soa = Soa.create c in
+  let values = Bytes.make (Circuit.num_nets c) (Char.chr Kernel.x) in
+  Alcotest.(check int) "const 0" Kernel.zero (Kernel.eval soa values k0);
+  Alcotest.(check int) "const 1" Kernel.one (Kernel.eval soa values k1);
+  (* The site value pairs the fault-free half with the stuck value. *)
+  List.iter
+    (fun v ->
+      List.iter
+        (fun stuck ->
+          let expected =
+            match Fivev.good v with
+            | Ternary.X -> Fivev.X
+            | g -> Fivev.of_pair g (Ternary.of_bool stuck)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "site %b %s" stuck (Fivev.to_string v))
+            (Fivev.to_string expected)
+            (Fivev.to_string (Kernel.of_code (Kernel.site stuck (Kernel.code v)))))
+        [ false; true ])
+    fivev_values
+
 (* --- PODEM ----------------------------------------------------------- *)
 
 let verify_cube_detects circuit fault cube =
@@ -204,6 +295,22 @@ let test_podem_impossible_constraints () =
   | Podem.Detected _ -> Alcotest.fail "D/0 cannot be activated with A = 0"
   | Podem.Aborted -> Alcotest.fail "tiny space, must not abort")
 
+let test_podem_memo_tracks_contents () =
+  (* The fault-free memo is keyed on the constraint contents: a caller that
+     mutates and reuses one array must not get the old contents'
+     implications. D/0 needs A = 1, so it turns untestable once A = 0. *)
+  let ctx = Podem.create fig1 in
+  let d0 = Tvs_circuits.Fig1.paper_fault fig1 "D/0" in
+  let constraints = [| Ternary.One; Ternary.X; Ternary.X |] in
+  (match Podem.generate ~constraints ctx d0 with
+  | Podem.Detected _ -> ()
+  | Podem.Untestable | Podem.Aborted -> Alcotest.fail "D/0 is testable with A = 1");
+  constraints.(0) <- Ternary.Zero;
+  match Podem.generate ~constraints ctx d0 with
+  | Podem.Untestable -> ()
+  | Podem.Detected cube -> Alcotest.fail ("stale memo: D/0 detected by " ^ Cube.to_string cube)
+  | Podem.Aborted -> Alcotest.fail "tiny space, must not abort"
+
 let test_podem_deterministic () =
   let ctx = Podem.create s27 in
   let fault = (Fault_gen.collapsed s27).(5) in
@@ -289,6 +396,11 @@ let () =
           Alcotest.test_case "3-input AND" `Quick test_scoap_and_gate;
           Alcotest.test_case "hardness finite on s27" `Quick test_scoap_hardness_orders;
         ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "table fold equals Gate.eval_fivev" `Quick test_kernel_matches_eval_fivev;
+          Alcotest.test_case "constants and fault sites" `Quick test_kernel_constants_and_site;
+        ] );
       ( "podem",
         [
           Alcotest.test_case "finds all fig1 tests" `Quick test_podem_finds_all_fig1;
@@ -298,6 +410,7 @@ let () =
           Alcotest.test_case "constrained detection" `Quick test_podem_constrained_detection;
           Alcotest.test_case "impossible constraints" `Quick test_podem_impossible_constraints;
           Alcotest.test_case "deterministic" `Quick test_podem_deterministic;
+          Alcotest.test_case "memo follows constraint contents" `Quick test_podem_memo_tracks_contents;
         ] );
       ( "generator",
         [

@@ -50,6 +50,56 @@ let test_run_flow_deterministic () =
   Alcotest.(check int) "same TV" a.Experiments.tv b.Experiments.tv;
   Alcotest.(check (float 0.00001)) "same m" a.Experiments.m b.Experiments.m
 
+(* [tvs stitch NAME] summaries, pinned: integers exactly, floats bit for
+   bit. Any change to ATPG, fault simulation or the engine that moves a
+   search result moves one of these. *)
+let golden_summaries =
+  [
+    ( "fig1",
+      { Experiments.atv = 6; tv = 4; ex = 0; peak_hidden = 9;
+        m = 0x1p-1; t = 0x1.2492492492492p-1; coverage = 0x1p+0 } );
+    ( "s27",
+      { Experiments.atv = 11; tv = 11; ex = 0; peak_hidden = 6;
+        m = 0x1.637021d9ead7dp-1; t = 0x1.e38e38e38e38ep-2; coverage = 0x1p+0 } );
+    ( "s444",
+      { Experiments.atv = 71; tv = 62; ex = 0; peak_hidden = 44;
+        m = 0x1.7ca44dc4c1262p-2; t = 0x1.190ee643b990fp-2; coverage = 0x1p+0 } );
+    ( "s526",
+      { Experiments.atv = 66; tv = 67; ex = 0; peak_hidden = 62;
+        m = 0x1.fd90f5cf0552ep-2; t = 0x1.9560fa5c10bd4p-2; coverage = 0x1p+0 } );
+    ( "s641",
+      { Experiments.atv = 131; tv = 120; ex = 0; peak_hidden = 42;
+        m = 0x1.417ef13b92a54p-1; t = 0x1.7d589984b2041p-3; coverage = 0x1p+0 } );
+    ( "s953",
+      { Experiments.atv = 153; tv = 171; ex = 1; peak_hidden = 63;
+        m = 0x1.52eb1c601d415p-1; t = 0x1.6be146818c35ap-2; coverage = 0x1p+0 } );
+    ( "s1196",
+      { Experiments.atv = 143; tv = 166; ex = 0; peak_hidden = 41;
+        m = 0x1.48479bbf8d6d3p-1; t = 0x1.ed097b425ed09p-3; coverage = 0x1p+0 } );
+    ( "s1423",
+      { Experiments.atv = 155; tv = 236; ex = 0; peak_hidden = 270;
+        m = 0x1.6554d0afa7655p-1; t = 0x1.27f610ad267f6p-1; coverage = 0x1p+0 } );
+  ]
+
+let test_golden_summaries () =
+  List.iter
+    (fun (spec, (want : Experiments.run_summary)) ->
+      let c = Result.get_ok (Tvs_harness.Cli.load_circuit spec) in
+      let got = Experiments.run_flow ~label:"cli" (Prep.of_circuit c) in
+      let int name f = Alcotest.(check int) (spec ^ " " ^ name) (f want) (f got) in
+      let bits name f =
+        Alcotest.(check string) (spec ^ " " ^ name) (Printf.sprintf "%h" (f want))
+          (Printf.sprintf "%h" (f got))
+      in
+      int "aTV" (fun r -> r.Experiments.atv);
+      int "TV" (fun r -> r.Experiments.tv);
+      int "extra" (fun r -> r.Experiments.ex);
+      int "peak hidden" (fun r -> r.Experiments.peak_hidden);
+      bits "m" (fun r -> r.Experiments.m);
+      bits "t" (fun r -> r.Experiments.t);
+      bits "coverage" (fun r -> r.Experiments.coverage))
+    golden_summaries
+
 let test_table1_text () =
   let out = Experiments.table1 () in
   List.iter
@@ -158,6 +208,7 @@ let () =
           Alcotest.test_case "table 4 rendering" `Quick test_small_table_renders;
           Alcotest.test_case "comparison rendering" `Quick test_comparison_renders;
           Alcotest.test_case "randtest small budget" `Quick test_randtest_small_budget;
+          Alcotest.test_case "golden stitch summaries" `Quick test_golden_summaries;
         ] );
       ( "cli",
         [

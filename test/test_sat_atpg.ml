@@ -163,6 +163,85 @@ let test_sat_atpg_constraints () =
       Alcotest.(check char) "cell 0 honoured" '1' (Ternary.to_char cube.Cube.scan.(0))
   | Sat_atpg.Untestable | Sat_atpg.Unknown -> Alcotest.fail "testable under A = 1"
 
+(* --- constrained PODEM on the engine's own cycles --------------------------
+
+   The constraint cubes the stitching engine actually poses: a checkpoint
+   after every cycle, restored into a private machine, yields the
+   constraints of the cycle about to run, paired with a seeded sample of its
+   uncaught faults. [every] keeps one cycle in that many. *)
+
+module Prep = Tvs_harness.Prep
+module Experiments = Tvs_harness.Experiments
+module Engine = Tvs_core.Engine
+module Cycle = Tvs_core.Cycle
+
+let engine_cycles ~every ~sample circuit =
+  let prep = Prep.of_circuit circuit in
+  let config = Experiments.config_for prep in
+  let machine = Cycle.create ~scheme:config.Engine.scheme circuit ~faults:prep.Prep.testable in
+  let rng = Rng.of_string ("cycles:" ^ Circuit.name circuit) in
+  let cycles = ref [] and seen = ref 0 in
+  let save (snap : Engine.snapshot) =
+    incr seen;
+    if !seen mod every = 0 then begin
+      Cycle.restore machine snap.Engine.machine;
+      let uncaught = Array.of_list (Cycle.uncaught_indices machine) in
+      Rng.shuffle rng uncaught;
+      let picked = Array.sub uncaught 0 (min sample (Array.length uncaught)) in
+      cycles :=
+        ( Cycle.constraints_for machine ~s:snap.Engine.current_s,
+          Array.map (fun i -> prep.Prep.testable.(i)) picked )
+        :: !cycles
+    end
+  in
+  ignore (Experiments.run_flow ~checkpoint:(1, save) ~label:"cli" prep);
+  (prep, config, List.rev !cycles)
+
+let test_constrained_cross_validation () =
+  (* Every PODEM cube honours the constraints and detects its fault under
+     both constant fills; every PODEM [Untestable] is either confirmed by
+     SAT under the same constraints or left undecided by SAT's budget —
+     never contradicted. *)
+  let confirmed = ref 0 and undecided = ref 0 and cubes = ref 0 in
+  List.iter
+    (fun (circuit, every) ->
+      let prep, config, cycles = engine_cycles ~every ~sample:8 circuit in
+      let sim = Fault_sim.create circuit in
+      List.iter
+        (fun (constraints, faults) ->
+          Array.iter
+            (fun fault ->
+              let name = Circuit.name circuit ^ " " ^ Fault.name circuit fault in
+              match Podem.generate ~config:config.Engine.podem ~constraints prep.Prep.ctx fault with
+              | Podem.Detected cube ->
+                  incr cubes;
+                  Array.iteri
+                    (fun i v ->
+                      if Ternary.is_specified v && not (Ternary.equal v cube.Cube.scan.(i)) then
+                        Alcotest.failf "%s: cube ignores the constraint on cell %d" name i)
+                    constraints;
+                  List.iter
+                    (fun fill ->
+                      let v = Cube.fill_const fill cube in
+                      if not (Fault_sim.detects sim ~pi:v.Cube.pi ~state:v.Cube.scan fault) then
+                        Alcotest.failf "%s: cube filled with %b misses the fault" name fill)
+                    [ false; true ]
+              | Podem.Untestable -> (
+                  match Sat_atpg.generate ~constraints ~max_decisions:20_000 circuit fault with
+                  | Sat_atpg.Untestable -> incr confirmed
+                  | Sat_atpg.Unknown -> incr undecided
+                  | Sat_atpg.Detected cube ->
+                      Alcotest.failf "%s: PODEM untestable, SAT found %s" name (Cube.to_string cube))
+              | Podem.Aborted -> ())
+            faults)
+        cycles)
+    [ (s27, 1); (Tvs_circuits.Synth.generate_named "s444", 4) ];
+  Alcotest.(check bool) "cubes checked" true (!cubes > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "most untestables confirmed (%d confirmed, %d undecided)" !confirmed !undecided)
+    true
+    (!confirmed > 0 && !undecided * 10 < !confirmed)
+
 let () =
   Alcotest.run "sat-atpg"
     [
@@ -184,5 +263,7 @@ let () =
           Alcotest.test_case "PODEM agreement on fig1" `Quick test_cross_validation_fig1;
           Alcotest.test_case "PODEM agreement on s27" `Quick test_cross_validation_s27;
           Alcotest.test_case "PODEM agreement on s444 sample" `Quick test_cross_validation_synth;
+          Alcotest.test_case "constrained PODEM on engine cycles" `Quick
+            test_constrained_cross_validation;
         ] );
     ]
