@@ -114,7 +114,6 @@ let micro_tests () =
   let s444_faults = Tvs_fault.Fault_gen.collapsed s444 in
   let s444_ctx = Tvs_atpg.Podem.create s444 in
   let s444_sim = Tvs_fault.Fault_sim.create s444 in
-  let s444_sim_full = Tvs_fault.Fault_sim.create ~mode:Tvs_fault.Fault_sim.Full s444 in
   let s444_vec =
     let rng = Tvs_util.Rng.of_string "bench:vec" in
     {
@@ -166,18 +165,12 @@ let micro_tests () =
       (Staged.stage (fun () ->
            let guide = Tvs_atpg.Scoap.compute s444 in
            Array.iter (fun f -> ignore (Tvs_atpg.Scoap.fault_hardness guide f)) s444_faults));
-    (* Table 5: word-parallel fault simulation, the large-circuit workhorse.
-       Default = event-driven cone-restricted path; the -full variant runs
-       one complete levelized pass per chunk for comparison. *)
+    (* Table 5: word-parallel event-driven fault simulation, the
+       large-circuit workhorse. *)
     Test.make ~name:"table5/parallel-faultsim"
       (Staged.stage (fun () ->
            ignore
              (Tvs_fault.Fault_sim.detected_faults s444_sim ~pi:s444_vec.Tvs_atpg.Cube.pi
-                ~state:s444_vec.Tvs_atpg.Cube.scan s444_faults)));
-    Test.make ~name:"table5/parallel-faultsim-full"
-      (Staged.stage (fun () ->
-           ignore
-             (Tvs_fault.Fault_sim.detected_faults s444_sim_full ~pi:s444_vec.Tvs_atpg.Cube.pi
                 ~state:s444_vec.Tvs_atpg.Cube.scan s444_faults)));
     (* The multi-vector screen behind candidate scoring: 16 vectors in one
        call, so cone setup and injection tables amortize across the batch. *)
@@ -193,7 +186,7 @@ let run_micro () =
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true () in
   let buf = Buffer.create 1024 in
   let benches = ref [] in
-  Tvs_fault.Fault_sim.reset_counters ();
+  let since = Tvs_fault.Fault_sim.counters () in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg [ instance ] test in
@@ -207,20 +200,8 @@ let run_micro () =
           | Some [] | None -> Buffer.add_string buf (Printf.sprintf "%-28s (no estimate)\n" name))
         analysis)
     tests;
-  let ctr = Tvs_fault.Fault_sim.counters () in
-  let evals = ctr.Tvs_fault.Fault_sim.gate_evals
-  and skipped = ctr.Tvs_fault.Fault_sim.gates_skipped in
-  let skip_pct =
-    if evals + skipped = 0 then 0.0
-    else 100.0 *. float_of_int skipped /. float_of_int (evals + skipped)
-  in
   Buffer.add_string buf
-    (Printf.sprintf
-       "faultsim counters: %d event runs, %d full runs, %d events fired, %d gate evals (%.1f%% \
-        skipped), %d faults dropped\n"
-       ctr.Tvs_fault.Fault_sim.event_runs ctr.Tvs_fault.Fault_sim.full_runs
-       ctr.Tvs_fault.Fault_sim.events_fired evals skip_pct
-       ctr.Tvs_fault.Fault_sim.faults_dropped);
+    (Printf.sprintf "faultsim counters: %s\n" (Experiments.faultsim_work ~since));
   (Buffer.contents buf, List.rev !benches)
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,5 @@
 module Circuit = Tvs_netlist.Circuit
-module Gate = Tvs_netlist.Gate
+module Tseitin = Tvs_netlist.Tseitin
 module Ternary = Tvs_logic.Ternary
 module Fault = Tvs_fault.Fault
 module Sat = Tvs_util.Sat
@@ -16,56 +16,8 @@ let fresh b =
 
 let add b clause = b.clauses <- clause :: b.clauses
 
-(* out <-> AND(ins); NAND/OR/NOR fall out by negating literals. *)
-let encode_and b out ins =
-  List.iter (fun i -> add b [ -out; i ]) ins;
-  add b (out :: List.map (fun i -> -i) ins)
-
-let encode_or b out ins =
-  List.iter (fun i -> add b [ out; -i ]) ins;
-  add b (-out :: ins)
-
-let encode_xor2 b out a c =
-  add b [ -out; a; c ];
-  add b [ -out; -a; -c ];
-  add b [ out; -a; c ];
-  add b [ out; a; -c ]
-
-let encode_equal b x y =
-  add b [ -x; y ];
-  add b [ x; -y ]
-
-(* out <-> XOR(ins) via a chain of auxiliaries. *)
-let encode_xor b out = function
-  | [] -> invalid_arg "Sat_atpg: empty xor"
-  | [ single ] -> encode_equal b out single
-  | first :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc i ->
-            let t = fresh b in
-            encode_xor2 b t acc i;
-            t)
-          first rest
-      in
-      encode_equal b out acc
-
 let encode_gate b ~out kind ins =
-  match kind with
-  | Gate.And -> encode_and b out ins
-  | Gate.Nand -> encode_and b (-out) ins
-  | Gate.Or -> encode_or b out ins
-  | Gate.Nor -> encode_or b (-out) ins
-  | Gate.Xor -> encode_xor b out ins
-  | Gate.Xnor -> encode_xor b (-out) ins
-  | Gate.Buf -> (
-      match ins with
-      | [ i ] -> encode_equal b out i
-      | _ -> invalid_arg "Sat_atpg: BUF arity")
-  | Gate.Not -> (
-      match ins with
-      | [ i ] -> encode_equal b (-out) i
-      | _ -> invalid_arg "Sat_atpg: NOT arity")
+  Tseitin.encode_gate ~fresh:(fun () -> fresh b) ~add:(add b) ~out kind ins
 
 (* The fault's combinational output cone (as in Podem.mark_tfo). *)
 let fanout_cone c (fault : Fault.t) =
@@ -160,7 +112,7 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
   let diffs = ref [] in
   let add_diff glit flit =
     let d = fresh b in
-    encode_xor2 b d glit flit;
+    Tseitin.encode_xor2 ~add:(add b) d glit flit;
     diffs := d :: !diffs
   in
   Array.iter

@@ -1,5 +1,5 @@
 module Circuit = Tvs_netlist.Circuit
-module Gate = Tvs_netlist.Gate
+module Tseitin = Tvs_netlist.Tseitin
 module Sat = Tvs_util.Sat
 
 type t = {
@@ -46,51 +46,8 @@ let fresh t =
 
 let add t clause = t.clauses <- clause :: t.clauses
 
-(* out <-> AND(ins); NAND/OR/NOR fall out by negating literals. *)
-let encode_and t out ins =
-  List.iter (fun i -> add t [ -out; i ]) ins;
-  add t (out :: List.map (fun i -> -i) ins)
-
-let encode_or t out ins =
-  List.iter (fun i -> add t [ out; -i ]) ins;
-  add t (-out :: ins)
-
-let encode_xor2 t out a c =
-  add t [ -out; a; c ];
-  add t [ -out; -a; -c ];
-  add t [ out; -a; c ];
-  add t [ out; a; -c ]
-
-let encode_equal t x y =
-  add t [ -x; y ];
-  add t [ x; -y ]
-
-let encode_xor t out = function
-  | [] -> invalid_arg "Miter: empty xor"
-  | [ single ] -> encode_equal t out single
-  | first :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc i ->
-            let aux = fresh t in
-            encode_xor2 t aux acc i;
-            aux)
-          first rest
-      in
-      encode_equal t out acc
-
 let encode_gate t ~out kind ins =
-  match kind with
-  | Gate.And -> encode_and t out ins
-  | Gate.Nand -> encode_and t (-out) ins
-  | Gate.Or -> encode_or t out ins
-  | Gate.Nor -> encode_or t (-out) ins
-  | Gate.Xor -> encode_xor t out ins
-  | Gate.Xnor -> encode_xor t (-out) ins
-  | Gate.Buf -> (
-      match ins with [ i ] -> encode_equal t out i | _ -> invalid_arg "Miter: BUF arity")
-  | Gate.Not -> (
-      match ins with [ i ] -> encode_equal t (-out) i | _ -> invalid_arg "Miter: NOT arity")
+  Tseitin.encode_gate ~fresh:(fun () -> fresh t) ~add:(add t) ~out kind ins
 
 let tie_clause t v = function
   | Some b -> add t [ (if b then v else -v) ]
@@ -228,7 +185,7 @@ let check_pair t ~budget ~left ~right ~phase =
   let rl = lit_right t right in
   let rl = if phase then -rl else rl in
   let d = fresh t in
-  encode_xor2 t d gl rl;
+  Tseitin.encode_xor2 ~add:(add t) d gl rl;
   add t [ d ];
   (* Decide variables in reverse allocation order: the XOR difference and
      the miter-adjacent gate variables first, the cone sources last. For

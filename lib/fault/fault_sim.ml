@@ -1,4 +1,3 @@
-module Parallel = Tvs_sim.Parallel
 module Event = Tvs_sim.Event
 module Lanes = Tvs_sim.Lanes
 module Circuit = Tvs_netlist.Circuit
@@ -12,30 +11,22 @@ type frame = { po : bool array; capture : bool array }
 
 type batch_result = { good : frame; outcomes : outcome array }
 
-type mode = Event_driven | Full
-
-(* Per-slot engine contexts for pool fan-out. The engines are documented not
-   thread-safe, so each pool slot — one fixed domain — owns a private pair;
-   slot 0 aliases the submitter's own contexts. Built on the first fan-out
+(* Per-slot engines for pool fan-out. The engine is documented not
+   thread-safe, so each pool slot — one fixed domain — owns a private
+   context; slot 0 aliases the submitter's own. Built on the first fan-out
    and reused for the context's lifetime. *)
-type slot = { s_par : Parallel.t; s_ev : Event.t Lazy.t }
+type fanout = { pool : Pool.t; slots : Event.t Lazy.t array }
 
-type fanout = { pool : Pool.t; slots : slot array }
+(* A fault array's chunk order and the per-chunk injection plans compiled
+   under it (see [prepare]). *)
+type prepared = { faults : Fault.t array; order : int array; plans : Tvs_sim.Inject.plan array }
 
 type t = {
-  circuit : Circuit.t;
-  soa : Tvs_sim.Soa.t;  (* flat gate tables, shared read-only by every slot *)
-  par : Parallel.t;
-  ev : Event.t Lazy.t;
-  mode : mode;
+  ev : Event.t;
   jobs : int;
   batch : int;  (* vectors per pool chunk in multi-vector screening *)
   mutable fanout : fanout option;
-  (* One-entry memos of the per-chunk injection lists and their compiled
-     plans for the last fault array screened through this context (see
-     [ordered_injections] / [ordered_plans]). *)
-  mutable inj_memo : (Fault.t array * Parallel.injection list array) option;
-  mutable plan_memo : (Fault.t array * Tvs_sim.Inject.plan array) option;
+  mutable memo : prepared option;  (* the last fault array screened *)
 }
 
 let batch_override = ref None
@@ -52,54 +43,21 @@ let default_batch () =
       | Some b -> b
       | None -> 16)
 
-let create ?(mode = Event_driven) ?jobs ?batch circuit =
+let create ?jobs ?batch circuit =
   let jobs = max 1 (match jobs with Some j -> j | None -> Pool.default_jobs ()) in
   let batch = max 1 (match batch with Some b -> b | None -> default_batch ()) in
-  let soa = Tvs_sim.Soa.create circuit in
-  {
-    circuit;
-    soa;
-    par = Parallel.create ~soa circuit;
-    ev = lazy (Event.create ~soa circuit);
-    mode;
-    jobs;
-    batch;
-    fanout = None;
-    inj_memo = None;
-    plan_memo = None;
-  }
+  { ev = Event.create circuit; jobs; batch; fanout = None; memo = None }
 
-let of_parallel ?jobs ?batch par =
-  let circuit = Parallel.circuit par in
-  let jobs = max 1 (match jobs with Some j -> j | None -> Pool.default_jobs ()) in
-  let batch = max 1 (match batch with Some b -> b | None -> default_batch ()) in
-  let soa = Parallel.soa par in
-  {
-    circuit;
-    soa;
-    par;
-    ev = lazy (Event.create ~soa circuit);
-    mode = Event_driven;
-    jobs;
-    batch;
-    fanout = None;
-    inj_memo = None;
-    plan_memo = None;
-  }
-
-let circuit t = t.circuit
-let parallel t = t.par
-let mode t = t.mode
+let circuit t = Event.circuit t.ev
 let jobs t = t.jobs
 let batch t = t.batch
 
 type counters = {
-  mutable full_runs : int;
-  mutable event_runs : int;
-  mutable events_fired : int;
-  mutable gate_evals : int;
-  mutable gates_skipped : int;
-  mutable faults_dropped : int;
+  event_runs : int;
+  events_fired : int;
+  gate_evals : int;
+  gates_skipped : int;
+  faults_dropped : int;
 }
 
 (* The historical global counter record now lives in the metrics registry:
@@ -107,8 +65,6 @@ type counters = {
    rebuilt on demand by summing shards. Pool completion gives the submitter a
    happens-before edge over every worker write, so a snapshot taken between
    batches sees exact totals. *)
-let m_full_runs = Metrics.counter "faultsim.full_runs"
-let m_event_runs = Metrics.counter "faultsim.event_runs"
 let m_events_fired = Metrics.counter "faultsim.events_fired"
 let m_gate_evals = Metrics.counter "faultsim.gate_evals"
 let m_gates_skipped = Metrics.counter "faultsim.gates_skipped"
@@ -118,15 +74,12 @@ let m_batches = Metrics.counter "faultsim.batches"
 
 let counters () =
   {
-    full_runs = Metrics.counter_value m_full_runs;
-    event_runs = Metrics.counter_value m_event_runs;
+    event_runs = Metrics.counter_value m_chunks;
     events_fired = Metrics.counter_value m_events_fired;
     gate_evals = Metrics.counter_value m_gate_evals;
     gates_skipped = Metrics.counter_value m_gates_skipped;
     faults_dropped = Metrics.counter_value m_faults_dropped;
   }
-
-let reset_counters () = Metrics.reset ~prefix:"faultsim." ()
 
 let note_dropped n = Metrics.add m_faults_dropped n
 
@@ -144,13 +97,7 @@ let diff_mask words used_mask =
     words;
   !acc
 
-let lane0_frame (r : Parallel.result) =
-  {
-    po = Array.map (fun w -> Lanes.get w 0) r.po;
-    capture = Array.map (fun w -> Lanes.get w 0) r.capture;
-  }
-
-let outcomes_of_run (r : Parallel.result) ~nfaults =
+let outcomes_of_run (r : Tvs_sim.Parallel.result) ~nfaults =
   let used = Lanes.mask (nfaults + 1) in
   let po_diff = diff_mask r.po used in
   let cap_diff = diff_mask r.capture used in
@@ -169,11 +116,8 @@ let outcomes_of_run (r : Parallel.result) ~nfaults =
    key packs stems of the same sub-cone next to each other.
 
    The permutation is a performance hint only — outcomes are mapped back
-   through it, so any order is correct. That makes the one-entry memo below
-   safe: drivers like [Generator.drop_detected] re-screen the same physical
-   fault array against many vectors, and re-sorting it each time would cost
-   more than the simulation itself. *)
-let compute_chunk_order c (faults : Fault.t array) =
+   through it, so any order is correct. *)
+let chunk_order c (faults : Fault.t array) =
   let n = Array.length faults in
   if n <= chunk_size then Array.init n (fun i -> i)
   else begin
@@ -197,52 +141,31 @@ let compute_chunk_order c (faults : Fault.t array) =
     order
   end
 
-let order_memo : (Fault.t array * int array) option ref = ref None
-
-let chunk_order c faults =
-  match !order_memo with
-  | Some (prev, order) when prev == faults -> order
-  | Some _ | None ->
-      let order = compute_chunk_order c faults in
-      order_memo := Some (faults, order);
-      order
-
-let broadcast_words arr = Array.map (fun b -> if b then Lanes.all_mask else 0) arr
-
-(* Per-chunk injection lists for [faults] under [order]. The lane assignment
-   [i + 1] is a pure function of (faults, order), and [chunk_order] is
-   deterministic per physical fault array, so repeated screens of the same
-   array — the shape of every stitching cycle and of multi-vector batches —
-   reuse one set of lists instead of rebuilding them per chunk per vector.
-   Always built (and memoized) on the submitter before any fan-out; pool
-   workers only read the lists. *)
-let ordered_injections t (faults : Fault.t array) order =
-  match t.inj_memo with
-  | Some (prev, lists) when prev == faults -> lists
+(* The chunk order of [faults] and, per chunk, its injection list (lane
+   [i + 1] for the chunk's [i]-th fault) compiled into an
+   {!Tvs_sim.Inject.plan}. Replaying a plan costs a few dozen array writes
+   where reinstalling a list costs a validated, allocating walk per chunk per
+   vector. Drivers like [Generator.drop_detected] and every stitching cycle
+   re-screen the same physical fault array against many vectors, so the
+   last array's preparation is kept: re-sorting and recompiling each time
+   would cost more than the simulation itself. Built on the submitter
+   before any fan-out; pool workers only read it. *)
+let prepare t (faults : Fault.t array) =
+  match t.memo with
+  | Some p when p.faults == faults -> p
   | Some _ | None ->
       let n = Array.length faults in
-      let lists =
+      let order = chunk_order (circuit t) faults in
+      let plans =
         Array.init (num_chunks n) (fun ci ->
             let pos = ci * chunk_size in
             let len = min chunk_size (n - pos) in
-            List.init len (fun i -> Fault.to_injection faults.(order.(pos + i)) ~lane:(i + 1)))
+            Event.compile t.ev
+              (List.init len (fun i -> Fault.to_injection faults.(order.(pos + i)) ~lane:(i + 1))))
       in
-      t.inj_memo <- Some (faults, lists);
-      lists
-
-(* Event-path counterpart: the same per-chunk lists, compiled once into
-   {!Tvs_sim.Inject.plan}s. Replaying a plan costs a few dozen array writes
-   where reinstalling the list costs a validated, allocating walk per chunk
-   per vector — the dominant fixed cost of event-driven screening. Compiled
-   on the submitter (before any fan-out) and shared read-only. *)
-let ordered_plans t (faults : Fault.t array) order =
-  match t.plan_memo with
-  | Some (prev, plans) when prev == faults -> plans
-  | Some _ | None ->
-      let ev0 = Lazy.force t.ev in
-      let plans = Array.map (Event.compile ev0) (ordered_injections t faults order) in
-      t.plan_memo <- Some (faults, plans);
-      plans
+      let p = { faults; order; plans } in
+      t.memo <- Some p;
+      p
 
 (* --- pool fan-out ----------------------------------------------------- *)
 
@@ -251,50 +174,25 @@ let fanout_ctx t =
   | Some fo -> fo
   | None ->
       let pool = Pool.shared ~jobs:t.jobs in
+      let soa = Event.soa t.ev and c = circuit t in
       let slots =
         Array.init (Pool.jobs pool) (fun i ->
-            if i = 0 then { s_par = t.par; s_ev = t.ev }
-            else
-              {
-                s_par = Parallel.create ~soa:t.soa t.circuit;
-                s_ev = lazy (Event.create ~soa:t.soa t.circuit);
-              })
+            if i = 0 then Lazy.from_val t.ev else lazy (Event.create ~soa c))
       in
       let fo = { pool; slots } in
       t.fanout <- Some fo;
       fo
 
-(* Run [nchunks] independent full-broadcast chunks, across the pool when both
-   the context and the workload are wide enough. Results (and the merged
-   counters) are indexed by chunk, so every jobs value — including the inline
-   jobs=1 path — produces identical output. *)
-let run_full_chunks t ~nchunks f =
-  let out =
-    if t.jobs = 1 || nchunks <= 1 then Array.init nchunks (fun ci -> f t.par ci)
-    else begin
-      let fo = fanout_ctx t in
-      Pool.parallel_map_chunks fo.pool ~n:nchunks (fun ~slot ci -> f fo.slots.(slot).s_par ci)
-    end
-  in
-  Metrics.add m_full_runs nchunks;
-  Metrics.add m_chunks nchunks;
-  out
-
-(* Event-driven counterpart. [t.ev] must already hold the stimulus; worker
-   slots inherit it by baseline adoption (O(nets) blits, no gate work) on
-   their first chunk of each submission. Each chunk records its own
-   event/eval tallies into the executing domain's metric shards; per-chunk
-   work is deterministic and shard merge is a plain sum, so the totals are
-   identical for every jobs value. *)
-let run_event_chunks t ~nchunks f =
-  let ev0 = Lazy.force t.ev in
-  let tally ev r =
-    Metrics.incr m_event_runs;
-    Metrics.add m_events_fired (Event.last_events ev);
-    Metrics.add m_gate_evals (Event.last_evals ev);
-    Metrics.add m_gates_skipped (Event.full_evals ev - Event.last_evals ev);
-    r
-  in
+(* Run [nchunks] independent chunks, across the pool when both the context
+   and the workload are wide enough. [t.ev] must already hold the stimulus;
+   worker slots inherit it by baseline adoption (O(nets) blits, no gate
+   work) on their first chunk of each submission. Results are indexed by
+   chunk, and each chunk records its own event/eval tallies into the
+   executing domain's metric shards; per-chunk work is deterministic and
+   shard merge is a plain sum, so output and totals are identical for every
+   jobs value — including the inline jobs=1 path. *)
+let run_chunks t ~nchunks f =
+  let ev0 = t.ev in
   let out =
     if t.jobs = 1 || nchunks <= 1 then begin
       (* Accumulate the tallies locally and flush once: the registry merges
@@ -308,7 +206,6 @@ let run_event_chunks t ~nchunks f =
             evals := !evals + Event.last_evals ev0;
             r)
       in
-      Metrics.add m_event_runs nchunks;
       Metrics.add m_events_fired !events;
       Metrics.add m_gate_evals !evals;
       Metrics.add m_gates_skipped ((nchunks * Event.full_evals ev0) - !evals);
@@ -321,51 +218,63 @@ let run_event_chunks t ~nchunks f =
       let adopted = Array.make (Array.length fo.slots) false in
       adopted.(0) <- true;
       Pool.parallel_map_chunks fo.pool ~n:nchunks (fun ~slot ci ->
-          let ev = Lazy.force fo.slots.(slot).s_ev in
+          let ev = Lazy.force fo.slots.(slot) in
           if not adopted.(slot) then begin
             Event.adopt_baseline ev ~from:ev0;
             adopted.(slot) <- true
           end;
-          tally ev (f ev ci))
+          let r = f ev ci in
+          Metrics.add m_events_fired (Event.last_events ev);
+          Metrics.add m_gate_evals (Event.last_evals ev);
+          Metrics.add m_gates_skipped (Event.full_evals ev - Event.last_evals ev);
+          r)
     end
   in
   Metrics.add m_chunks nchunks;
   out
 
-(* Full-broadcast path: one complete levelized pass per chunk. *)
-
-let run_chunk_full par ~pi_words ~state_words faults =
-  let injections =
-    List.mapi (fun i f -> Fault.to_injection f ~lane:(i + 1)) (Array.to_list faults)
-  in
-  let r = Parallel.run par ~pi:pi_words ~state:state_words ~injections in
-  (lane0_frame r, outcomes_of_run r ~nfaults:(Array.length faults))
-
-let run_batch_full t ~pi ~state ~faults =
-  let pi_words = broadcast_words pi in
-  let state_words = broadcast_words state in
-  let n = Array.length faults in
-  (* At least one (possibly empty) chunk: the good frame comes from lane 0. *)
-  let nchunks = max 1 (num_chunks n) in
-  let chunk_out =
-    run_full_chunks t ~nchunks (fun par ci ->
-        let pos = ci * chunk_size in
-        let len = min chunk_size (n - pos) in
-        run_chunk_full par ~pi_words ~state_words (Array.sub faults pos len))
-  in
+(* Map per-chunk outcomes back through the chunk order. *)
+let scatter_outcomes p ~n chunk_out =
   let outcomes = Array.make n Same in
   Array.iteri
-    (fun ci (_, out) -> Array.blit out 0 outcomes (ci * chunk_size) (Array.length out))
+    (fun ci out ->
+      let pos = ci * chunk_size in
+      Array.iteri (fun i o -> outcomes.(p.order.(pos + i)) <- o) out)
     chunk_out;
-  { good = fst chunk_out.(0); outcomes }
+  outcomes
 
-let run_per_state_full t ~pi ~good_state ~faults ~states =
+(* The fault-free pass happens once in [set_stimulus]; each chunk then only
+   re-evaluates the gates its fault cones disturb. *)
+let run_batch t ~pi ~state ~faults =
+  Metrics.incr m_batches;
+  Trace.with_span "faultsim.run_batch"
+    ~args:[ ("faults", string_of_int (Array.length faults)) ]
+  @@ fun () ->
+  Event.set_stimulus t.ev ~pi ~state;
+  let good = { po = Event.good_po t.ev; capture = Event.good_capture t.ev } in
+  let n = Array.length faults in
+  let p = prepare t faults in
+  let chunk_out =
+    run_chunks t ~nchunks:(num_chunks n) (fun ev ci ->
+        let len = min chunk_size (n - (ci * chunk_size)) in
+        outcomes_of_run (Event.run ev ~plan:p.plans.(ci) ()) ~nfaults:len)
+  in
+  { good; outcomes = scatter_outcomes p ~n chunk_out }
+
+let run_per_state t ~pi ~good_state ~faults ~states =
+  if Array.length states <> Array.length faults then
+    invalid_arg "Fault_sim.run_per_state: states length mismatch";
+  Metrics.incr m_batches;
+  Trace.with_span "faultsim.run_per_state"
+    ~args:[ ("faults", string_of_int (Array.length faults)) ]
+  @@ fun () ->
+  Event.set_stimulus t.ev ~pi ~state:good_state;
+  let good = { po = Event.good_po t.ev; capture = Event.good_capture t.ev } in
   let n = Array.length faults in
   let nflops = Array.length good_state in
-  let pi_words = broadcast_words pi in
-  let nchunks = max 1 (num_chunks n) in
+  let p = prepare t faults in
   let chunk_out =
-    run_full_chunks t ~nchunks (fun par ci ->
+    run_chunks t ~nchunks:(num_chunks n) (fun ev ci ->
         let pos = ci * chunk_size in
         let len = min chunk_size (n - pos) in
         (* Pack lane 0 from the fault-free state and lanes 1..len from each
@@ -374,97 +283,28 @@ let run_per_state_full t ~pi ~good_state ~faults ~states =
           Array.init nflops (fun j ->
               let w = ref (if good_state.(j) then 1 else 0) in
               for i = 0 to len - 1 do
-                if states.(pos + i).(j) then w := !w lor (1 lsl (i + 1))
+                if states.(p.order.(pos + i)).(j) then w := !w lor (1 lsl (i + 1))
               done;
               !w)
         in
-        run_chunk_full par ~pi_words ~state_words (Array.sub faults pos len))
+        outcomes_of_run (Event.run ev ~states:state_words ~plan:p.plans.(ci) ()) ~nfaults:len)
   in
-  let outcomes = Array.make n Same in
-  Array.iteri
-    (fun ci (_, out) -> Array.blit out 0 outcomes (ci * chunk_size) (Array.length out))
-    chunk_out;
-  { good = fst chunk_out.(0); outcomes }
-
-(* Event-driven path: the fault-free pass happens once in [set_stimulus];
-   each chunk then only re-evaluates the gates its fault cones disturb. *)
-
-let run_batch_event t ~pi ~state ~faults =
-  let ev0 = Lazy.force t.ev in
-  Event.set_stimulus ev0 ~pi ~state;
-  let good = { po = Event.good_po ev0; capture = Event.good_capture ev0 } in
-  let n = Array.length faults in
-  let order = chunk_order t.circuit faults in
-  let plans = ordered_plans t faults order in
-  let chunk_out =
-    run_event_chunks t ~nchunks:(num_chunks n) (fun ev ci ->
-        let len = min chunk_size (n - (ci * chunk_size)) in
-        outcomes_of_run (Event.run ev ~plan:plans.(ci) ()) ~nfaults:len)
-  in
-  let outcomes = Array.make n Same in
-  Array.iteri
-    (fun ci out ->
-      let pos = ci * chunk_size in
-      Array.iteri (fun i o -> outcomes.(order.(pos + i)) <- o) out)
-    chunk_out;
-  { good; outcomes }
-
-let run_per_state_event t ~pi ~good_state ~faults ~states =
-  let ev0 = Lazy.force t.ev in
-  Event.set_stimulus ev0 ~pi ~state:good_state;
-  let good = { po = Event.good_po ev0; capture = Event.good_capture ev0 } in
-  let n = Array.length faults in
-  let nflops = Array.length good_state in
-  let order = chunk_order t.circuit faults in
-  let plans = ordered_plans t faults order in
-  let chunk_out =
-    run_event_chunks t ~nchunks:(num_chunks n) (fun ev ci ->
-        let pos = ci * chunk_size in
-        let len = min chunk_size (n - pos) in
-        let state_words =
-          Array.init nflops (fun j ->
-              let w = ref (if good_state.(j) then 1 else 0) in
-              for i = 0 to len - 1 do
-                if states.(order.(pos + i)).(j) then w := !w lor (1 lsl (i + 1))
-              done;
-              !w)
-        in
-        outcomes_of_run (Event.run ev ~states:state_words ~plan:plans.(ci) ()) ~nfaults:len)
-  in
-  let outcomes = Array.make n Same in
-  Array.iteri
-    (fun ci out ->
-      let pos = ci * chunk_size in
-      Array.iteri (fun i o -> outcomes.(order.(pos + i)) <- o) out)
-    chunk_out;
-  { good; outcomes }
-
-let run_batch t ~pi ~state ~faults =
-  Metrics.incr m_batches;
-  Trace.with_span "faultsim.run_batch"
-    ~args:[ ("faults", string_of_int (Array.length faults)) ]
-    (fun () ->
-      match t.mode with
-      | Full -> run_batch_full t ~pi ~state ~faults
-      | Event_driven -> run_batch_event t ~pi ~state ~faults)
-
-let run_per_state t ~pi ~good_state ~faults ~states =
-  if Array.length states <> Array.length faults then
-    invalid_arg "Fault_sim.run_per_state: states length mismatch";
-  Metrics.incr m_batches;
-  Trace.with_span "faultsim.run_per_state"
-    ~args:[ ("faults", string_of_int (Array.length faults)) ]
-    (fun () ->
-      match t.mode with
-      | Full -> run_per_state_full t ~pi ~good_state ~faults ~states
-      | Event_driven -> run_per_state_event t ~pi ~good_state ~faults ~states)
+  { good; outcomes = scatter_outcomes p ~n chunk_out }
 
 let detects t ~pi ~state fault =
   let r = run_batch t ~pi ~state ~faults:[| fault |] in
   match r.outcomes.(0) with Same -> false | Po_detected | Capture_differs _ -> true
 
+(* Set [flags] for the lanes of chunk [ci] that [diff] marks as detected. *)
+let scatter_diff p ~n flags ci diff =
+  let pos = ci * chunk_size in
+  let len = min chunk_size (n - pos) in
+  for i = 0 to len - 1 do
+    if Lanes.get diff (i + 1) then flags.(p.order.(pos + i)) <- true
+  done
+
 (* Detection flags don't need the per-fault faulty-capture payloads that
-   [outcomes_of_run] materializes, so the screening entry point reads the
+   [outcomes_of_run] materializes, so the screening entry points read the
    lane difference masks directly. *)
 let detected_faults t ~pi ~state faults =
   Metrics.incr m_batches;
@@ -473,41 +313,17 @@ let detected_faults t ~pi ~state faults =
   @@ fun () ->
   let n = Array.length faults in
   let flags = Array.make n false in
-  let order = chunk_order t.circuit faults in
-  let scatter chunk_out =
-    Array.iteri
-      (fun ci diff ->
-        let pos = ci * chunk_size in
-        let len = min chunk_size (n - pos) in
-        for i = 0 to len - 1 do
-          if Lanes.get diff (i + 1) then flags.(order.(pos + i)) <- true
-        done)
-      chunk_out
-  in
-  (match t.mode with
-  | Full ->
-      let inj = ordered_injections t faults order in
-      let pi_words = broadcast_words pi in
-      let state_words = broadcast_words state in
-      scatter
-        (run_full_chunks t ~nchunks:(num_chunks n) (fun par ci ->
-             let len = min chunk_size (n - (ci * chunk_size)) in
-             let r = Parallel.run par ~pi:pi_words ~state:state_words ~injections:inj.(ci) in
-             let used = Lanes.mask (len + 1) in
-             diff_mask r.po used lor diff_mask r.capture used))
-  | Event_driven ->
-      let plans = ordered_plans t faults order in
-      let ev0 = Lazy.force t.ev in
-      Event.set_stimulus ev0 ~pi ~state;
-      scatter
-        (run_event_chunks t ~nchunks:(num_chunks n) (fun ev ci ->
-             let len = min chunk_size (n - (ci * chunk_size)) in
-             Event.run_diff ev ~plan:plans.(ci) ~used:(Lanes.mask (len + 1)) ())));
+  let p = prepare t faults in
+  Event.set_stimulus t.ev ~pi ~state;
+  Array.iteri (scatter_diff p ~n flags)
+    (run_chunks t ~nchunks:(num_chunks n) (fun ev ci ->
+         let len = min chunk_size (n - (ci * chunk_size)) in
+         Event.run_diff ev ~plan:p.plans.(ci) ~used:(Lanes.mask (len + 1)) ()));
   flags
 
 (* Multi-vector screening. The pool axis here is *vector batches* of size
    [t.batch], not 62-fault chunks: one pool submission covers the whole
-   vector set, the cone order and injection lists are built once and shared
+   vector set, the cone order and injection plans are built once and shared
    read-only, and each vector's full stimulus pass is private to the slot
    that screens it (no baseline adoption traffic). Results are keyed by
    batch index and every vector's work is identical no matter which slot
@@ -527,75 +343,39 @@ let detected_matrix t ~vectors faults =
   if nvec = 0 then [||]
   else begin
     let nchunks = num_chunks n in
-    let order = chunk_order t.circuit faults in
-    (* Built (or memo-fetched) on the submitter before any fan-out: pool
-       workers only read them. Each mode builds just its own shape. *)
-    let inj = match t.mode with Full -> ordered_injections t faults order | Event_driven -> [||] in
-    let plans =
-      match t.mode with Event_driven -> ordered_plans t faults order | Full -> [||]
-    in
-    let scatter diff ~pos ~len flags =
-      for i = 0 to len - 1 do
-        if Lanes.get diff (i + 1) then flags.(order.(pos + i)) <- true
-      done
-    in
-    let screen_event ev (pi, state) =
+    let p = prepare t faults in
+    let screen ev (pi, state) =
       Event.set_stimulus ev ~pi ~state;
       let flags = Array.make n false in
       let events = ref 0 and evals = ref 0 in
       for ci = 0 to nchunks - 1 do
-        let pos = ci * chunk_size in
-        let len = min chunk_size (n - pos) in
-        let diff = Event.run_diff ev ~plan:plans.(ci) ~used:(Lanes.mask (len + 1)) () in
+        let len = min chunk_size (n - (ci * chunk_size)) in
+        let diff = Event.run_diff ev ~plan:p.plans.(ci) ~used:(Lanes.mask (len + 1)) () in
         events := !events + Event.last_events ev;
         evals := !evals + Event.last_evals ev;
-        scatter diff ~pos ~len flags
+        scatter_diff p ~n flags ci diff
       done;
       (* One flush per vector: shard merge is a sum, so totals match a
          per-chunk flush exactly, for every jobs and batch value. *)
-      Metrics.add m_event_runs nchunks;
       Metrics.add m_events_fired !events;
       Metrics.add m_gate_evals !evals;
       Metrics.add m_gates_skipped ((nchunks * Event.full_evals ev) - !evals);
       Metrics.add m_chunks nchunks;
       flags
     in
-    let screen_full par (pi, state) =
-      let pi_words = broadcast_words pi in
-      let state_words = broadcast_words state in
-      let flags = Array.make n false in
-      for ci = 0 to nchunks - 1 do
-        let pos = ci * chunk_size in
-        let len = min chunk_size (n - pos) in
-        let r = Parallel.run par ~pi:pi_words ~state:state_words ~injections:inj.(ci) in
-        let used = Lanes.mask (len + 1) in
-        scatter (diff_mask r.po used lor diff_mask r.capture used) ~pos ~len flags
-      done;
-      Metrics.add m_full_runs nchunks;
-      Metrics.add m_chunks nchunks;
-      flags
-    in
-    let screen slot v =
-      match t.mode with
-      | Event_driven -> screen_event (Lazy.force slot.s_ev) v
-      | Full -> screen_full slot.s_par v
-    in
     let bsize = t.batch in
     let nbatches = (nvec + bsize - 1) / bsize in
-    let screen_batch slot bi =
+    let screen_batch ev bi =
       let pos = bi * bsize in
       let len = min bsize (nvec - pos) in
-      Array.init len (fun k -> screen slot vectors.(pos + k))
+      Array.init len (fun k -> screen ev vectors.(pos + k))
     in
     let out =
-      if t.jobs = 1 || nbatches <= 1 then begin
-        let slot0 = { s_par = t.par; s_ev = t.ev } in
-        Array.init nbatches (screen_batch slot0)
-      end
+      if t.jobs = 1 || nbatches <= 1 then Array.init nbatches (screen_batch t.ev)
       else begin
         let fo = fanout_ctx t in
         Pool.parallel_map_chunks fo.pool ~n:nbatches (fun ~slot bi ->
-            screen_batch fo.slots.(slot) bi)
+            screen_batch (Lazy.force fo.slots.(slot)) bi)
       end
     in
     let matrix = Array.make nvec [||] in

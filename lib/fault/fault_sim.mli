@@ -1,4 +1,4 @@
-(** Batch fault simulation on top of the word-parallel engines.
+(** Batch fault simulation on top of the event-driven engine.
 
     One engine run simulates the fault-free machine in lane 0 and up to 62
     faulty machines in the remaining lanes; arbitrary fault batches are
@@ -10,17 +10,17 @@
       hidden-fault case, where a fault's retained response bits mutate the
       vector it actually receives).
 
-    Two execution paths produce bit-identical outcomes. {!Full} runs one
-    complete levelized pass per chunk ({!Tvs_sim.Parallel}).
-    {!Event_driven} (the default) evaluates the fault-free machine once per
-    stimulus and then propagates only lane events inside the chunk's fault
-    cones ({!Tvs_sim.Event}); chunks are grouped so faults with overlapping
+    The fault-free machine is evaluated once per stimulus; each chunk then
+    propagates only lane events inside its fault cones
+    ({!Tvs_sim.Event}), and chunks are grouped so faults with overlapping
     cones share lanes. Work done and skipped is tallied in {!counters}.
+    Property tests check every entry point against a naive bool-level
+    single-fault simulator.
 
-    Chunks are independent, so on both paths they fan out across a
-    {!Tvs_util.Pool} domain pool when [jobs > 1]: each pool slot owns a
-    private engine context (the engines are not thread-safe), and results and
-    counter tallies are merged in chunk order, making outcomes and counters
+    Chunks are independent, so they fan out across a {!Tvs_util.Pool}
+    domain pool when [jobs > 1]: each pool slot owns a private engine
+    context (the engine is not thread-safe), and results and counter
+    tallies are merged in chunk order, making outcomes and counters
     bit-identical for every [jobs] value — including [jobs = 1], which never
     touches the pool. Entry points must be called from one domain at a time
     (the submitter). *)
@@ -36,26 +36,18 @@ type frame = { po : bool array; capture : bool array }
 
 type batch_result = { good : frame; outcomes : outcome array }
 
-type mode =
-  | Event_driven  (** cone-restricted event propagation (default) *)
-  | Full  (** one full levelized pass per chunk *)
-
 type t
-(** Reusable fault-simulation context for one circuit: a {!Tvs_sim.Parallel}
-    engine plus a lazily-built {!Tvs_sim.Event} engine (and, when [jobs > 1],
-    per-domain copies of both). Not thread-safe. *)
+(** Reusable fault-simulation context for one circuit: a {!Tvs_sim.Event}
+    engine (and, when [jobs > 1], per-domain copies of it). Not
+    thread-safe. *)
 
-val create : ?mode:mode -> ?jobs:int -> ?batch:int -> Tvs_netlist.Circuit.t -> t
+val create : ?jobs:int -> ?batch:int -> Tvs_netlist.Circuit.t -> t
 (** [jobs] is the fan-out width (clamped to at least 1); defaults to
     {!Tvs_util.Pool.default_jobs}. Batches too small to chunk always run
     inline on the caller's domain. [batch] is the number of vectors per pool
     chunk in {!detected_matrix} (clamped to at least 1); defaults to
     {!default_batch}. Like [jobs], [batch] is a scheduling knob only: it
     never changes any result. *)
-
-val of_parallel : ?jobs:int -> ?batch:int -> Tvs_sim.Parallel.t -> t
-(** Wrap an existing broadcast engine (event-driven mode). The event engine
-    is built lazily on first use. *)
 
 val set_default_batch : int -> unit
 (** Process-wide default for [?batch] (the [--batch] CLI flag lands here).
@@ -69,12 +61,6 @@ val default_batch : unit -> int
 
 val circuit : t -> Tvs_netlist.Circuit.t
 
-val parallel : t -> Tvs_sim.Parallel.t
-(** The underlying broadcast engine, for callers that also need raw
-    {!Tvs_sim.Parallel.run} access on the same circuit. *)
-
-val mode : t -> mode
-
 val jobs : t -> int
 (** Fan-out width this context was created with. *)
 
@@ -87,22 +73,17 @@ val batch : t -> int
     for callers that sample deltas (the engine per cycle, the bench
     harness). *)
 type counters = {
-  mutable full_runs : int;  (** complete levelized passes *)
-  mutable event_runs : int;  (** event-driven chunk runs *)
-  mutable events_fired : int;  (** net-value changes propagated *)
-  mutable gate_evals : int;  (** gates evaluated on the event path *)
-  mutable gates_skipped : int;  (** gate evaluations avoided vs. full passes *)
-  mutable faults_dropped : int;  (** faults permanently dropped once caught *)
+  event_runs : int;  (** chunk runs of up to 62 faults ([faultsim.chunks]) *)
+  events_fired : int;  (** net-value changes propagated *)
+  gate_evals : int;  (** gates evaluated *)
+  gates_skipped : int;  (** gate evaluations avoided vs. full passes *)
+  faults_dropped : int;  (** faults permanently dropped once caught *)
 }
 
 val counters : unit -> counters
 (** Snapshot the cumulative totals. Taken between batches (the entry points
     are submitter-side), the pool's completion barrier guarantees every
     worker contribution is visible. *)
-
-val reset_counters : unit -> unit
-(** Zero the [faultsim.*] metrics (and therefore the {!counters}
-    snapshot). *)
 
 val note_dropped : int -> unit
 (** Record that [n] caught faults were dropped from further simulation. *)
@@ -133,7 +114,7 @@ val detected_matrix :
     [detected_faults t ~pi ~state faults] for vector [v].
 
     This is the batched form of per-vector screening: the cone order and
-    per-chunk injection tables are built once for the entire call, and the
+    per-chunk injection plans are built once for the entire call, and the
     domain-pool axis is vector batches of size {!batch} rather than 62-fault
     chunks — so one pool submission amortizes fan-out overhead across the
     whole vector set. Rows are merged by batch index and each vector's work

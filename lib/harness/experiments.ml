@@ -261,7 +261,7 @@ let show_bits a = String.init (Array.length a) (fun i -> if a.(i) then '1' else 
 let table1 () =
   let c = Fig1.circuit () in
   let fsim = Fault_sim.create c in
-  let sim = Fault_sim.parallel fsim in
+  let sim = Parallel.create c in
   let response fault state =
     match fault with
     | None -> snd (Parallel.run_single sim ~pi:[||] ~state)
@@ -473,10 +473,24 @@ let table4 ?scale ?(circuits = default_table2_circuits) () =
 (* ------------------------------------------------------------------ *)
 (* Table 5: large circuits under the best scheme.                      *)
 
+let faultsim_work ~(since : Fault_sim.counters) =
+  let now = Fault_sim.counters () in
+  let evals = now.gate_evals - since.gate_evals
+  and skipped = now.gates_skipped - since.gates_skipped in
+  let skip_pct =
+    if evals + skipped = 0 then 0.0
+    else 100.0 *. float_of_int skipped /. float_of_int (evals + skipped)
+  in
+  Printf.sprintf "%d event runs, %d events fired, %d gate evals (%.1f%% skipped), %d faults dropped"
+    (now.event_runs - since.event_runs)
+    (now.events_fired - since.events_fired)
+    evals skip_pct
+    (now.faults_dropped - since.faults_dropped)
+
 let table5 ?scale ?(circuits = default_table5_circuits) () =
   let tbl = Table.create [ "circ"; "I/O"; "scan#"; "TV"; "ex"; "m"; "t"; "cov" ] in
   let ms = ref [] and ts = ref [] in
-  Fault_sim.reset_counters ();
+  let since = Fault_sim.counters () in
   List.iter
     (fun name ->
       let sc = match scale with Some s -> s | None -> table5_default_scale name in
@@ -500,18 +514,8 @@ let table5 ?scale ?(circuits = default_table5_circuits) () =
   Table.add_rule tbl;
   Table.add_row tbl
     [ "Ave"; ""; ""; ""; ""; Table.fmt_ratio (mean !ms); Table.fmt_ratio (mean !ts); "" ];
-  let ctr = Fault_sim.counters () in
-  let skip_pct =
-    let total = ctr.Fault_sim.gate_evals + ctr.Fault_sim.gates_skipped in
-    if total = 0 then 0.0
-    else 100.0 *. float_of_int ctr.Fault_sim.gates_skipped /. float_of_int total
-  in
   "Table 5: large circuits (variable shift, most-faults, NXOR)\n" ^ Table.render tbl
-  ^ Printf.sprintf
-      "simulator: %d event runs, %d full runs, %d events fired, %d gate evals (%.1f%% skipped), \
-       %d faults dropped\n"
-      ctr.Fault_sim.event_runs ctr.Fault_sim.full_runs ctr.Fault_sim.events_fired
-      ctr.Fault_sim.gate_evals skip_pct ctr.Fault_sim.faults_dropped
+  ^ "simulator: " ^ faultsim_work ~since ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md §6).                                           *)

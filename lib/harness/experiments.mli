@@ -119,7 +119,14 @@ val table4 : ?scale:float -> ?circuits:string list -> unit -> string
 
 val table5 : ?scale:float -> ?circuits:string list -> unit -> string
 (** Large circuits under the best scheme (variable shift + most-faults +
-    NXOR), with I/O and scan-length columns. *)
+    NXOR), with I/O and scan-length columns. The footer reports the
+    fault-simulation work of this call ({!faultsim_work}). *)
+
+val faultsim_work : since:Tvs_fault.Fault_sim.counters -> string
+(** The fault-simulation work done since the snapshot [since] (taken with
+    {!Tvs_fault.Fault_sim.counters}): ["N event runs, N events fired, N gate
+    evals (P% skipped), N faults dropped"]. The process-wide counters are
+    left as they are. *)
 
 val ablations : ?scale:float -> ?circuit:string -> ?jobs:int -> unit -> string
 (** The DESIGN.md §6 design-choice ablations: parallel vs serial fault

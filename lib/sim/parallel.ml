@@ -15,18 +15,14 @@ type t = {
   ov : Inject.t;
 }
 
-let create ?soa circuit =
-  let soa =
-    match soa with
-    | Some s ->
-        if Soa.circuit s != circuit then invalid_arg "Parallel.create: soa built for another circuit";
-        s
-    | None -> Soa.create circuit
-  in
-  { soa; values = Array.make (Circuit.num_nets circuit) 0; ov = Inject.create circuit }
+let create circuit =
+  {
+    soa = Soa.create circuit;
+    values = Array.make (Circuit.num_nets circuit) 0;
+    ov = Inject.create circuit;
+  }
 
 let circuit t = Soa.circuit t.soa
-let soa t = t.soa
 
 let run t ~pi ~state ~injections =
   let c = circuit t in

@@ -29,17 +29,7 @@ type t
 (** Reusable simulation context (pre-allocated net-value arrays) for one
     circuit. Not thread-safe. *)
 
-val create : ?soa:Soa.t -> Tvs_netlist.Circuit.t -> t
-(** [?soa] supplies a pre-built flat gate table (it must wrap the same
-    circuit, physically); when omitted one is built. Sharing one {!Soa.t}
-    across the contexts of a fan-out avoids rebuilding the tables per slot.
-
-    Raises [Invalid_argument] if [soa] wraps a different circuit. *)
-
-val circuit : t -> Tvs_netlist.Circuit.t
-
-val soa : t -> Soa.t
-(** The flat gate table this context sweeps over (shared, read-only). *)
+val create : Tvs_netlist.Circuit.t -> t
 
 val run : t -> pi:int array -> state:int array -> injections:injection list -> result
 (** [run t ~pi ~state ~injections] evaluates the combinational core once.

@@ -1,6 +1,6 @@
-(* Equivalence of the event-driven cone-restricted fault-simulation path with
-   the full levelized broadcast path, plus unit tests for the fanout-cone
-   index the event path's chunk grouping relies on. *)
+(* Equivalence of the event-driven cone-restricted fault simulator with a
+   naive single-fault reference simulator, plus unit tests for the
+   fanout-cone index the simulator's chunk grouping relies on. *)
 
 module Circuit = Tvs_netlist.Circuit
 module Gate = Tvs_netlist.Gate
@@ -43,19 +43,17 @@ let outcome_equal a b =
   | Fault_sim.Capture_differs x, Fault_sim.Capture_differs y -> x = y
   | _ -> false
 
-let frame_equal (a : Fault_sim.frame) (b : Fault_sim.frame) =
-  a.Fault_sim.po = b.Fault_sim.po && a.Fault_sim.capture = b.Fault_sim.capture
-
 let batch_equal (a : Fault_sim.batch_result) (b : Fault_sim.batch_result) =
-  frame_equal a.Fault_sim.good b.Fault_sim.good
+  a.Fault_sim.good = b.Fault_sim.good
   && Array.length a.Fault_sim.outcomes = Array.length b.Fault_sim.outcomes
   && Array.for_all2 outcome_equal a.Fault_sim.outcomes b.Fault_sim.outcomes
 
 (* 0. Ground truth: a naive single-fault bool-level simulator in the legacy
    per-gate-record style — it walks [Circuit.driver] nodes directly, knowing
-   nothing of the flat SoA tables, lane packing, injection plans or diff
-   masks the production paths share. Agreement across arbitrary circuits and
-   fault mixes checks the whole packed stack end to end. *)
+   nothing of the flat SoA tables, lane packing, injection plans, event
+   propagation or diff masks of the production simulator. Agreement across
+   arbitrary circuits and fault mixes checks the whole packed stack end to
+   end. *)
 let ref_frame c ~fault ~pi ~state =
   let values = Array.make (Circuit.num_nets c) false in
   let stem_override net =
@@ -109,6 +107,25 @@ let ref_frame c ~fault ~pi ~state =
   in
   (po, capture)
 
+(* The expected [run_per_state] result: fault [i]'s machine applies its own
+   [states.(i)] and is compared against the fault-free machine under
+   [good_state] — first at the POs, then at the capture. *)
+let ref_batch c ~pi ~good_state ~faults ~states =
+  let po, capture = ref_frame c ~fault:None ~pi ~state:good_state in
+  let outcome i f =
+    let fpo, fcap = ref_frame c ~fault:(Some f) ~pi ~state:states.(i) in
+    if fpo <> po then Fault_sim.Po_detected
+    else if fcap <> capture then Fault_sim.Capture_differs fcap
+    else Fault_sim.Same
+  in
+  { Fault_sim.good = { Fault_sim.po; capture }; outcomes = Array.mapi outcome faults }
+
+(* [run_batch]: every machine applies the same state. *)
+let ref_broadcast c ~pi ~state ~faults =
+  ref_batch c ~pi ~good_state:state ~faults ~states:(Array.map (fun _ -> state) faults)
+
+(* Both screening entry points, one vector at a time and as a one-row
+   matrix. *)
 let qcheck_reference_equivalence =
   QCheck.Test.make ~name:"packed paths equal naive reference" ~count:40
     QCheck.(pair (int_range 0 32) small_int)
@@ -119,35 +136,30 @@ let qcheck_reference_equivalence =
       let pi, state = random_stimulus rng c in
       let good = ref_frame c ~fault:None ~pi ~state in
       let expect = Array.map (fun f -> ref_frame c ~fault:(Some f) ~pi ~state <> good) faults in
-      List.for_all
-        (fun mode ->
-          Fault_sim.detected_faults (Fault_sim.create ~mode c) ~pi ~state faults = expect)
-        [ Fault_sim.Event_driven; Fault_sim.Full ])
+      let sim = Fault_sim.create c in
+      Fault_sim.detected_faults sim ~pi ~state faults = expect
+      && Fault_sim.detected_matrix sim ~vectors:[| (pi, state) |] faults = [| expect |])
 
-(* 1. run_batch: event-driven outcomes (including Capture_differs payloads)
-   are bit-exact with the full path on arbitrary circuits and fault mixes. *)
+(* 1. run_batch: outcomes (including Capture_differs payloads) are bit-exact
+   with the reference on arbitrary circuits and fault mixes. *)
 let qcheck_run_batch_equivalence =
-  QCheck.Test.make ~name:"event run_batch equals full path" ~count:50
+  QCheck.Test.make ~name:"event run_batch equals reference" ~count:50
     QCheck.(pair (int_range 0 32) small_int)
     (fun (i, seed) ->
       let c = tiny_circuit i in
-      let ev = Fault_sim.create c in
-      let full = Fault_sim.create ~mode:Fault_sim.Full c in
       let rng = Rng.create (Int64.of_int seed) in
       let faults = random_faults rng c in
       let pi, state = random_stimulus rng c in
-      let a = Fault_sim.run_batch ev ~pi ~state ~faults in
-      let b = Fault_sim.run_batch full ~pi ~state ~faults in
-      batch_equal a b)
+      batch_equal
+        (Fault_sim.run_batch (Fault_sim.create c) ~pi ~state ~faults)
+        (ref_broadcast c ~pi ~state ~faults))
 
 (* 2. run_per_state: per-lane divergent scan states seed correctly. *)
 let qcheck_run_per_state_equivalence =
-  QCheck.Test.make ~name:"event run_per_state equals full path" ~count:50
+  QCheck.Test.make ~name:"event run_per_state equals reference" ~count:50
     QCheck.(pair (int_range 0 32) small_int)
     (fun (i, seed) ->
       let c = tiny_circuit i in
-      let ev = Fault_sim.create c in
-      let full = Fault_sim.create ~mode:Fault_sim.Full c in
       let rng = Rng.create (Int64.of_int seed) in
       let faults = random_faults rng c in
       let pi, good_state = random_stimulus rng c in
@@ -165,25 +177,11 @@ let qcheck_run_per_state_equivalence =
             st)
           faults
       in
-      let a = Fault_sim.run_per_state ev ~pi ~good_state ~faults ~states in
-      let b = Fault_sim.run_per_state full ~pi ~good_state ~faults ~states in
-      batch_equal a b)
+      batch_equal
+        (Fault_sim.run_per_state (Fault_sim.create c) ~pi ~good_state ~faults ~states)
+        (ref_batch c ~pi ~good_state ~faults ~states))
 
-(* 3. detects / detected_faults ride the same paths. *)
-let qcheck_detected_equivalence =
-  QCheck.Test.make ~name:"event detected_faults equals full path" ~count:50
-    QCheck.(pair (int_range 0 32) small_int)
-    (fun (i, seed) ->
-      let c = tiny_circuit i in
-      let ev = Fault_sim.create c in
-      let full = Fault_sim.create ~mode:Fault_sim.Full c in
-      let rng = Rng.create (Int64.of_int seed) in
-      let faults = random_faults rng c in
-      let pi, state = random_stimulus rng c in
-      Fault_sim.detected_faults ev ~pi ~state faults
-      = Fault_sim.detected_faults full ~pi ~state faults)
-
-(* 4. A reused event context stays exact across many stimuli (the engine's
+(* 3. A reused context stays exact across many stimuli (the engine's
    access pattern: same context, fresh stimulus and fault subset per
    cycle). *)
 let qcheck_reused_context_stays_exact =
@@ -191,24 +189,23 @@ let qcheck_reused_context_stays_exact =
     QCheck.(pair (int_range 0 20) small_int)
     (fun (i, seed) ->
       let c = tiny_circuit i in
-      let ev = Fault_sim.create c in
-      let full = Fault_sim.create ~mode:Fault_sim.Full c in
+      let sim = Fault_sim.create c in
       let rng = Rng.create (Int64.of_int seed) in
       let ok = ref true in
       for _ = 1 to 8 do
         let faults = random_faults rng c in
         let pi, state = random_stimulus rng c in
-        let a = Fault_sim.run_batch ev ~pi ~state ~faults in
-        let b = Fault_sim.run_batch full ~pi ~state ~faults in
-        if not (batch_equal a b) then ok := false
+        let a = Fault_sim.run_batch sim ~pi ~state ~faults in
+        if not (batch_equal a (ref_broadcast c ~pi ~state ~faults)) then ok := false
       done;
       !ok)
 
 (* --- domain-pool fan-out ------------------------------------------------ *)
 
-(* 5. The tentpole determinism property: fanning chunks across a 4-lane
+(* 4. The tentpole determinism property: fanning chunks across a 4-lane
    domain pool returns exactly what the sequential path returns — caught
-   sets, outcomes and Capture_differs payloads — on both execution paths. *)
+   sets, outcomes and Capture_differs payloads — on both the screening
+   ([detected_faults]) and the outcome ([run_batch]) paths. *)
 let qcheck_jobs_equivalence =
   QCheck.Test.make ~name:"jobs=1 equals jobs=4 on both paths" ~count:30
     QCheck.(pair (int_range 0 32) small_int)
@@ -217,65 +214,51 @@ let qcheck_jobs_equivalence =
       let rng = Rng.create (Int64.of_int seed) in
       let faults = random_faults rng c in
       let pi, state = random_stimulus rng c in
-      List.for_all
-        (fun mode ->
-          let s1 = Fault_sim.create ~mode ~jobs:1 c in
-          let s4 = Fault_sim.create ~mode ~jobs:4 c in
-          Fault_sim.detected_faults s1 ~pi ~state faults
-          = Fault_sim.detected_faults s4 ~pi ~state faults
-          && batch_equal
-               (Fault_sim.run_batch s1 ~pi ~state ~faults)
-               (Fault_sim.run_batch s4 ~pi ~state ~faults))
-        [ Fault_sim.Event_driven; Fault_sim.Full ])
+      let s1 = Fault_sim.create ~jobs:1 c in
+      let s4 = Fault_sim.create ~jobs:4 c in
+      Fault_sim.detected_faults s1 ~pi ~state faults = Fault_sim.detected_faults s4 ~pi ~state faults
+      && batch_equal
+           (Fault_sim.run_batch s1 ~pi ~state ~faults)
+           (Fault_sim.run_batch s4 ~pi ~state ~faults))
 
-(* 6. Regression: the per-cycle work counters are merged in chunk order by
+let reset_counters () = Tvs_obs.Metrics.reset ~prefix:"faultsim." ()
+
+(* 5. Regression: the per-cycle work counters are merged in chunk order by
    the submitter, so a multi-domain run must tally exactly what the
    sequential run tallies. s444's 763 collapsed faults span 13 chunks —
    enough for real fan-out. *)
-let counters_snapshot () =
-  let c = Fault_sim.counters () in
-  ( c.Fault_sim.full_runs,
-    c.Fault_sim.event_runs,
-    c.Fault_sim.events_fired,
-    c.Fault_sim.gate_evals,
-    c.Fault_sim.gates_skipped,
-    c.Fault_sim.faults_dropped )
-
 let test_counters_merge_across_jobs () =
   let c = Synth.generate_named "s444" in
   let faults = Fault_gen.collapsed c in
   let rng = Rng.create 99L in
   let stimuli = Array.init 4 (fun _ -> random_stimulus rng c) in
-  let tally mode jobs =
-    let sim = Fault_sim.create ~mode ~jobs c in
-    Fault_sim.reset_counters ();
+  let tally jobs =
+    let sim = Fault_sim.create ~jobs c in
+    reset_counters ();
     let flags =
       Array.map (fun (pi, state) -> Fault_sim.detected_faults sim ~pi ~state faults) stimuli
     in
-    (flags, counters_snapshot ())
+    (flags, Fault_sim.counters ())
   in
+  let flags1, ctr1 = tally 1 in
   List.iter
-    (fun mode ->
-      let flags1, ctr1 = tally mode 1 in
-      List.iter
-        (fun jobs ->
-          let flagsj, ctrj = tally mode jobs in
-          Alcotest.(check bool)
-            (Printf.sprintf "caught flags identical at jobs=%d" jobs)
-            true (flags1 = flagsj);
-          Alcotest.(check bool)
-            (Printf.sprintf "counters identical at jobs=%d" jobs)
-            true (ctr1 = ctrj))
-        [ 2; 4 ])
-    [ Fault_sim.Event_driven; Fault_sim.Full ];
-  Fault_sim.reset_counters ()
+    (fun jobs ->
+      let flagsj, ctrj = tally jobs in
+      Alcotest.(check bool)
+        (Printf.sprintf "caught flags identical at jobs=%d" jobs)
+        true (flags1 = flagsj);
+      Alcotest.(check bool)
+        (Printf.sprintf "counters identical at jobs=%d" jobs)
+        true (ctr1 = ctrj))
+    [ 2; 4 ];
+  reset_counters ()
 
 (* --- multi-vector screening -------------------------------------------- *)
 
 let random_vectors rng c n = Array.init n (fun _ -> random_stimulus rng c)
 
-(* 7. detected_matrix's contract: row [v] equals a detected_faults screen of
-   vector [v], on both execution paths. *)
+(* 6. detected_matrix's contract: row [v] equals a detected_faults screen of
+   vector [v]. *)
 let qcheck_matrix_equals_per_vector =
   QCheck.Test.make ~name:"detected_matrix rows equal detected_faults" ~count:25
     QCheck.(pair (int_range 0 32) small_int)
@@ -284,17 +267,14 @@ let qcheck_matrix_equals_per_vector =
       let rng = Rng.create (Int64.of_int seed) in
       let faults = random_faults rng c in
       let vectors = random_vectors rng c (1 + Rng.int rng 9) in
-      List.for_all
-        (fun mode ->
-          let sim = Fault_sim.create ~mode c in
-          let matrix = Fault_sim.detected_matrix sim ~vectors faults in
-          Array.length matrix = Array.length vectors
-          && Array.for_all2
-               (fun row (pi, state) -> row = Fault_sim.detected_faults sim ~pi ~state faults)
-               matrix vectors)
-        [ Fault_sim.Event_driven; Fault_sim.Full ])
+      let sim = Fault_sim.create c in
+      let matrix = Fault_sim.detected_matrix sim ~vectors faults in
+      Array.length matrix = Array.length vectors
+      && Array.for_all2
+           (fun row (pi, state) -> row = Fault_sim.detected_faults sim ~pi ~state faults)
+           matrix vectors)
 
-(* 8. The batch knob, like jobs, is a pure scheduling choice: every
+(* 7. The batch knob, like jobs, is a pure scheduling choice: every
    (jobs, batch) combination returns the byte-identical matrix. batch=3
    leaves a ragged final batch; batch=16 swallows the set whole. *)
 let qcheck_batch_and_jobs_invariance =
@@ -305,16 +285,13 @@ let qcheck_batch_and_jobs_invariance =
       let rng = Rng.create (Int64.of_int seed) in
       let faults = random_faults rng c in
       let vectors = random_vectors rng c (2 + Rng.int rng 14) in
+      let screen jobs batch =
+        Fault_sim.detected_matrix (Fault_sim.create ~jobs ~batch c) ~vectors faults
+      in
+      let base = screen 1 1 in
       List.for_all
-        (fun mode ->
-          let screen jobs batch =
-            Fault_sim.detected_matrix (Fault_sim.create ~mode ~jobs ~batch c) ~vectors faults
-          in
-          let base = screen 1 1 in
-          List.for_all
-            (fun (jobs, batch) -> screen jobs batch = base)
-            [ (1, 16); (4, 1); (4, 3); (2, 16) ])
-        [ Fault_sim.Event_driven; Fault_sim.Full ])
+        (fun (jobs, batch) -> screen jobs batch = base)
+        [ (1, 16); (4, 1); (4, 3); (2, 16) ])
 
 let test_matrix_empty_vectors () =
   let c = tiny_circuit 3 in
@@ -324,34 +301,31 @@ let test_matrix_empty_vectors () =
     "no vectors, no rows" 0
     (Array.length (Fault_sim.detected_matrix sim ~vectors:[||] faults))
 
-(* 9. Work counters are batch- and jobs-invariant: per-vector work is fixed,
+(* 8. Work counters are batch- and jobs-invariant: per-vector work is fixed,
    shards merge by summation, and the batch axis only regroups it. *)
 let test_counters_merge_across_batch () =
   let c = Synth.generate_named "s444" in
   let faults = Fault_gen.collapsed c in
   let rng = Rng.create 7L in
   let vectors = Array.init 11 (fun _ -> random_stimulus rng c) in
+  let tally jobs batch =
+    let sim = Fault_sim.create ~jobs ~batch c in
+    reset_counters ();
+    let matrix = Fault_sim.detected_matrix sim ~vectors faults in
+    (matrix, Fault_sim.counters ())
+  in
+  let matrix1, ctr1 = tally 1 1 in
   List.iter
-    (fun mode ->
-      let tally jobs batch =
-        let sim = Fault_sim.create ~mode ~jobs ~batch c in
-        Fault_sim.reset_counters ();
-        let matrix = Fault_sim.detected_matrix sim ~vectors faults in
-        (matrix, counters_snapshot ())
-      in
-      let matrix1, ctr1 = tally 1 1 in
-      List.iter
-        (fun (jobs, batch) ->
-          let matrixj, ctrj = tally jobs batch in
-          Alcotest.(check bool)
-            (Printf.sprintf "matrix identical at jobs=%d batch=%d" jobs batch)
-            true (matrix1 = matrixj);
-          Alcotest.(check bool)
-            (Printf.sprintf "counters identical at jobs=%d batch=%d" jobs batch)
-            true (ctr1 = ctrj))
-        [ (1, 16); (2, 4); (4, 1); (4, 16) ])
-    [ Fault_sim.Event_driven; Fault_sim.Full ];
-  Fault_sim.reset_counters ()
+    (fun (jobs, batch) ->
+      let matrixj, ctrj = tally jobs batch in
+      Alcotest.(check bool)
+        (Printf.sprintf "matrix identical at jobs=%d batch=%d" jobs batch)
+        true (matrix1 = matrixj);
+      Alcotest.(check bool)
+        (Printf.sprintf "counters identical at jobs=%d batch=%d" jobs batch)
+        true (ctr1 = ctrj))
+    [ (1, 16); (2, 4); (4, 1); (4, 16) ];
+  reset_counters ()
 
 (* --- cone index -------------------------------------------------------- *)
 
@@ -412,7 +386,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_reference_equivalence;
           QCheck_alcotest.to_alcotest qcheck_run_batch_equivalence;
           QCheck_alcotest.to_alcotest qcheck_run_per_state_equivalence;
-          QCheck_alcotest.to_alcotest qcheck_detected_equivalence;
           QCheck_alcotest.to_alcotest qcheck_reused_context_stays_exact;
         ] );
       ( "parallel",

@@ -18,13 +18,10 @@ let show a = String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
 
 (* Response of the (possibly faulty) machine to a given scan state. *)
 let response fault state =
-  let sim = Fault_sim.create c in
   match fault with
-  | None ->
-      let _, capture = Parallel.run_single (Fault_sim.parallel sim) ~pi:[||] ~state in
-      capture
+  | None -> snd (Parallel.run_single (Parallel.create c) ~pi:[||] ~state)
   | Some f -> (
-      let r = Fault_sim.run_batch sim ~pi:[||] ~state ~faults:[| f |] in
+      let r = Fault_sim.run_batch (Fault_sim.create c) ~pi:[||] ~state ~faults:[| f |] in
       match r.outcomes.(0) with
       | Fault_sim.Same | Fault_sim.Po_detected -> r.good.capture
       | Fault_sim.Capture_differs cap -> cap)

@@ -133,6 +133,23 @@ let test_comparison_renders () =
   Alcotest.(check bool) "static columns present" true (contains ~needle:"static m" out);
   Alcotest.(check bool) "row present" true (contains ~needle:"s444" out)
 
+(* Table 5's footer reports its own call's work without wiping the
+   process-wide [faultsim.*] counters: a second call adds to them. *)
+let test_table5_footer_keeps_counters () =
+  let gate_evals () = (Tvs_fault.Fault_sim.counters ()).Tvs_fault.Fault_sim.gate_evals in
+  let table5 () = Experiments.table5 ~scale:0.25 ~circuits:[ "s444" ] () in
+  let g0 = gate_evals () in
+  let first = table5 () in
+  let g1 = gate_evals () in
+  let second = table5 () in
+  let g2 = gate_evals () in
+  Alcotest.(check bool) "first call counted" true (g1 > g0);
+  Alcotest.(check bool) "second call adds to the first" true (g2 > g1);
+  let footer_says out delta = contains ~needle:(Printf.sprintf " %d gate evals " delta) out in
+  Alcotest.(check bool) "first footer is the first call's work" true (footer_says first (g1 - g0));
+  Alcotest.(check bool) "second footer is the second call's work" true
+    (footer_says second (g2 - g1))
+
 (* --- CLI validation ----------------------------------------------------- *)
 
 module Cli = Tvs_harness.Cli
@@ -209,6 +226,8 @@ let () =
           Alcotest.test_case "comparison rendering" `Quick test_comparison_renders;
           Alcotest.test_case "randtest small budget" `Quick test_randtest_small_budget;
           Alcotest.test_case "golden stitch summaries" `Quick test_golden_summaries;
+          Alcotest.test_case "table 5 footer keeps counters" `Quick
+            test_table5_footer_keeps_counters;
         ] );
       ( "cli",
         [

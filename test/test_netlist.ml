@@ -299,6 +299,42 @@ let test_scan_insert_names_preserved () =
         (Circuit.find_net_opt inserted nm <> None))
     [ "G0"; "G5"; "G17"; "scan_en"; "scan_in"; "scan_out_tap" ]
 
+(* --- Tseitin encoding --------------------------------------------------- *)
+
+(* For every gate kind, every legal arity up to 4 and every input
+   assignment: with the inputs fixed by unit clauses, the gate's CNF is
+   satisfiable with [out] at the gate's value and unsatisfiable with [out]
+   forced to the opposite value. *)
+let test_tseitin_truth_tables () =
+  let module Sat = Tvs_util.Sat in
+  List.iter
+    (fun kind ->
+      for arity = 1 to 4 do
+        if Gate.arity_ok kind arity then
+          for bits = 0 to (1 lsl arity) - 1 do
+            let inputs = Array.init arity (fun i -> bits land (1 lsl i) <> 0) in
+            let out = arity + 1 in
+            let nvars = ref out and clauses = ref [] in
+            let fresh () =
+              incr nvars;
+              !nvars
+            in
+            let add clause = clauses := clause :: !clauses in
+            Tvs_netlist.Tseitin.encode_gate ~fresh ~add ~out kind (List.init arity (fun i -> i + 1));
+            Array.iteri (fun i b -> add [ (if b then i + 1 else -(i + 1)) ]) inputs;
+            let expect = Gate.eval_bool kind inputs in
+            let solve v = Sat.solve ~nvars:!nvars ([ (if v then out else -out) ] :: !clauses) in
+            let case = Printf.sprintf "%s arity %d inputs %d" (Gate.to_string kind) arity bits in
+            (match solve expect with
+            | Sat.Sat _ -> ()
+            | Sat.Unsat | Sat.Unknown -> Alcotest.failf "%s: no model at the gate's value" case);
+            match solve (not expect) with
+            | Sat.Unsat -> ()
+            | Sat.Sat _ | Sat.Unknown -> Alcotest.failf "%s: model at the wrong value" case
+          done
+      done)
+    [ Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor; Gate.Not; Gate.Buf ]
+
 let () =
   Alcotest.run "netlist"
     [
@@ -344,4 +380,5 @@ let () =
           Alcotest.test_case "reserved names rejected" `Quick test_scan_insert_reserved_names;
           Alcotest.test_case "names preserved" `Quick test_scan_insert_names_preserved;
         ] );
+      ("tseitin", [ Alcotest.test_case "gate truth tables" `Quick test_tseitin_truth_tables ]);
     ]
