@@ -8,79 +8,22 @@
      dune exec bench/main.exe -- --out bench.json table5   # + JSON report
 
    Table circuits default to full profile scale except the four Table 5
-   giants (0.25 linear scale); see DESIGN.md §5 and EXPERIMENTS.md. *)
+   giants (0.25 linear scale); see DESIGN.md §5 and EXPERIMENTS.md.
+   --scale, --jobs, --batch and --cache are the Tvs_harness.Cli terms the
+   tvs CLI uses; --help lists every flag. *)
 
 open Bechamel
 
 module Experiments = Tvs_harness.Experiments
 module Prep = Tvs_harness.Prep
 module Report = Tvs_obs.Report
-
-let scale : float option ref = ref None
-let only : string list ref = ref []
-let jobs : int option ref = ref None
-let batch : int option ref = ref None
-let out : string option ref = ref None
+module Cli = Tvs_harness.Cli
 
 let artifacts =
   [
     "table1"; "table2"; "table3"; "table4"; "table5"; "ablations"; "misr"; "comparison";
     "diagnosis"; "randtest"; "tpi"; "cec"; "micro";
   ]
-
-let usage_and_exit msg =
-  Printf.eprintf "error: %s\n" msg;
-  Printf.eprintf
-    "usage: bench [--scale FLOAT] [--jobs N] [--batch N] [--out FILE] [--cache DIR] [ARTIFACT...]\n";
-  Printf.eprintf "valid artifacts: %s\n" (String.concat " " artifacts);
-  exit 2
-
-let parse_args () =
-  let rec go = function
-    | [] -> ()
-    | [ "--scale" ] -> usage_and_exit "--scale requires a value"
-    | "--scale" :: v :: rest ->
-        (match Option.map Tvs_harness.Cli.check_scale (float_of_string_opt v) with
-        | Some (Ok f) -> scale := Some f
-        | Some (Error msg) -> usage_and_exit msg
-        | None -> usage_and_exit (Printf.sprintf "invalid --scale value %S" v));
-        go rest
-    | [ "--batch" ] -> usage_and_exit "--batch requires a value"
-    | "--batch" :: v :: rest ->
-        (match Option.map Tvs_harness.Cli.check_batch (int_of_string_opt v) with
-        | Some (Ok b) -> batch := Some b
-        | Some (Error msg) -> usage_and_exit msg
-        | None -> usage_and_exit (Printf.sprintf "invalid --batch value %S" v));
-        go rest
-    | [ "--jobs" ] -> usage_and_exit "--jobs requires a value"
-    | "--jobs" :: v :: rest ->
-        (match Option.map Tvs_harness.Cli.check_jobs (int_of_string_opt v) with
-        | Some (Ok j) -> jobs := Some j
-        | Some (Error msg) -> usage_and_exit msg
-        | None -> usage_and_exit (Printf.sprintf "invalid --jobs value %S" v));
-        go rest
-    | [ "--out" ] -> usage_and_exit "--out requires a value"
-    | "--out" :: v :: rest ->
-        (match Tvs_harness.Cli.check_out_file ~flag:"--out" v with
-        | Ok path -> out := Some path
-        | Error msg -> usage_and_exit msg);
-        go rest
-    | [ "--cache" ] -> usage_and_exit "--cache requires a value"
-    | "--cache" :: v :: rest ->
-        (match Tvs_store.Cache.open_dir v with
-        | Ok c -> Experiments.set_cache (Some c)
-        | Error msg -> usage_and_exit msg);
-        go rest
-    | arg :: rest ->
-        if not (List.mem arg artifacts) then
-          usage_and_exit (Printf.sprintf "unknown artifact %S" arg);
-        (* Dedupe: `bench table5 table5` regenerates the table once. *)
-        if not (List.mem arg !only) then only := arg :: !only;
-        go rest
-  in
-  go (List.tl (Array.to_list Sys.argv))
-
-let wants what = !only = [] || List.mem what !only
 
 (* Artifact runs accumulated for the --out report, in execution order. *)
 let runs : Report.run list ref = ref []
@@ -269,11 +212,10 @@ let run_cec () =
     [ "s27"; "s444" ];
   Buffer.contents buf
 
-let write_report file =
-  let jobs = match !jobs with Some j -> j | None -> Tvs_util.Pool.default_jobs () in
+let write_report ?scale file =
   let report =
-    Report.make ?scale:!scale ?git_rev:(Report.git_rev ()) ~tpi:(List.rev !tpi_entries)
-      ~cec:(List.rev !cec_entries) ~jobs ~runs:(List.rev !runs)
+    Report.make ?scale ?git_rev:(Report.git_rev ()) ~tpi:(List.rev !tpi_entries)
+      ~cec:(List.rev !cec_entries) ~jobs:(Tvs_util.Pool.default_jobs ()) ~runs:(List.rev !runs)
       ~metrics:(Tvs_obs.Metrics.snapshot ()) ()
   in
   let oc = open_out file in
@@ -282,21 +224,17 @@ let write_report file =
   close_out oc;
   Printf.eprintf "bench report written to %s\n%!" file
 
-let () =
-  parse_args ();
-  (* --jobs (or TVS_JOBS, handled inside Pool) sets the process-wide default
-     fan-out, and --batch (or TVS_BATCH) the vector-batch size; every table
-     regenerates identically for any value of either. *)
-  Option.iter Tvs_util.Pool.set_default_jobs !jobs;
-  Option.iter Tvs_fault.Fault_sim.set_default_batch !batch;
+(* Artifacts run in the fixed order below, each once, whatever order (or
+   repetition) they are named in; none named means all of them. *)
+let run () () () scale out only =
+  let wants what = only = [] || List.mem what only in
   let t0 = Unix.gettimeofday () in
   if wants "table1" then table "Table 1 / Figure 1" "table1" Experiments.table1;
-  if wants "table2" then table "Table 2" "table2" (fun () -> Experiments.table2 ?scale:!scale ());
-  if wants "table3" then table "Table 3" "table3" (fun () -> Experiments.table3 ?scale:!scale ());
-  if wants "table4" then table "Table 4" "table4" (fun () -> Experiments.table4 ?scale:!scale ());
-  if wants "table5" then table "Table 5" "table5" (fun () -> Experiments.table5 ?scale:!scale ());
-  if wants "ablations" then
-    table "Ablations" "ablations" (fun () -> Experiments.ablations ?jobs:!jobs ());
+  if wants "table2" then table "Table 2" "table2" (fun () -> Experiments.table2 ?scale ());
+  if wants "table3" then table "Table 3" "table3" (fun () -> Experiments.table3 ?scale ());
+  if wants "table4" then table "Table 4" "table4" (fun () -> Experiments.table4 ?scale ());
+  if wants "table5" then table "Table 5" "table5" (fun () -> Experiments.table5 ?scale ());
+  if wants "ablations" then table "Ablations" "ablations" (fun () -> Experiments.ablations ());
   if wants "misr" then
     table "MISR aliasing / diagnosis study" "misr" (fun () -> Experiments.misr_study ());
   if wants "comparison" then
@@ -309,5 +247,25 @@ let () =
   if wants "cec" then table "Equivalence-checker gates" "cec" run_cec;
   if wants "micro" then
     section "Bechamel microbenchmarks (one kernel per table)" "micro" run_micro;
-  Option.iter write_report !out;
+  Option.iter (write_report ?scale) out;
   Printf.printf "total wall time: %.1fs\n" (Unix.gettimeofday () -. t0)
+
+let () =
+  let open Cmdliner in
+  let out =
+    let doc = "Also write a machine-readable JSON report of the run to $(docv)." in
+    Arg.(value & opt (some (Cli.out_file ~flag:"--out")) None & info [ "out" ] ~docv:"FILE" ~doc)
+  in
+  let only =
+    let doc = "Artifacts to regenerate: " ^ String.concat ", " artifacts ^ " (default: all)." in
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun a -> (a, a)) artifacts)) []
+      & info [] ~docv:"ARTIFACT" ~doc)
+  in
+  let info =
+    Cmd.info "bench" ~doc:"Regenerate the paper's tables and time the kernels behind them"
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v info Term.(const run $ Cli.cache $ Cli.jobs $ Cli.batch $ Cli.scale $ out $ only)))

@@ -17,9 +17,6 @@
 module Circuit = Tvs_netlist.Circuit
 module Bench_format = Tvs_netlist.Bench_format
 module Stats = Tvs_netlist.Stats
-module Fault_gen = Tvs_fault.Fault_gen
-module Fault_sim = Tvs_fault.Fault_sim
-module Parallel = Tvs_sim.Parallel
 module Cube = Tvs_atpg.Cube
 module Xor_scheme = Tvs_scan.Xor_scheme
 module Policy = Tvs_core.Policy
@@ -32,24 +29,19 @@ module Tpi = Tvs_tpi.Tpi
 module Cec = Tvs_cec.Cec
 module Codec = Tvs_store.Codec
 module Checkpoint = Tvs_store.Checkpoint
-module Cache = Tvs_store.Cache
-module Store_digest = Tvs_store.Digest
+module Cli = Tvs_harness.Cli
 
 open Cmdliner
-
-let msg_of_string_error r = Result.map_error (fun m -> `Msg m) r
 
 (* A circuit argument: a known profile name ("s444"), "s27", "fig1", or a
    path to a .bench file. Unknown specs are rejected at parse time by
    cmdliner (usage error, non-zero exit). *)
-let circuit_conv =
-  Arg.conv ~docv:"CIRCUIT"
-    ((fun s -> msg_of_string_error (Tvs_harness.Cli.check_spec s)), Format.pp_print_string)
+let circuit_conv = Cli.conv ~docv:"CIRCUIT" Cli.check_spec
 
 (* The spec was validated by [circuit_conv]; only a malformed .bench file can
    still fail here. *)
 let load_circuit ?scale spec =
-  match Tvs_harness.Cli.load_circuit ?scale spec with
+  match Cli.load_circuit ?scale spec with
   | Ok c -> c
   | Error msg ->
       prerr_endline ("tvs: " ^ msg);
@@ -59,56 +51,6 @@ let circuit_arg =
   let doc = "Circuit: a benchmark profile name (s444 ... s38584), s27, fig1, or a .bench file." in
   Arg.(required & pos 0 (some circuit_conv) None & info [] ~docv:"CIRCUIT" ~doc)
 
-let scale_arg =
-  let doc = "Linear scale factor applied to profile circuits." in
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"F" ~doc)
-
-(* Fan-out width of the fault-simulation domain pool. The flag (or the
-   TVS_JOBS environment variable) sets the process-wide default that every
-   Fault_sim context created without an explicit [jobs] picks up; results
-   are bit-identical for every value. *)
-let jobs_arg =
-  let doc =
-    "Number of domains for fault simulation (default: available cores). Results are identical \
-     for every value; only wall-clock time changes."
-  in
-  let jobs_conv =
-    Arg.conv ~docv:"N"
-      ( (fun s ->
-          match int_of_string_opt s with
-          | None -> Error (`Msg (Printf.sprintf "invalid job count %S" s))
-          | Some j -> msg_of_string_error (Tvs_harness.Cli.check_jobs j)),
-        Format.pp_print_int )
-  in
-  Arg.(
-    value
-    & opt (some jobs_conv) None
-    & info [ "jobs"; "j" ] ~env:(Cmd.Env.info "TVS_JOBS") ~docv:"N" ~doc)
-
-let set_jobs = Option.iter Tvs_util.Pool.set_default_jobs
-
-(* Vector-batch size for multi-vector screening (Fault_sim.detected_matrix).
-   Like --jobs, a pure scheduling knob: the flag (or TVS_BATCH) sets the
-   process-wide default, and results are bit-identical for every value. *)
-let batch_arg =
-  let doc =
-    "Vectors per domain-pool chunk in multi-vector fault screening (default: 16). Results are \
-     identical for every value; only wall-clock time changes."
-  in
-  let batch_conv =
-    Arg.conv ~docv:"N"
-      ( (fun s ->
-          match int_of_string_opt s with
-          | None -> Error (`Msg (Printf.sprintf "invalid batch size %S" s))
-          | Some b -> msg_of_string_error (Tvs_harness.Cli.check_batch b)),
-        Format.pp_print_int )
-  in
-  Arg.(
-    value
-    & opt (some batch_conv) None
-    & info [ "batch" ] ~env:(Cmd.Env.info "TVS_BATCH") ~docv:"N" ~doc)
-
-let set_batch = Option.iter Tvs_fault.Fault_sim.set_default_batch
 let prep_of ?scale spec = Prep.of_circuit (load_circuit ?scale spec)
 
 (* Observability flags, shared by every subcommand. Both channels bypass
@@ -124,11 +66,7 @@ let trace_arg =
     "Record span traces and write them to $(docv) at exit as Chrome trace-event JSON (load via \
      chrome://tracing or https://ui.perfetto.dev)."
   in
-  let trace_conv =
-    Arg.conv ~docv:"FILE"
-      ((fun s -> msg_of_string_error (Tvs_harness.Cli.check_trace_file s)), Format.pp_print_string)
-  in
-  Arg.(value & opt (some trace_conv) None & info [ "trace" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some (Cli.out_file ~flag:"--trace")) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let setup_obs metrics trace =
   if metrics then begin
@@ -145,27 +83,12 @@ let setup_obs metrics trace =
 
 let obs_term = Term.(const setup_obs $ metrics_arg $ trace_arg)
 
-(* Content-addressed result cache, shared by the subcommands that run whole
-   experiments. The handle is installed process-wide so every [run_flow] a
-   table triggers sees it. *)
-let cache_arg =
-  let doc =
-    "Directory for the content-addressed result cache (created if missing). Experiment results \
-     are keyed by circuit and configuration digests plus the store schema version, so a stale \
-     entry can never be replayed."
-  in
-  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
-
-let setup_cache = function
-  | None -> ()
-  | Some dir -> (
-      match Cache.open_dir dir with
-      | Ok c -> Experiments.set_cache (Some c)
-      | Error msg ->
-          prerr_endline ("tvs: " ^ msg);
-          exit Cmd.Exit.cli_error)
-
-let cache_term = Term.(const setup_cache $ cache_arg)
+let format_arg =
+  let doc = "Output format: $(b,ascii) or $(b,json)." in
+  Arg.(
+    value
+    & opt (Arg.enum [ ("ascii", `Ascii); ("json", `Json) ]) `Ascii
+    & info [ "format" ] ~docv:"FMT" ~doc)
 
 (* Equivalence gate behind the `--verify` flags of `tvs tpi` / `tvs emit`.
    Reports through stderr so the gated command's own stdout stays
@@ -188,7 +111,7 @@ let verify_gate ~what left right =
 
 let stats_cmd =
   let run () spec scale =
-    let c = load_circuit ~scale spec in
+    let c = load_circuit ?scale spec in
     Format.printf "%a@." Stats.pp (Stats.compute c);
     let issues = Tvs_netlist.Validate.check c in
     if issues = [] then Format.printf "validation: clean@."
@@ -198,7 +121,7 @@ let stats_cmd =
     end
   in
   Cmd.v (Cmd.info "stats" ~doc:"Structural statistics and validation of a circuit")
-    Term.(const run $ obs_term $ circuit_arg $ scale_arg)
+    Term.(const run $ obs_term $ circuit_arg $ Cli.scale)
 
 let lint_cmd =
   let circuit_opt_arg =
@@ -207,13 +130,6 @@ let lint_cmd =
        Optional with $(b,--list-rules)."
     in
     Arg.(value & pos 0 (some circuit_conv) None & info [] ~docv:"CIRCUIT" ~doc)
-  in
-  let format_arg =
-    let doc = "Output format: $(b,ascii) or $(b,json)." in
-    Arg.(
-      value
-      & opt (Arg.enum [ ("ascii", `Ascii); ("json", `Json) ]) `Ascii
-      & info [ "format" ] ~docv:"FMT" ~doc)
   in
   let rules_arg =
     let doc =
@@ -267,8 +183,7 @@ let lint_cmd =
     prerr_endline ("tvs: " ^ msg);
     exit Cmd.Exit.cli_error
   in
-  let run () () list_rules spec scale format rules fail_on shift sat_faults sat_budget jobs =
-    set_jobs jobs;
+  let run () () () list_rules spec scale format rules fail_on shift sat_faults sat_budget =
     if list_rules then
       List.iter
         (fun (r : Lint_diag.rule_info) ->
@@ -325,7 +240,7 @@ let lint_cmd =
             ~format:(Tvs_verilog.Loader.detect ~path:spec text)
             ~name:Filename.(remove_extension (basename spec))
             text
-        else Experiments.lint_report ~options (load_circuit ~scale spec)
+        else Experiments.lint_report ~options (load_circuit ?scale spec)
       in
       (match format with
       | `Ascii -> print_string (Lint.to_ascii report)
@@ -341,14 +256,12 @@ let lint_cmd =
          "Rule-based static analysis: structural, dataflow and scan-chain checks plus a \
           hidden-fault risk table")
     Term.(
-      const run $ obs_term $ cache_term $ list_rules_arg $ circuit_opt_arg $ scale_arg
-      $ format_arg $ rules_arg $ fail_on_arg $ lint_shift_arg $ sat_faults_arg $ sat_budget_arg
-      $ jobs_arg)
+      const run $ obs_term $ Cli.cache $ Cli.jobs $ list_rules_arg $ circuit_opt_arg $ Cli.scale
+      $ format_arg $ rules_arg $ fail_on_arg $ lint_shift_arg $ sat_faults_arg $ sat_budget_arg)
 
 let atpg_cmd =
-  let run () spec scale jobs =
-    set_jobs jobs;
-    let prep = prep_of ~scale spec in
+  let run () () spec scale =
+    let prep = prep_of ?scale spec in
     let b = prep.Prep.baseline in
     Printf.printf "circuit        : %s\n" (Circuit.name prep.Prep.circuit);
     Printf.printf "faults (coll.) : %d (of %d total)\n" (Array.length prep.Prep.faults)
@@ -361,13 +274,11 @@ let atpg_cmd =
     Printf.printf "tester memory  : %d bits\n" b.Baseline.memory
   in
   Cmd.v (Cmd.info "atpg" ~doc:"Traditional full-shift test generation (the aTV baseline)")
-    Term.(const run $ obs_term $ circuit_arg $ scale_arg $ jobs_arg)
+    Term.(const run $ obs_term $ Cli.jobs $ circuit_arg $ Cli.scale)
 
 let faultsim_cmd =
-  let run () () spec scale jobs batch =
-    set_jobs jobs;
-    set_batch batch;
-    let prep = prep_of ~scale spec in
+  let run () () () () spec scale =
+    let prep = prep_of ?scale spec in
     let d = Experiments.baseline_detection prep in
     Printf.printf "%s: %d/%d faults detected by the %d baseline vectors (%.2f%%)\n"
       (Circuit.name prep.Prep.circuit) d.Experiments.detected d.Experiments.faults
@@ -375,7 +286,7 @@ let faultsim_cmd =
       (100.0 *. float_of_int d.Experiments.detected /. float_of_int d.Experiments.faults)
   in
   Cmd.v (Cmd.info "faultsim" ~doc:"Fault-simulate the baseline test set")
-    Term.(const run $ obs_term $ cache_term $ circuit_arg $ scale_arg $ jobs_arg $ batch_arg)
+    Term.(const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ circuit_arg $ Cli.scale)
 
 (* Scheme and selection share their vocabulary with the serve protocol's job
    fields through Tvs_harness.Cli, so the CLI and a serve client can never
@@ -383,18 +294,16 @@ let faultsim_cmd =
 let scheme_arg =
   let doc = "Observation scheme: nxor, vxor or hxor:<taps>." in
   let scheme_conv =
-    Arg.conv ~docv:"SCHEME"
-      ( (fun s -> msg_of_string_error (Tvs_harness.Cli.parse_scheme s)),
-        fun fmt s -> Format.pp_print_string fmt (Xor_scheme.to_string s) )
+    Arg.conv' ~docv:"SCHEME"
+      (Cli.parse_scheme, fun fmt s -> Format.pp_print_string fmt (Xor_scheme.to_string s))
   in
   Arg.(value & opt scheme_conv Xor_scheme.Nxor & info [ "scheme" ] ~docv:"SCHEME" ~doc)
 
 let selection_arg =
   let doc = "Vector selection: random, hardness, most-faults or weighted." in
   let sel_conv =
-    Arg.conv ~docv:"SEL"
-      ( (fun s -> msg_of_string_error (Tvs_harness.Cli.parse_selection s)),
-        fun fmt s -> Format.pp_print_string fmt (Policy.describe_selection s) )
+    Arg.conv' ~docv:"SEL"
+      (Cli.parse_selection, fun fmt s -> Format.pp_print_string fmt (Policy.describe_selection s))
   in
   Arg.(value & opt sel_conv (Policy.Most_faults 5) & info [ "selection" ] ~docv:"SEL" ~doc)
 
@@ -412,49 +321,17 @@ let print_stitch_summary prep scheme selection (r : Experiments.run_summary) =
 
 let checkpoint_file_arg =
   let doc = "Save an engine checkpoint to $(docv) periodically (atomic temp+rename writes)." in
-  let ckpt_conv =
-    Arg.conv ~docv:"FILE"
-      ( (fun s -> msg_of_string_error (Tvs_harness.Cli.check_checkpoint_file s)),
-        Format.pp_print_string )
-  in
-  Arg.(value & opt (some ckpt_conv) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+  Arg.(
+    value
+    & opt (some (Cli.out_file ~flag:"--checkpoint")) None
+    & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
 let checkpoint_every_arg =
   let doc = "Checkpoint period, in stitched cycles." in
-  let every_conv =
-    Arg.conv ~docv:"N"
-      ( (fun s ->
-          match int_of_string_opt s with
-          | None -> Error (`Msg (Printf.sprintf "invalid checkpoint period %S" s))
-          | Some n -> msg_of_string_error (Tvs_harness.Cli.check_checkpoint_every n)),
-        Format.pp_print_int )
-  in
-  Arg.(value & opt every_conv 4 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
-
-(* The checkpoint callback: wraps each engine snapshot with the run's
-   identity so [resume] can rebuild and digest-verify the same run. *)
-let checkpoint_hook ~file ~every ~spec ~scale ~scheme ~selection ~shift ~label ?jobs prep =
-  let config =
-    Experiments.config_for ~scheme
-      ?shift:(Option.map (fun s -> Policy.Fixed s) shift)
-      ~selection ?jobs prep
-  in
-  let circuit_digest = Store_digest.circuit prep.Prep.circuit in
-  let config_digest = Store_digest.config ~config ~label in
-  ( every,
-    fun snapshot ->
-      Checkpoint.save file
-        {
-          Checkpoint.spec;
-          scale;
-          scheme;
-          selection;
-          shift;
-          label;
-          circuit_digest;
-          config_digest;
-          snapshot;
-        } )
+  Arg.(
+    value
+    & opt (Cli.int_conv ~docv:"N" Cli.check_checkpoint_every) 4
+    & info [ "checkpoint-every" ] ~docv:"N" ~doc)
 
 let preflight_arg =
   let doc =
@@ -464,22 +341,25 @@ let preflight_arg =
   Arg.(value & flag & info [ "preflight" ] ~doc)
 
 let stitch_cmd =
-  let run () () spec scale scheme selection shift preflight jobs batch ckpt every =
-    set_jobs jobs;
-    set_batch batch;
-    let prep = prep_of ~scale spec in
+  let run () () () () spec scale scheme selection shift preflight ckpt every =
+    let prep = prep_of ?scale spec in
     let shift_policy = Option.map (fun s -> Policy.Fixed s) shift in
     let checkpoint =
       Option.map
         (fun file ->
-          checkpoint_hook ~file ~every ~spec ~scale ~scheme ~selection ~shift ~label:"cli" ?jobs
-            prep)
+          (* Each snapshot carries the run's identity so [resume] can
+             rebuild and digest-verify the same run. *)
+          let record =
+            Experiments.checkpoint_record ~spec ~scale:(Option.value scale ~default:1.0) ~scheme
+              ~selection ~shift ~label:"cli" prep
+          in
+          (every, fun snapshot -> Checkpoint.save file (record snapshot)))
         ckpt
     in
     let r =
       try
-        Experiments.run_flow ~scheme ?shift:shift_policy ~selection ~preflight ?jobs ?batch
-          ?checkpoint ~label:"cli" prep
+        Experiments.run_flow ~scheme ?shift:shift_policy ~selection ~preflight ?checkpoint
+          ~label:"cli" prep
       with Failure msg when preflight ->
         prerr_endline ("tvs: " ^ msg);
         exit Cmd.Exit.some_error
@@ -488,71 +368,47 @@ let stitch_cmd =
   in
   Cmd.v (Cmd.info "stitch" ~doc:"Run the stitched compression flow")
     Term.(
-      const run $ obs_term $ cache_term $ circuit_arg $ scale_arg $ scheme_arg $ selection_arg
-      $ shift_arg $ preflight_arg $ jobs_arg $ batch_arg $ checkpoint_file_arg
+      const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ circuit_arg $ Cli.scale
+      $ scheme_arg $ selection_arg $ shift_arg $ preflight_arg $ checkpoint_file_arg
       $ checkpoint_every_arg)
 
 let resume_cmd =
   let file_arg =
     let doc = "Checkpoint file written by stitch --checkpoint." in
-    let resume_conv =
-      Arg.conv ~docv:"FILE"
-        ( (fun s -> msg_of_string_error (Tvs_harness.Cli.check_resume_file s)),
-          Format.pp_print_string )
-    in
+    let resume_conv = Cli.conv ~docv:"FILE" Cli.check_resume_file in
     Arg.(required & pos 0 (some resume_conv) None & info [] ~docv:"FILE" ~doc)
   in
   let die msg =
     prerr_endline ("tvs: " ^ msg);
     exit Cmd.Exit.some_error
   in
-  let run () () file jobs batch ckpt every =
-    set_jobs jobs;
-    set_batch batch;
+  let run () () () () file ckpt every =
     match Checkpoint.load file with
     | Error e ->
         die (Printf.sprintf "cannot resume from %S: %s" file (Codec.error_to_string e))
     | Ok ck ->
         let spec =
-          match Tvs_harness.Cli.check_spec ck.Checkpoint.spec with
+          match Cli.check_spec ck.Checkpoint.spec with
           | Ok s -> s
           | Error msg -> die (Printf.sprintf "checkpoint circuit unavailable: %s" msg)
         in
         let prep = prep_of ~scale:ck.Checkpoint.scale spec in
-        if
-          not
-            (Store_digest.equal
-               (Store_digest.circuit prep.Prep.circuit)
-               ck.Checkpoint.circuit_digest)
-        then
-          die
-            (Printf.sprintf "circuit digest mismatch: %S no longer builds the circuit %S was \
-                             checkpointed on"
-               spec file);
-        let shift_policy = Option.map (fun s -> Policy.Fixed s) ck.Checkpoint.shift in
-        let config =
-          Experiments.config_for ~scheme:ck.Checkpoint.scheme ?shift:shift_policy
-            ~selection:ck.Checkpoint.selection ?jobs prep
-        in
-        if
-          not
-            (Store_digest.equal
-               (Store_digest.config ~config ~label:ck.Checkpoint.label)
-               ck.Checkpoint.config_digest)
-        then die (Printf.sprintf "configuration digest mismatch: %S was written by a build with \
-                                  different engine options" file);
+        (match Experiments.verify_checkpoint ck prep with
+        | Ok () -> ()
+        | Error msg -> die (Printf.sprintf "cannot resume from %S: %s" file msg));
+        (* The verified identity carries over to the continued run's own
+           snapshots. *)
         let checkpoint =
           Option.map
             (fun file ->
-              checkpoint_hook ~file ~every ~spec ~scale:ck.Checkpoint.scale
-                ~scheme:ck.Checkpoint.scheme ~selection:ck.Checkpoint.selection
-                ~shift:ck.Checkpoint.shift ~label:ck.Checkpoint.label ?jobs prep)
+              (every, fun snapshot -> Checkpoint.save file { ck with Checkpoint.snapshot }))
             ckpt
         in
         let r =
-          Experiments.run_flow ~scheme:ck.Checkpoint.scheme ?shift:shift_policy
-            ~selection:ck.Checkpoint.selection ?jobs ?batch ~resume:ck.Checkpoint.snapshot
-            ?checkpoint ~label:ck.Checkpoint.label prep
+          Experiments.run_flow ~scheme:ck.Checkpoint.scheme
+            ?shift:(Option.map (fun s -> Policy.Fixed s) ck.Checkpoint.shift)
+            ~selection:ck.Checkpoint.selection ~resume:ck.Checkpoint.snapshot ?checkpoint
+            ~label:ck.Checkpoint.label prep
         in
         print_stitch_summary prep ck.Checkpoint.scheme ck.Checkpoint.selection r
   in
@@ -562,33 +418,20 @@ let resume_cmd =
          "Continue an interrupted stitched run from a checkpoint; the output is byte-identical \
           to the uninterrupted run's")
     Term.(
-      const run $ obs_term $ cache_term $ file_arg $ jobs_arg $ batch_arg $ checkpoint_file_arg
+      const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ file_arg $ checkpoint_file_arg
       $ checkpoint_every_arg)
 
 let tpi_cmd =
-  let format_arg =
-    let doc = "Output format: $(b,ascii) or $(b,json)." in
-    Arg.(
-      value
-      & opt (Arg.enum [ ("ascii", `Ascii); ("json", `Json) ]) `Ascii
-      & info [ "format" ] ~docv:"FMT" ~doc)
-  in
-  let positive name =
-    Arg.conv ~docv:"K"
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 1 -> Ok n
-          | _ -> Error (`Msg (Printf.sprintf "invalid %s %S (want a positive integer)" name s))),
-        Format.pp_print_int )
-  in
   let points_arg =
     let doc = "Number of test points to select (greedy rounds)." in
-    Arg.(value & opt (positive "point count") Tpi.default_options.Tpi.points
+    Arg.(value & opt (Cli.int_conv ~docv:"K" (Cli.check_positive "--points"))
+           Tpi.default_options.Tpi.points
          & info [ "points"; "k" ] ~docv:"K" ~doc)
   in
   let budget_arg =
     let doc = "Candidate pool size: evaluate only the top $(docv) mined candidates." in
-    Arg.(value & opt (positive "candidate budget") Tpi.default_options.Tpi.budget
+    Arg.(value & opt (Cli.int_conv ~docv:"N" (Cli.check_positive "--budget"))
+           Tpi.default_options.Tpi.budget
          & info [ "budget" ] ~docv:"N" ~doc)
   in
   let tpi_shift_arg =
@@ -596,7 +439,8 @@ let tpi_cmd =
       "Mining shift for the risk analysis candidates are ranked under (default: chain length / \
        4, the lint default)."
     in
-    Arg.(value & opt (some (positive "shift")) None & info [ "shift" ] ~docv:"S" ~doc)
+    Arg.(value & opt (some (Cli.int_conv ~docv:"S" Cli.check_shift)) None
+         & info [ "shift" ] ~docv:"S" ~doc)
   in
   let po_taps_arg =
     let doc = "Also mine direct primary-output observation taps." in
@@ -614,10 +458,8 @@ let tpi_cmd =
     in
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
-  let run () () spec scale points budget shift po_taps controls format verify jobs batch =
-    set_jobs jobs;
-    set_batch batch;
-    let c = load_circuit ~scale spec in
+  let run () () () () spec scale points budget shift po_taps controls format verify =
+    let c = load_circuit ?scale spec in
     let options = { Tpi.points; budget; shift; po_taps; controls } in
     match Tpi.run ~options c with
     | r ->
@@ -639,33 +481,22 @@ let tpi_cmd =
          "ATPG-aware test-point insertion: mine candidates from the lint risk table, select \
           greedily by re-running the stitched flow, report hidden-to-caught conversions")
     Term.(
-      const run $ obs_term $ cache_term $ circuit_arg $ scale_arg $ points_arg $ budget_arg
-      $ tpi_shift_arg $ po_taps_arg $ controls_arg $ format_arg $ verify_arg $ jobs_arg
-      $ batch_arg)
+      const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ circuit_arg $ Cli.scale
+      $ points_arg $ budget_arg $ tpi_shift_arg $ po_taps_arg $ controls_arg $ format_arg
+      $ verify_arg)
 
 let table_cmd =
   let which =
     let doc = "Table number (1-5)." in
-    let table_conv =
-      Arg.conv ~docv:"N"
-        ( (fun s ->
-            match int_of_string_opt s with
-            | None -> Error (`Msg (Printf.sprintf "invalid table number %S" s))
-            | Some n -> msg_of_string_error (Tvs_harness.Cli.check_table n)),
-          Format.pp_print_int )
-    in
-    Arg.(required & pos 0 (some table_conv) None & info [] ~docv:"N" ~doc)
+    Arg.(required & pos 0 (some (Cli.int_conv ~docv:"N" Cli.check_table)) None
+         & info [] ~docv:"N" ~doc)
   in
   let circuits_arg =
     let doc = "Restrict to these circuits (comma-separated)." in
     Arg.(value & opt (some string) None & info [ "circuits" ] ~docv:"LIST" ~doc)
   in
-  let run () () n scale circuits jobs batch =
-    set_jobs jobs;
-    set_batch batch;
+  let run () () () () n scale circuits =
     let circuits = Option.map (String.split_on_char ',') circuits in
-    (* scale < 0 means "per-circuit defaults". *)
-    let scale = if scale < 0.0 then None else Some scale in
     let text =
       match n with
       | 1 -> Experiments.table1 ()
@@ -676,116 +507,92 @@ let table_cmd =
     in
     print_string text
   in
-  let scale_arg =
-    let doc = "Uniform scale override; omit for per-circuit defaults." in
-    Arg.(value & opt float (-1.0) & info [ "scale" ] ~docv:"F" ~doc)
-  in
   Cmd.v (Cmd.info "table" ~doc:"Regenerate a paper table")
-    Term.(const run $ obs_term $ cache_term $ which $ scale_arg $ circuits_arg $ jobs_arg
-      $ batch_arg)
+    Term.(
+      const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ which $ Cli.scale
+      $ circuits_arg)
 
 let ablation_cmd =
   let circuit_arg =
     let doc = "Profile circuit for the ablations." in
     Arg.(value & opt string "s953" & info [ "circuit" ] ~docv:"NAME" ~doc)
   in
-  let run () scale circuit jobs batch =
-    set_jobs jobs;
-    set_batch batch;
-    print_string (Experiments.ablations ~scale ~circuit ?jobs ())
-  in
+  let run () () () scale circuit = print_string (Experiments.ablations ?scale ~circuit ()) in
   Cmd.v (Cmd.info "ablation" ~doc:"Run the design-choice ablations")
-    Term.(const run $ obs_term $ scale_arg $ circuit_arg $ jobs_arg $ batch_arg)
+    Term.(const run $ obs_term $ Cli.jobs $ Cli.batch $ Cli.scale $ circuit_arg)
 
 let misr_cmd =
   let circuit_arg =
     let doc = "Profile circuit for the study." in
     Arg.(value & opt string "s953" & info [ "circuit" ] ~docv:"NAME" ~doc)
   in
-  let run () scale circuit jobs =
-    set_jobs jobs;
-    print_string (Experiments.misr_study ~scale ~circuit ())
-  in
+  let run () () scale circuit = print_string (Experiments.misr_study ?scale ~circuit ()) in
   Cmd.v (Cmd.info "misr" ~doc:"MISR aliasing and diagnosis-resolution study")
-    Term.(const run $ obs_term $ scale_arg $ circuit_arg $ jobs_arg)
+    Term.(const run $ obs_term $ Cli.jobs $ Cli.scale $ circuit_arg)
 
 let comparison_cmd =
   let circuits_arg =
     let doc = "Circuits (comma-separated)." in
     Arg.(value & opt (some string) None & info [ "circuits" ] ~docv:"LIST" ~doc)
   in
-  let run () scale circuits jobs =
-    set_jobs jobs;
+  let run () () scale circuits =
     let circuits = Option.map (String.split_on_char ',') circuits in
-    print_string (Experiments.comparison_study ~scale ?circuits ())
+    print_string (Experiments.comparison_study ?scale ?circuits ())
   in
   Cmd.v (Cmd.info "comparison" ~doc:"Static reordering vs stitched generation")
-    Term.(const run $ obs_term $ scale_arg $ circuits_arg $ jobs_arg)
+    Term.(const run $ obs_term $ Cli.jobs $ Cli.scale $ circuits_arg)
 
 let diagnosis_cmd =
   let circuit_arg =
     let doc = "Profile circuit for the study." in
     Arg.(value & opt string "s444" & info [ "circuit" ] ~docv:"NAME" ~doc)
   in
-  let run () scale circuit jobs =
-    set_jobs jobs;
-    print_string (Experiments.diagnosis_study ~scale ~circuit ())
-  in
+  let run () () scale circuit = print_string (Experiments.diagnosis_study ?scale ~circuit ()) in
   Cmd.v (Cmd.info "diagnosis" ~doc:"Fault-dictionary diagnosis resolution study")
-    Term.(const run $ obs_term $ scale_arg $ circuit_arg $ jobs_arg)
+    Term.(const run $ obs_term $ Cli.jobs $ Cli.scale $ circuit_arg)
 
 let randtest_cmd =
   let patterns_arg =
     let doc = "Number of LFSR patterns." in
     Arg.(value & opt int 256 & info [ "patterns" ] ~docv:"N" ~doc)
   in
-  let run () patterns jobs =
-    set_jobs jobs;
-    print_string (Experiments.random_testability ~patterns ())
-  in
+  let run () () patterns = print_string (Experiments.random_testability ~patterns ()) in
   Cmd.v (Cmd.info "randtest" ~doc:"LFSR random-pattern testability sweep")
-    Term.(const run $ obs_term $ patterns_arg $ jobs_arg)
+    Term.(const run $ obs_term $ Cli.jobs $ patterns_arg)
+
+(* The ATE program of one stitched run: the stitched schedule, then the
+   traditional extras as full loads. [tvs export] writes it and [tvs xcheck]
+   replays it; [tag] names the engine's RNG stream. *)
+let stitched_program ~tag ~scheme ~selection ~shift (prep : Prep.t) =
+  let c = prep.Prep.circuit in
+  let config =
+    Experiments.config_for ~scheme ?shift:(Option.map (fun s -> Policy.Fixed s) shift) ~selection
+      prep
+  in
+  let r =
+    Tvs_core.Engine.run ~config ~fallback:prep.Prep.baseline.Baseline.vectors
+      ~rng:(Tvs_util.Rng.of_string (Circuit.name c ^ ":" ^ tag)) prep.Prep.ctx
+      ~faults:prep.Prep.testable
+  in
+  let stitched =
+    Tvs_scan.Tester_format.of_stitched ~chain_len:(Circuit.num_flops c)
+      ~npi:(Circuit.num_inputs c) ~vectors:r.Tvs_core.Engine.stimuli ()
+  in
+  let extra_ops =
+    List.concat_map
+      (fun (v : Cube.vector) ->
+        Tvs_scan.Protocol.load_ops ~fresh:v.Cube.scan @ [ Tvs_scan.Protocol.Capture v.Cube.pi ])
+      r.Tvs_core.Engine.extra_stimuli
+  in
+  { stitched with Tvs_scan.Tester_format.ops = stitched.Tvs_scan.Tester_format.ops @ extra_ops }
 
 let export_cmd =
   let out_arg =
     let doc = "Output file for the tester program." in
     Arg.(required & pos 1 (some string) None & info [] ~docv:"OUT" ~doc)
   in
-  let run () spec scale scheme selection shift jobs out =
-    set_jobs jobs;
-    let prep = prep_of ~scale spec in
-    let c = prep.Prep.circuit in
-    let chain_len = Circuit.num_flops c in
-    let base = Tvs_core.Engine.default_config ~chain_len in
-    let config =
-      {
-        base with
-        Tvs_core.Engine.scheme;
-        selection;
-        shift =
-          (match shift with Some s -> Policy.Fixed s | None -> base.Tvs_core.Engine.shift);
-        jobs;
-      }
-    in
-    let r =
-      Tvs_core.Engine.run ~config ~fallback:prep.Prep.baseline.Baseline.vectors
-        ~rng:(Tvs_util.Rng.of_string (Circuit.name c ^ ":export")) prep.Prep.ctx
-        ~faults:prep.Prep.testable
-    in
-    let stitched =
-      Tvs_scan.Tester_format.of_stitched ~chain_len ~npi:(Circuit.num_inputs c)
-        ~vectors:r.Tvs_core.Engine.stimuli ()
-    in
-    (* Append the traditional extras as full loads. *)
-    let extra_ops =
-      List.concat_map
-        (fun (v : Cube.vector) ->
-          Tvs_scan.Protocol.load_ops ~fresh:v.Cube.scan @ [ Tvs_scan.Protocol.Capture v.Cube.pi ])
-        r.Tvs_core.Engine.extra_stimuli
-    in
-    let program =
-      { stitched with Tvs_scan.Tester_format.ops = stitched.Tvs_scan.Tester_format.ops @ extra_ops }
-    in
+  let run () () spec scale scheme selection shift out =
+    let program = stitched_program ~tag:"export" ~scheme ~selection ~shift (prep_of ?scale spec) in
     Tvs_scan.Tester_format.write_file out program;
     Printf.printf "wrote %s: %d shift cycles, %d captures\n" out
       (Tvs_scan.Tester_format.num_shift_cycles program)
@@ -793,8 +600,8 @@ let export_cmd =
   in
   Cmd.v (Cmd.info "export" ~doc:"Run the stitched flow and write an ATE program file")
     Term.(
-      const run $ obs_term $ circuit_arg $ scale_arg $ scheme_arg $ selection_arg $ shift_arg
-      $ jobs_arg $ out_arg)
+      const run $ obs_term $ Cli.jobs $ circuit_arg $ Cli.scale $ scheme_arg $ selection_arg
+      $ shift_arg $ out_arg)
 
 let emit_cmd =
   let out_arg =
@@ -821,7 +628,7 @@ let emit_cmd =
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
   let run () spec scale scan cells verify out =
-    let c = load_circuit ~scale spec in
+    let c = load_circuit ?scale spec in
     let e =
       try Tvs_verilog.Emitter.emit ~scan c
       with Invalid_argument msg ->
@@ -855,7 +662,7 @@ let emit_cmd =
   Cmd.v
     (Cmd.info "emit" ~doc:"Render a circuit as structural Verilog (optionally scan-inserted)")
     Term.(
-      const run $ obs_term $ circuit_arg $ scale_arg $ scan_flag $ cells_arg $ verify_arg
+      const run $ obs_term $ circuit_arg $ Cli.scale $ scan_flag $ cells_arg $ verify_arg
       $ out_arg)
 
 let equiv_cmd =
@@ -874,31 +681,18 @@ let equiv_cmd =
     in
     Arg.(value & flag & info [ "scan" ] ~doc)
   in
-  let format_arg =
-    let doc = "Output format: $(b,ascii) or $(b,json)." in
-    Arg.(
-      value
-      & opt (Arg.enum [ ("ascii", `Ascii); ("json", `Json) ]) `Ascii
-      & info [ "format" ] ~docv:"FMT" ~doc)
-  in
-  let positive name =
-    Arg.conv ~docv:"N"
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 1 -> Ok n
-          | _ -> Error (`Msg (Printf.sprintf "invalid %s %S (want a positive integer)" name s))),
-        Format.pp_print_int )
-  in
   let budget_arg =
     let doc = "SAT decision budget per observation-point miter." in
     Arg.(value
-         & opt (positive "sat budget") Cec.default_options.Cec.budget
+         & opt (Cli.int_conv ~docv:"N" (Cli.check_positive "--budget"))
+             Cec.default_options.Cec.budget
          & info [ "budget" ] ~docv:"N" ~doc)
   in
   let vectors_arg =
     let doc = "Random-simulation rounds for candidate-class discovery (63 patterns each)." in
     Arg.(value
-         & opt (positive "vector rounds") Cec.default_options.Cec.vectors
+         & opt (Cli.int_conv ~docv:"N" (Cli.check_positive "--vectors"))
+             Cec.default_options.Cec.vectors
          & info [ "vectors" ] ~docv:"N" ~doc)
   in
   let scan_map_arg =
@@ -909,15 +703,14 @@ let equiv_cmd =
     in
     Arg.(value & opt (some string) None & info [ "scan-map" ] ~docv:"LIST" ~doc)
   in
-  let run () () left_spec right_spec scan scale format budget vectors scan_map jobs =
-    set_jobs jobs;
-    let left = load_circuit ~scale left_spec in
+  let run () () () left_spec right_spec scan scale format budget vectors scan_map =
+    let left = load_circuit ?scale left_spec in
     let right =
       match (right_spec, scan) with
       | Some _, true ->
           prerr_endline "tvs: give either RIGHT or --scan, not both";
           exit Cmd.Exit.cli_error
-      | Some spec, false -> load_circuit ~scale spec
+      | Some spec, false -> load_circuit ?scale spec
       | None, true -> (
           try (Tvs_netlist.Scan_insert.insert left).Tvs_netlist.Scan_insert.circuit
           with Circuit.Build_error msg ->
@@ -931,7 +724,7 @@ let equiv_cmd =
       match scan_map with
       | None -> []
       | Some s -> (
-          match Tvs_harness.Cli.parse_ties s with
+          match Cli.parse_ties s with
           | Ok l -> List.map (fun (name, value) -> { Cec.name; value }) l
           | Error msg ->
               prerr_endline ("tvs: " ^ msg);
@@ -958,8 +751,8 @@ let equiv_cmd =
           abstraction. Exit status: 0 equivalent, 1 inequivalent (a simulation-confirmed \
           counterexample is printed), 3 undecided within the SAT budget.")
     Term.(
-      const run $ obs_term $ cache_term $ left_arg $ right_arg $ scan_flag $ scale_arg
-      $ format_arg $ budget_arg $ vectors_arg $ scan_map_arg $ jobs_arg)
+      const run $ obs_term $ Cli.cache $ Cli.jobs $ left_arg $ right_arg $ scan_flag $ Cli.scale
+      $ format_arg $ budget_arg $ vectors_arg $ scan_map_arg)
 
 let xcheck_cmd =
   let workdir_arg =
@@ -976,46 +769,18 @@ let xcheck_cmd =
     in
     Arg.(value & flag & info [ "require" ] ~doc)
   in
-  let run () spec scale scheme selection shift jobs workdir require =
-    set_jobs jobs;
-    let prep = prep_of ~scale spec in
+  let run () () spec scale scheme selection shift workdir require =
+    let prep = prep_of ?scale spec in
     let c = prep.Prep.circuit in
     (* Sequential circuits replay the exact stitched schedule the engine
-       produced (the same assembly [tvs export] writes to the ATE program);
-       combinational circuits apply the baseline vectors. Either way the
-       external simulator sees the stimulus the flow would really apply. *)
+       produced (the program [tvs export] writes); combinational circuits
+       apply the baseline vectors. Either way the external simulator sees
+       the stimulus the flow would really apply. *)
     let program =
-      if Circuit.num_flops c > 0 then begin
-        let chain_len = Circuit.num_flops c in
-        let base = Tvs_core.Engine.default_config ~chain_len in
-        let config =
-          {
-            base with
-            Tvs_core.Engine.scheme;
-            selection;
-            shift =
-              (match shift with Some s -> Policy.Fixed s | None -> base.Tvs_core.Engine.shift);
-            jobs;
-          }
-        in
-        let r =
-          Tvs_core.Engine.run ~config ~fallback:prep.Prep.baseline.Baseline.vectors
-            ~rng:(Tvs_util.Rng.of_string (Circuit.name c ^ ":xcheck")) prep.Prep.ctx
-            ~faults:prep.Prep.testable
-        in
-        let stitched =
-          Tvs_scan.Tester_format.of_stitched ~chain_len ~npi:(Circuit.num_inputs c)
-            ~vectors:r.Tvs_core.Engine.stimuli ()
-        in
-        let extra_ops =
-          List.concat_map
-            (fun (v : Cube.vector) ->
-              Tvs_scan.Protocol.load_ops ~fresh:v.Cube.scan
-              @ [ Tvs_scan.Protocol.Capture v.Cube.pi ])
-            r.Tvs_core.Engine.extra_stimuli
-        in
-        Tvs_verilog.Xcheck.Scan (stitched.Tvs_scan.Tester_format.ops @ extra_ops)
-      end
+      if Circuit.num_flops c > 0 then
+        Tvs_verilog.Xcheck.Scan
+          (stitched_program ~tag:"xcheck" ~scheme ~selection ~shift prep)
+            .Tvs_scan.Tester_format.ops
       else
         Tvs_verilog.Xcheck.Comb
           (Array.to_list
@@ -1046,8 +811,8 @@ let xcheck_cmd =
          "Cross-validate the internal simulator against iverilog: emit Verilog plus a \
           self-checking testbench for the stitched program and compare traces")
     Term.(
-      const run $ obs_term $ circuit_arg $ scale_arg $ scheme_arg $ selection_arg $ shift_arg
-      $ jobs_arg $ workdir_arg $ require_flag)
+      const run $ obs_term $ Cli.jobs $ circuit_arg $ Cli.scale $ scheme_arg $ selection_arg
+      $ shift_arg $ workdir_arg $ require_flag)
 
 let fig1_cmd =
   let run () = print_string (Experiments.table1 ()) in
@@ -1078,9 +843,7 @@ let serve_cmd =
     in
     Arg.(value & opt int 1000 & info [ "checkpoint-threshold" ] ~docv:"N" ~doc)
   in
-  let run () () socket port state every threshold jobs batch =
-    set_jobs jobs;
-    set_batch batch;
+  let run () () () () socket port state every threshold =
     let listen =
       match (socket, port) with
       | Some path, None -> Tvs_serve.Server.Unix_socket path
@@ -1117,8 +880,8 @@ let serve_cmd =
           JSONL frames), dedupes identical jobs through the result cache, checkpoints large jobs \
           for restart recovery, and streams progress events")
     Term.(
-      const run $ obs_term $ cache_term $ socket_arg $ port_arg $ state_arg
-      $ checkpoint_every_arg $ threshold_arg $ jobs_arg $ batch_arg)
+      const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ socket_arg $ port_arg $ state_arg
+      $ checkpoint_every_arg $ threshold_arg)
 
 (* --version: the code generation (git revision when available) plus the two
    on-disk schema versions a deployment cares about — the store frame schema

@@ -1,7 +1,9 @@
-(* Validation shared between the CLI drivers (bin/ and bench/) and the test
-   suite. Keeping it here — rather than inline in bin/main.ml — lets the
-   bad-input paths be unit-tested without spawning the executable. *)
+(* Validation and cmdliner terms shared between the two CLIs (bin/ and
+   bench/) and the test suite. Keeping it here — rather than inline in
+   bin/main.ml — gives both CLIs one argv layer and lets the bad-input
+   paths be unit-tested without spawning the executable. *)
 
+open Cmdliner
 module Profiles = Tvs_circuits.Profiles
 
 let profile_names = List.map (fun p -> p.Profiles.name) Profiles.all
@@ -50,8 +52,10 @@ let parse_selection = function
   | "weighted" -> Ok (Tvs_core.Policy.Weighted 5)
   | s -> Error (Printf.sprintf "unknown selection %S" s)
 
-let check_shift s =
-  if s >= 1 then Ok s else Error (Printf.sprintf "shift must be at least 1 (got %d)" s)
+let check_positive name n =
+  if n >= 1 then Ok n else Error (Printf.sprintf "%s must be at least 1 (got %d)" name n)
+
+let check_shift = check_positive "shift"
 
 let parse_format = function
   | "auto" -> Ok None
@@ -107,13 +111,8 @@ let check_table n =
   if n >= 1 && n <= 5 then Ok n
   else Error (Printf.sprintf "no table %d in the paper (tables are numbered 1-5)" n)
 
-let check_jobs j =
-  if j >= 1 then Ok j
-  else Error (Printf.sprintf "--jobs must be at least 1 (got %d)" j)
-
-let check_batch b =
-  if b >= 1 then Ok b
-  else Error (Printf.sprintf "--batch must be at least 1 (got %d)" b)
+let check_jobs = check_positive "--jobs"
+let check_batch = check_positive "--batch"
 
 let check_scale f =
   if f > 0.0 && f <= 1.0 then Ok f
@@ -132,14 +131,84 @@ let check_out_file ~flag path =
     if Sys.file_exists dir && Sys.is_directory dir then Ok path
     else Error (Printf.sprintf "%s %S: directory %S does not exist" flag path dir)
 
-let check_trace_file = check_out_file ~flag:"--trace"
-let check_checkpoint_file = check_out_file ~flag:"--checkpoint"
-
-let check_checkpoint_every n =
-  if n >= 1 then Ok n
-  else Error (Printf.sprintf "--checkpoint-every must be at least 1 (got %d)" n)
+let check_checkpoint_every = check_positive "--checkpoint-every"
 
 let check_resume_file path =
   if not (Sys.file_exists path) then Error (Printf.sprintf "no checkpoint file %S" path)
   else if Sys.is_directory path then Error (Printf.sprintf "checkpoint %S is a directory" path)
   else Ok path
+
+(* --- cmdliner terms --------------------------------------------------- *)
+
+let conv ~docv check = Arg.conv' ~docv (check, Format.pp_print_string)
+
+let int_conv ~docv check =
+  Arg.conv' ~docv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n -> check n
+        | None -> Error (Printf.sprintf "%S is not an integer" s)),
+      Format.pp_print_int )
+
+let out_file ~flag = conv ~docv:"FILE" (check_out_file ~flag)
+
+let scale =
+  let doc =
+    "Linear scale factor in (0, 1] applied to profile circuits. Omitted: full size, except for \
+     the paper tables, which use per-circuit defaults."
+  in
+  let scale_conv =
+    Arg.conv' ~docv:"F"
+      ( (fun s ->
+          match float_of_string_opt s with
+          | Some f -> check_scale f
+          | None -> Error (Printf.sprintf "%S is not a number" s)),
+        Format.pp_print_float )
+  in
+  Arg.(value & opt (some scale_conv) None & info [ "scale" ] ~docv:"F" ~doc)
+
+(* --jobs and --batch are pure scheduling knobs: each installs the
+   process-wide default that every fault-simulation context created without
+   an explicit value picks up, and results are bit-identical for every
+   value. The environment variables go through the same validator, so a
+   malformed one is a usage error rather than a silent fallback. *)
+let jobs =
+  let doc =
+    "Number of domains for fault simulation (default: available cores). Results are identical \
+     for every value; only wall-clock time changes."
+  in
+  Term.(
+    const (Option.iter Tvs_util.Pool.set_default_jobs)
+    $ Arg.(
+        value
+        & opt (some (int_conv ~docv:"N" check_jobs)) None
+        & info [ "jobs"; "j" ] ~env:(Cmd.Env.info "TVS_JOBS") ~docv:"N" ~doc))
+
+let batch =
+  let doc =
+    "Vectors per domain-pool chunk in multi-vector fault screening (default: 16). Results are \
+     identical for every value; only wall-clock time changes."
+  in
+  Term.(
+    const (Option.iter Tvs_fault.Fault_sim.set_default_batch)
+    $ Arg.(
+        value
+        & opt (some (int_conv ~docv:"N" check_batch)) None
+        & info [ "batch" ] ~env:(Cmd.Env.info "TVS_BATCH") ~docv:"N" ~doc))
+
+(* The handle is installed process-wide so every [run_flow] a command
+   triggers sees it. *)
+let cache =
+  let doc =
+    "Directory for the content-addressed result cache (created if missing). Experiment results \
+     are keyed by circuit and configuration digests plus the store schema version, so a stale \
+     entry can never be replayed."
+  in
+  let install = function
+    | None -> Ok ()
+    | Some dir ->
+        Result.map (fun c -> Experiments.set_cache (Some c)) (Tvs_store.Cache.open_dir dir)
+  in
+  Term.(
+    term_result' ~usage:false
+      (const install $ Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)))

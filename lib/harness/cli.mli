@@ -1,8 +1,8 @@
-(** Argument validation shared by the [tvs] CLI, the bench driver and the
-    test suite. Every checker returns [Error msg] instead of raising, so the
-    drivers can surface bad input through their usual error channel
-    (cmdliner's [`Msg], the bench usage message) with a non-zero exit, and
-    the tests can cover the rejection paths directly. *)
+(** Argument validation and cmdliner terms shared by the [tvs] CLI, the
+    bench CLI and the test suite. Every checker returns [Error msg] instead
+    of raising, so both CLIs surface bad input as a cmdliner usage error
+    with a non-zero exit, and the tests can cover the rejection paths
+    directly. *)
 
 val check_spec : string -> (string, string) result
 (** A circuit spec is a benchmark profile name, ["s27"], ["fig1"], or a path
@@ -27,6 +27,10 @@ val parse_scheme : string -> (Tvs_scan.Xor_scheme.t, string) result
 val parse_selection : string -> (Tvs_core.Policy.selection, string) result
 (** ["random"] | ["hardness"] | ["most-faults"] | ["weighted"] — the
     [--selection] vocabulary, shared with the serve protocol. *)
+
+val check_positive : string -> int -> (int, string) result
+(** [check_positive name n]: [n] must be at least 1; the error names
+    [name]. *)
 
 val check_shift : int -> (int, string) result
 (** Fixed shift size: at least 1. *)
@@ -73,15 +77,41 @@ val check_out_file : flag:string -> string -> (string, string) result
     happens at exit — failing then would silently lose a whole run).
     [flag] names the offending option in the error message. *)
 
-val check_trace_file : string -> (string, string) result
-(** [check_out_file ~flag:"--trace"]. *)
-
-val check_checkpoint_file : string -> (string, string) result
-(** [check_out_file ~flag:"--checkpoint"]. *)
-
 val check_checkpoint_every : int -> (int, string) result
 (** Checkpoint period in stitched cycles: at least 1. *)
 
 val check_resume_file : string -> (string, string) result
 (** The checkpoint file to resume from must exist (its contents are
     validated later, by {!Tvs_store.Checkpoint.load}). *)
+
+(** {1 Cmdliner terms}
+
+    The flags [tvs] and [bench] share, so the two accept and reject exactly
+    the same values. *)
+
+val conv : docv:string -> (string -> (string, string) result) -> string Cmdliner.Arg.conv
+(** A string argument checked by one of the validators above (e.g.
+    {!check_spec}); [Error msg] is a usage error. *)
+
+val int_conv : docv:string -> (int -> (int, string) result) -> int Cmdliner.Arg.conv
+(** An integer argument checked by [check] (e.g. {!check_jobs}); a
+    non-integer is rejected before [check] runs. *)
+
+val out_file : flag:string -> string Cmdliner.Arg.conv
+(** An output file checked by {!check_out_file}. *)
+
+val scale : float option Cmdliner.Term.t
+(** [--scale F], checked by {!check_scale}; [None] when absent. *)
+
+val jobs : unit Cmdliner.Term.t
+(** [--jobs N] / [-j N] / [TVS_JOBS]: installs
+    {!Tvs_util.Pool.set_default_jobs}. Absent: nothing is installed. *)
+
+val batch : unit Cmdliner.Term.t
+(** [--batch N] / [TVS_BATCH]: installs
+    {!Tvs_fault.Fault_sim.set_default_batch}. *)
+
+val cache : unit Cmdliner.Term.t
+(** [--cache DIR]: opens the result cache and installs it with
+    {!Experiments.set_cache}; a directory that cannot be opened is a usage
+    error. *)

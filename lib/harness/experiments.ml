@@ -20,6 +20,7 @@ module Rng = Tvs_util.Rng
 module Wire = Tvs_util.Wire
 module Store_digest = Tvs_store.Digest
 module Cache = Tvs_store.Cache
+module Checkpoint = Tvs_store.Checkpoint
 
 type run_summary = {
   atv : int;
@@ -45,7 +46,7 @@ let active_cache : Cache.t option ref = ref None
 let set_cache c = active_cache := c
 let cache () = !active_cache
 
-let config_for ?scheme ?shift ?selection ?jobs ?batch ?preflight (prep : Prep.t) =
+let config_for ?scheme ?shift ?selection ?preflight (prep : Prep.t) =
   let chain_len = Circuit.num_flops prep.circuit in
   let base = Engine.default_config ~chain_len in
   {
@@ -53,10 +54,52 @@ let config_for ?scheme ?shift ?selection ?jobs ?batch ?preflight (prep : Prep.t)
     Engine.scheme = Option.value ~default:base.Engine.scheme scheme;
     shift = Option.value ~default:base.Engine.shift shift;
     selection = Option.value ~default:base.Engine.selection selection;
-    jobs = (match jobs with Some _ -> jobs | None -> base.Engine.jobs);
-    batch = (match batch with Some _ -> batch | None -> base.Engine.batch);
     preflight = Option.value ~default:base.Engine.preflight preflight;
   }
+
+let run_key ?scheme ?shift ?selection ~label (prep : Prep.t) =
+  Store_digest.combine (Store_digest.circuit prep.circuit)
+    (Store_digest.config ~config:(config_for ?scheme ?shift ?selection prep) ~label)
+
+(* --- checkpoint identity ------------------------------------------------
+
+   A checkpoint carries the run's spec and options plus the digests of the
+   circuit and engine configuration they rebuild. [tvs stitch] and serve
+   build checkpoints with [checkpoint_record]; [tvs resume] and serve
+   recovery check them with [verify_checkpoint]. *)
+
+let checkpoint_record ~spec ~scale ~scheme ~selection ~shift ~label (prep : Prep.t) =
+  let config =
+    config_for ~scheme ?shift:(Option.map (fun s -> Policy.Fixed s) shift) ~selection prep
+  in
+  let circuit_digest = Store_digest.circuit prep.circuit in
+  let config_digest = Store_digest.config ~config ~label in
+  fun snapshot ->
+    {
+      Checkpoint.spec;
+      scale;
+      scheme;
+      selection;
+      shift;
+      label;
+      circuit_digest;
+      config_digest;
+      snapshot;
+    }
+
+let verify_checkpoint (ck : Checkpoint.t) prep =
+  let fresh =
+    checkpoint_record ~spec:ck.spec ~scale:ck.scale ~scheme:ck.scheme ~selection:ck.selection
+      ~shift:ck.shift ~label:ck.label prep ck.snapshot
+  in
+  if not (Store_digest.equal fresh.circuit_digest ck.circuit_digest) then
+    Error
+      (Printf.sprintf "circuit digest mismatch: %S no longer builds the circuit it was \
+                       checkpointed on"
+         ck.spec)
+  else if not (Store_digest.equal fresh.config_digest ck.config_digest) then
+    Error "configuration digest mismatch: written by a build with different engine options"
+  else Ok ()
 
 let summary_kind = "EXPR"
 
@@ -132,19 +175,12 @@ let lint_report ?options ?lines c =
           Cache.store cache ~kind:lint_kind ~key (fun w -> Tvs_lint.Lint.encode_report w r);
           r)
 
-let run_flow ?scheme ?shift ?selection ?jobs ?batch ?preflight ?resume ?checkpoint ~label
-    (prep : Prep.t) =
+let run_flow ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label (prep : Prep.t) =
   Tvs_obs.Trace.with_span "flow"
     ~args:[ ("circuit", Circuit.name prep.Prep.circuit); ("label", label) ]
   @@ fun () ->
-  let config = config_for ?scheme ?shift ?selection ?jobs ?batch ?preflight prep in
-  let key =
-    Option.map
-      (fun _ ->
-        Store_digest.combine (Store_digest.circuit prep.circuit)
-          (Store_digest.config ~config ~label))
-      !active_cache
-  in
+  let config = config_for ?scheme ?shift ?selection ?preflight prep in
+  let key = Option.map (fun _ -> run_key ?scheme ?shift ?selection ~label prep) !active_cache in
   let cached =
     (* A resumed or checkpointing run must actually run the engine: the first
        exists to continue an interrupted flow, the second to produce
@@ -524,7 +560,7 @@ let table5 ?scale ?(circuits = default_table5_circuits) () =
    silently report a domain-pool run as slower than it is. *)
 let time_it = Tvs_util.Clock.time_it
 
-let ablations ?(scale = 1.0) ?(circuit = "s953") ?jobs () =
+let ablations ?(scale = 1.0) ?(circuit = "s953") () =
   let prep = Prep.get ~scale circuit in
   let c = prep.Prep.circuit in
   let buf = Buffer.create 1024 in
@@ -555,10 +591,7 @@ let ablations ?(scale = 1.0) ?(circuit = "s953") ?jobs () =
   (* 1b. Domain-pool scaling: the same word-parallel screening fanned out
      over 1/2/4/N domains. Results are bit-identical at every width; only
      the wall clock moves. *)
-  let jobs_sweep =
-    List.sort_uniq compare
-      [ 1; 2; 4; (match jobs with Some j -> max 1 j | None -> Tvs_util.Pool.default_jobs ()) ]
-  in
+  let jobs_sweep = List.sort_uniq compare [ 1; 2; 4; Tvs_util.Pool.default_jobs () ] in
   let screen_time j b =
     let sim = Fault_sim.create ~jobs:j ~batch:b c in
     snd (time_it (fun () -> ignore (Fault_sim.detected_matrix sim ~vectors:vec_pairs faults)))

@@ -48,13 +48,41 @@ val config_for :
   ?scheme:Tvs_scan.Xor_scheme.t ->
   ?shift:Tvs_core.Policy.shift_policy ->
   ?selection:Tvs_core.Policy.selection ->
-  ?jobs:int ->
-  ?batch:int ->
   ?preflight:bool ->
   Prep.t ->
   Tvs_core.Engine.config
-(** The exact engine configuration {!run_flow} would run with — exposed so
-    the CLI can digest it for checkpoint metadata. *)
+(** The exact engine configuration {!run_flow} would run with. Its [jobs]
+    and [batch] are unset, so the process-wide defaults apply. *)
+
+val run_key :
+  ?scheme:Tvs_scan.Xor_scheme.t ->
+  ?shift:Tvs_core.Policy.shift_policy ->
+  ?selection:Tvs_core.Policy.selection ->
+  label:string ->
+  Prep.t ->
+  Tvs_store.Digest.t
+(** The result-cache key of the {!run_flow} call with the same arguments:
+    the circuit digest combined with the configuration digest. *)
+
+val checkpoint_record :
+  spec:string ->
+  scale:float ->
+  scheme:Tvs_scan.Xor_scheme.t ->
+  selection:Tvs_core.Policy.selection ->
+  shift:int option ->
+  label:string ->
+  Prep.t ->
+  Tvs_core.Engine.snapshot ->
+  Tvs_store.Checkpoint.t
+(** The checkpoint of a run, identified by its spec, options and the
+    digests of the circuit and engine configuration. Apply it up to the
+    [Prep.t] once per run: the digests are computed then, and each snapshot
+    only fills in the record. *)
+
+val verify_checkpoint : Tvs_store.Checkpoint.t -> Prep.t -> (unit, string) result
+(** [Ok ()] when [prep] and the checkpoint's own options rebuild both
+    digests it carries. Resuming into another circuit or configuration would
+    continue into silently wrong results, so callers refuse on [Error]. *)
 
 val lint_report :
   ?options:Tvs_lint.Lint.options ->
@@ -71,8 +99,6 @@ val run_flow :
   ?scheme:Tvs_scan.Xor_scheme.t ->
   ?shift:Tvs_core.Policy.shift_policy ->
   ?selection:Tvs_core.Policy.selection ->
-  ?jobs:int ->
-  ?batch:int ->
   ?preflight:bool ->
   ?resume:Tvs_core.Engine.snapshot ->
   ?checkpoint:int * (Tvs_core.Engine.snapshot -> unit) ->
@@ -80,10 +106,9 @@ val run_flow :
   Prep.t ->
   run_summary
 (** One stitched run on a prepared circuit, defaults: NXOR, variable shift,
-    most-faults selection. [jobs] sets the fault-simulation fan-out width
-    (default {!Tvs_util.Pool.default_jobs}) and [batch] the vector-batch
-    size of multi-vector screening (default
-    {!Tvs_fault.Fault_sim.default_batch}); the summary is bit-identical for
+    most-faults selection. Fault simulation fans out at
+    {!Tvs_util.Pool.default_jobs} with batches of
+    {!Tvs_fault.Fault_sim.default_batch}; the summary is bit-identical for
     every value of either. [preflight] (default off) aborts with [Failure] on
     error-severity lint findings before the engine starts; it never changes
     the results of a run that passes, so cache keys and checkpoint digests
@@ -128,10 +153,10 @@ val faultsim_work : since:Tvs_fault.Fault_sim.counters -> string
     evals (P% skipped), N faults dropped"]. The process-wide counters are
     left as they are. *)
 
-val ablations : ?scale:float -> ?circuit:string -> ?jobs:int -> unit -> string
+val ablations : ?scale:float -> ?circuit:string -> unit -> string
 (** The DESIGN.md §6 design-choice ablations: parallel vs serial fault
-    simulation, domain-pool scaling at 1/2/4/[jobs] domains (wall clock;
-    [jobs] defaults to {!Tvs_util.Pool.default_jobs}), vector-batch size
+    simulation, domain-pool scaling at 1/2/4/{!Tvs_util.Pool.default_jobs}
+    domains (wall clock), vector-batch size
     scaling at the widest pool of the sweep, SCOAP-guided vs naive
     backtrace, fault dropping on/off, collapsing on/off. *)
 

@@ -1,6 +1,5 @@
 module Circuit = Tvs_netlist.Circuit
 module Ternary = Tvs_logic.Ternary
-module Gate = Tvs_netlist.Gate
 module Fault = Tvs_fault.Fault
 module Fault_gen = Tvs_fault.Fault_gen
 module Scoap = Tvs_atpg.Scoap
@@ -13,16 +12,9 @@ let m_sat_decisions = Metrics.counter "lint.sat.decisions"
 let m_sat_propagations = Metrics.counter "lint.sat.propagations"
 
 let values c =
-  let v = Array.make (Circuit.num_nets c) Ternary.X in
-  Array.iter
-    (fun n ->
-      match Circuit.driver c n with
-      | Circuit.Const b -> v.(n) <- Ternary.of_bool b
-      | Circuit.Gate_node (kind, ins) ->
-          v.(n) <- Gate.eval_ternary kind (Array.map (fun i -> v.(i)) ins)
-      | Circuit.Primary_input | Circuit.Flip_flop _ -> ())
-    (Circuit.topo_order c);
-  v
+  Tvs_sim.Comb.ternary_nets c
+    ~pi:(Array.make (Circuit.num_inputs c) Ternary.X)
+    ~state:(Array.make (Circuit.num_flops c) Ternary.X)
 
 let line_of lines nm = Option.bind lines (fun tbl -> Hashtbl.find_opt tbl nm)
 

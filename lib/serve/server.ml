@@ -247,34 +247,18 @@ let run_job t (p : pending) emit =
       let job = p.job in
       let prep = prep_for t circuit in
       let shift_policy = Option.map (fun s -> Policy.Fixed s) job.shift in
-      let config =
-        Experiments.config_for ~scheme:job.scheme ?shift:shift_policy ~selection:job.selection
-          prep
+      let key =
+        Experiments.run_key ~scheme:job.scheme ?shift:shift_policy ~selection:job.selection
+          ~label:job.label prep
       in
-      let circuit_digest = Store_digest.circuit circuit in
-      let config_digest = Store_digest.config ~config ~label:job.label in
-      let key = Store_digest.combine circuit_digest config_digest in
       let key_hex = Store_digest.to_hex key in
-      (* Verify a recovery checkpoint the way [tvs resume] does: continuing
-         into a different circuit or configuration would produce silently
-         wrong results. *)
       let verified =
         match p.resume with
         | None -> Ok ()
         | Some (ck, path) ->
-            if not (Store_digest.equal circuit_digest ck.Checkpoint.circuit_digest) then
-              Error
-                (Printf.sprintf
-                   "checkpoint %S: circuit digest mismatch — %S no longer builds the circuit it \
-                    was checkpointed on"
-                   path spec)
-            else if not (Store_digest.equal config_digest ck.Checkpoint.config_digest) then
-              Error
-                (Printf.sprintf
-                   "checkpoint %S: configuration digest mismatch — written by a build with \
-                    different engine options"
-                   path)
-            else Ok ()
+            Result.map_error
+              (Printf.sprintf "checkpoint %S: %s" path)
+              (Experiments.verify_checkpoint ck prep)
       in
       match verified with
       | Error _ as e -> e
@@ -301,20 +285,13 @@ let run_job t (p : pending) emit =
           let checkpoint =
             Option.map
               (fun path ->
+                let record =
+                  Experiments.checkpoint_record ~spec ~scale:job.scale ~scheme:job.scheme
+                    ~selection:job.selection ~shift:job.shift ~label:job.label prep
+                in
                 ( t.checkpoint_every,
                   fun snapshot ->
-                    Checkpoint.save path
-                      {
-                        Checkpoint.spec;
-                        scale = job.scale;
-                        scheme = job.scheme;
-                        selection = job.selection;
-                        shift = job.shift;
-                        label = job.label;
-                        circuit_digest;
-                        config_digest;
-                        snapshot;
-                      };
+                    Checkpoint.save path (record snapshot);
                     emit "checkpoint" [] ))
               ckpt_path
           in

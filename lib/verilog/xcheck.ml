@@ -1,7 +1,6 @@
 module Circuit = Tvs_netlist.Circuit
 module Scan_insert = Tvs_netlist.Scan_insert
 module Protocol = Tvs_scan.Protocol
-module Comb = Tvs_sim.Comb
 
 type program = Comb of bool array list | Scan of Protocol.op list
 
@@ -23,10 +22,11 @@ let internal_trace c program =
   | Comb vectors ->
       if Circuit.num_flops c > 0 then
         invalid_arg "Xcheck.internal_trace: Comb program on a sequential circuit";
+      let sim = Tvs_sim.Parallel.create c in
       List.filter_map
         (fun pi ->
-          let frame = Comb.eval_bool c ~pi ~state:[||] in
-          if Array.length frame.Comb.po = 0 then None else Some ("C " ^ bits frame.Comb.po))
+          let po, _ = Tvs_sim.Parallel.run_single sim ~pi ~state:[||] in
+          if Array.length po = 0 then None else Some ("C " ^ bits po))
         vectors
   | Scan ops ->
       if Circuit.num_flops c = 0 then

@@ -150,6 +150,38 @@ let test_table5_footer_keeps_counters () =
   Alcotest.(check bool) "second footer is the second call's work" true
     (footer_says second (g2 - g1))
 
+(* A checkpoint saved on s27 resumes only into the run it was taken from:
+   another circuit or another engine configuration is refused. *)
+let test_checkpoint_identity () =
+  let module Checkpoint = Tvs_store.Checkpoint in
+  let s27 = Prep.of_circuit (Tvs_circuits.S27.circuit ()) in
+  let scheme = Tvs_scan.Xor_scheme.Nxor and selection = Tvs_core.Policy.Most_faults 5 in
+  let record =
+    Experiments.checkpoint_record ~spec:"s27" ~scale:1.0 ~scheme ~selection ~shift:None
+      ~label:"cli" s27
+  in
+  let path = Filename.temp_file "tvs-identity" ".ckpt" in
+  ignore
+    (Experiments.run_flow ~scheme ~selection
+       ~checkpoint:(1, fun snap -> Checkpoint.save path (record snap))
+       ~label:"cli" s27);
+  let ck =
+    match Checkpoint.load path with
+    | Ok ck -> ck
+    | Error e -> Alcotest.fail (Tvs_store.Codec.error_to_string e)
+  in
+  Sys.remove path;
+  let refused name ~needle result =
+    match result with
+    | Ok () -> Alcotest.fail (name ^ ": accepted")
+    | Error msg -> Alcotest.(check bool) (name ^ ": " ^ msg) true (contains ~needle msg)
+  in
+  refused "another circuit" ~needle:"circuit digest mismatch"
+    (Experiments.verify_checkpoint ck (Prep.get "s444"));
+  refused "another scheme" ~needle:"configuration digest mismatch"
+    (Experiments.verify_checkpoint { ck with Checkpoint.scheme = Tvs_scan.Xor_scheme.Vxor } s27);
+  Alcotest.(check bool) "the original run" true (Experiments.verify_checkpoint ck s27 = Ok ())
+
 (* --- CLI validation ----------------------------------------------------- *)
 
 module Cli = Tvs_harness.Cli
@@ -207,6 +239,25 @@ let test_cli_table_and_jobs_bounds () =
         (Result.is_error (Cli.check_scale f)))
     [ 0.0; -0.5; 1.5; Float.nan ]
 
+(* The --scale term both CLIs share: out-of-range values are usage
+   errors at parse time, and an absent flag reads [None]. *)
+let test_cli_scale_term () =
+  let open Cmdliner in
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let eval args =
+    Cmd.eval_value ~err:quiet ~help:quiet
+      ~argv:(Array.of_list ("t" :: args))
+      (Cmd.v (Cmd.info "t") Cli.scale)
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) ("--scale " ^ v ^ " rejected") true
+        (Result.is_error (eval [ "--scale=" ^ v ])))
+    [ "1.5"; "0"; "-0.5"; "nan" ];
+  Alcotest.(check bool) "--scale 0.25 reads Some 0.25" true
+    (eval [ "--scale"; "0.25" ] = Ok (`Ok (Some 0.25)));
+  Alcotest.(check bool) "absent reads None" true (eval [] = Ok (`Ok None))
+
 let () =
   Alcotest.run "harness"
     [
@@ -228,6 +279,7 @@ let () =
           Alcotest.test_case "golden stitch summaries" `Quick test_golden_summaries;
           Alcotest.test_case "table 5 footer keeps counters" `Quick
             test_table5_footer_keeps_counters;
+          Alcotest.test_case "checkpoint identity" `Quick test_checkpoint_identity;
         ] );
       ( "cli",
         [
@@ -235,5 +287,6 @@ let () =
           Alcotest.test_case "rejects bad spec" `Quick test_cli_rejects_bad_spec;
           Alcotest.test_case "loads a profile" `Quick test_cli_loads_circuit;
           Alcotest.test_case "table and jobs bounds" `Quick test_cli_table_and_jobs_bounds;
+          Alcotest.test_case "scale term" `Quick test_cli_scale_term;
         ] );
     ]
