@@ -120,6 +120,14 @@ let micro_tests () =
     Test.make ~name:"table5/faultsim-matrix"
       (Staged.stage (fun () ->
            ignore (Tvs_fault.Fault_sim.detected_matrix s444_sim ~vectors:s444_vecs s444_faults)));
+    (* The screen of table5/parallel-faultsim on a fresh array each run, as
+       Generator.drop_detected and Cycle.step call it: the chunk order and
+       injection plans are rebuilt every time. *)
+    Test.make ~name:"table5/faultsim-subset"
+      (Staged.stage (fun () ->
+           ignore
+             (Tvs_fault.Fault_sim.detected_faults s444_sim ~pi:s444_vec.Tvs_atpg.Cube.pi
+                ~state:s444_vec.Tvs_atpg.Cube.scan (Array.copy s444_faults))));
   ]
 
 let run_micro () =

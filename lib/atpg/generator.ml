@@ -80,6 +80,12 @@ let generate ?(options = default_options) ~rng ctx faults =
   let vectors = ref [] in
   let redundant = ref [] in
   let aborted = ref [] in
+  (* Every fault in [redundant] or [aborted], for O(1) membership. *)
+  let given_up = Fault.Tbl.create 64 in
+  let give_up into f =
+    into := f :: !into;
+    Fault.Tbl.replace given_up f ()
+  in
   let keep_vector cube vec =
     cubes := cube :: !cubes;
     vectors := vec :: !vectors
@@ -106,8 +112,8 @@ let generate ?(options = default_options) ~rng ctx faults =
           detected.(i) <- true;
           if options.fault_dropping then ignore (drop_detected sim faults detected vec);
           keep_vector cube vec
-      | Podem.Untestable -> redundant := faults.(i) :: !redundant
-      | Podem.Aborted -> aborted := faults.(i) :: !aborted
+      | Podem.Untestable -> give_up redundant faults.(i)
+      | Podem.Aborted -> give_up aborted faults.(i)
   in
   for i = 0 to n - 1 do
     target i
@@ -125,11 +131,7 @@ let generate ?(options = default_options) ~rng ctx faults =
       let extra_cubes = ref [] in
       let extra_vecs = ref [] in
       for i = 0 to n - 1 do
-        if
-          (not detected.(i))
-          && (not (List.exists (Fault.equal faults.(i)) !redundant))
-          && not (List.exists (Fault.equal faults.(i)) !aborted)
-        then
+        if (not detected.(i)) && not (Fault.Tbl.mem given_up faults.(i)) then
           match Podem.generate ~config:options.podem ctx faults.(i) with
           | Podem.Detected cube ->
               let vec = Cube.fill_random rng cube in
@@ -137,18 +139,26 @@ let generate ?(options = default_options) ~rng ctx faults =
               ignore (drop_detected sim faults detected vec);
               extra_cubes := cube :: !extra_cubes;
               extra_vecs := vec :: !extra_vecs
-          | Podem.Untestable -> redundant := faults.(i) :: !redundant
-          | Podem.Aborted -> aborted := faults.(i) :: !aborted
+          | Podem.Untestable -> give_up redundant faults.(i)
+          | Podem.Aborted -> give_up aborted faults.(i)
       done;
       (merged @ List.rev !extra_cubes, vecs @ List.rev !extra_vecs)
     end
   in
   (* A backtrack-aborted fault may still have been detected fortuitously by a
      later vector's drop simulation; keep the lists disjoint from [detected]. *)
+  let first_index =
+    lazy
+      (let tbl = Fault.Tbl.create n in
+       for i = n - 1 downto 0 do
+         Fault.Tbl.replace tbl faults.(i) i
+       done;
+       tbl)
+  in
   let still_missing f =
-    let idx = ref (-1) in
-    Array.iteri (fun i g -> if !idx < 0 && Fault.equal f g then idx := i) faults;
-    !idx >= 0 && not detected.(!idx)
+    match Fault.Tbl.find_opt (Lazy.force first_index) f with
+    | Some i -> not detected.(i)
+    | None -> false
   in
   {
     vectors = Array.of_list final_vectors;

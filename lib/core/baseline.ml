@@ -34,7 +34,6 @@ let run ?options ~rng ctx ~faults =
   }
 
 let testable_faults t faults =
-  let excluded f =
-    List.exists (Fault.equal f) t.redundant || List.exists (Fault.equal f) t.aborted
-  in
-  Array.of_list (List.filter (fun f -> not (excluded f)) (Array.to_list faults))
+  let excluded = Fault.Tbl.create 64 in
+  List.iter (fun f -> Fault.Tbl.replace excluded f ()) (t.redundant @ t.aborted);
+  Array.of_list (List.filter (fun f -> not (Fault.Tbl.mem excluded f)) (Array.to_list faults))

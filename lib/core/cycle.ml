@@ -29,7 +29,11 @@ type t = {
   scheme : Xor_scheme.t;
   sim : Fault_sim.t;
   faults : Fault.t array;
-  state : st array;
+  state : st array;  (* written only through [set] *)
+  mutable n_caught : int;
+  mutable n_hidden : int;
+  mutable n_uncaught : int;
+  mutable uncaught : int list option;  (* ascending f_u; [None] after [set] moves one in or out *)
   mutable good : bool array;  (* fault-free chain contents, post write-back *)
   mutable cycles : int;
   mutable last_shift : int;
@@ -42,6 +46,10 @@ let create ?(scheme = Xor_scheme.Nxor) ?jobs ?batch circuit ~faults =
     sim = Fault_sim.create ?jobs ?batch circuit;
     faults;
     state = Array.make (Array.length faults) U;
+    n_caught = 0;
+    n_hidden = 0;
+    n_uncaught = Array.length faults;
+    uncaught = None;
     good = Array.make (Circuit.num_flops circuit) false;
     cycles = 0;
     last_shift = Circuit.num_flops circuit;
@@ -54,11 +62,25 @@ let cycle_count t = t.cycles
 
 let status t i = match t.state.(i) with C n -> Caught n | H _ -> Hidden | U -> Uncaught
 
-let count p t = Array.fold_left (fun acc s -> if p s then acc + 1 else acc) 0 t.state
+(* The one writer of [t.state]: keeps the three set sizes exact and drops
+   the cached f_u list whenever a fault enters or leaves f_u. *)
+let set t i st =
+  let bump d = function
+    | C _ -> t.n_caught <- t.n_caught + d
+    | H _ -> t.n_hidden <- t.n_hidden + d
+    | U -> t.n_uncaught <- t.n_uncaught + d
+  in
+  let old = t.state.(i) in
+  bump (-1) old;
+  bump 1 st;
+  (match (old, st) with
+  | U, U | (C _ | H _), (C _ | H _) -> ()
+  | U, (C _ | H _) | (C _ | H _), U -> t.uncaught <- None);
+  t.state.(i) <- st
 
-let num_caught = count (function C _ -> true | H _ | U -> false)
-let num_hidden = count (function H _ -> true | C _ | U -> false)
-let num_uncaught = count (function U -> true | C _ | H _ -> false)
+let num_caught t = t.n_caught
+let num_hidden t = t.n_hidden
+let num_uncaught t = t.n_uncaught
 
 let indices p t =
   let acc = ref [] in
@@ -67,7 +89,15 @@ let indices p t =
   done;
   !acc
 
-let uncaught_indices = indices (function U -> true | C _ | H _ -> false)
+(* Rebuilt at most once per state change, however often a cycle asks. *)
+let uncaught_indices t =
+  match t.uncaught with
+  | Some l -> l
+  | None ->
+      let l = indices (function U -> true | C _ | H _ -> false) t in
+      t.uncaught <- Some l;
+      l
+
 let hidden_indices = indices (function H _ -> true | C _ | U -> false)
 
 let good_contents t = t.good
@@ -106,7 +136,7 @@ let restore t p =
          (Array.length p.good) ln);
   Array.iteri
     (fun i s ->
-      t.state.(i) <-
+      set t i
         (match s with
         | Fs_caught n -> C n
         | Fs_hidden contents ->
@@ -252,7 +282,7 @@ let preview t ~pi ~fresh = (classify t ~pi ~fresh).report
 
 let step t ~pi ~fresh =
   let { report; new_good; updates } = classify t ~pi ~fresh in
-  List.iter (fun (i, st) -> t.state.(i) <- st) updates;
+  List.iter (fun (i, st) -> set t i st) updates;
   (* Caught faults leave the uncaught/hidden pools for good: no future
      [classify] simulates them again. *)
   Fault_sim.note_dropped (List.length report.caught_now);
@@ -285,11 +315,11 @@ let flush t ~full =
           let stream_f = Xor_scheme.observe t.scheme ~contents ~fresh in
           if stream_f <> good_stream then begin
             caught := i :: !caught;
-            t.state.(i) <- C cycle
+            set t i (C cycle)
           end
           else begin
             reverted := i :: !reverted;
-            t.state.(i) <- U
+            set t i U
           end
       | C _ | U -> ())
     t.state;

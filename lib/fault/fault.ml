@@ -8,6 +8,13 @@ let compare a b = Stdlib.compare (a.stem, a.branch, a.stuck) (b.stem, b.branch, 
 
 let hash a = Hashtbl.hash (a.stem, a.branch, a.stuck)
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 let stem_fault stem stuck = { stem; branch = None; stuck }
 
 let branch_fault stem ~sink ~pin stuck = { stem; branch = Some (sink, pin); stuck }

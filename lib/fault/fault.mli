@@ -16,6 +16,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by {!equal}: membership in O(1) where a [List.exists] scan
+    would cost a pass over the list. *)
+
 val stem_fault : Tvs_netlist.Circuit.net -> bool -> t
 val branch_fault : Tvs_netlist.Circuit.net -> sink:Tvs_netlist.Circuit.net -> pin:int -> bool -> t
 

@@ -21,12 +21,18 @@ type fanout = { pool : Pool.t; slots : Event.t Lazy.t array }
    under it (see [prepare]). *)
 type prepared = { faults : Fault.t array; order : int array; plans : Tvs_sim.Inject.plan array }
 
+(* Counting-sort tables for [chunk_order]: every net's position in
+   [(Circuit.cone_rep net, net)] order, and a zeroed scratch of one bucket
+   per net. *)
+type ranks = { rank : int array; buckets : int array }
+
 type t = {
   ev : Event.t;
   jobs : int;
   batch : int;  (* vectors per pool chunk in multi-vector screening *)
   mutable fanout : fanout option;
   mutable memo : prepared option;  (* the last fault array screened *)
+  ranks : ranks Lazy.t;  (* forced on the submitter by the first large [prepare] *)
 }
 
 let batch_override = ref None
@@ -43,10 +49,27 @@ let default_batch () =
       | Some b -> b
       | None -> 16)
 
+(* A stable sort of the nets (ascending) by cone representative lists them
+   in [(cone_rep, net)] order. *)
+let cone_ranks c =
+  let n = Circuit.num_nets c in
+  let by_cone = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare (Circuit.cone_rep c a) (Circuit.cone_rep c b)) by_cone;
+  let rank = Array.make n 0 in
+  Array.iteri (fun r net -> rank.(net) <- r) by_cone;
+  { rank; buckets = Array.make (n + 1) 0 }
+
 let create ?jobs ?batch circuit =
   let jobs = max 1 (match jobs with Some j -> j | None -> Pool.default_jobs ()) in
   let batch = max 1 (match batch with Some b -> b | None -> default_batch ()) in
-  { ev = Event.create circuit; jobs; batch; fanout = None; memo = None }
+  {
+    ev = Event.create circuit;
+    jobs;
+    batch;
+    fanout = None;
+    memo = None;
+    ranks = lazy (cone_ranks circuit);
+  }
 
 let circuit t = Event.circuit t.ev
 let jobs t = t.jobs
@@ -110,58 +133,69 @@ let outcomes_of_run (r : Tvs_sim.Parallel.result) ~nfaults =
 
 (* Chunking order: faults whose cones overlap share a chunk, so each chunk's
    event activity stays confined to a few cones instead of spraying one cone
-   per lane across the whole circuit. Sorting by the cone representative (the
-   lowest-numbered observation point a stem reaches, O(E) to index once per
-   circuit) clusters overlapping cones at O(n log n) per batch; the secondary
-   key packs stems of the same sub-cone next to each other.
+   per lane across the whole circuit. Faults are ordered by their stem's
+   cone representative (the lowest-numbered observation point a stem
+   reaches), then by stem, then by position in [faults]: overlapping cones
+   cluster, and stems of one sub-cone sit next to each other. A stem's rank
+   already encodes the first two keys, so a stable counting sort of the
+   positions by rank yields the order in O(n + nets) — no more than the
+   fault-free pass each call makes anyway.
 
    The permutation is a performance hint only — outcomes are mapped back
    through it, so any order is correct. *)
-let chunk_order c (faults : Fault.t array) =
+let chunk_order t (faults : Fault.t array) =
   let n = Array.length faults in
-  if n <= chunk_size then Array.init n (fun i -> i)
+  if n <= chunk_size then Array.init n Fun.id
   else begin
-    (* Composite int key: (cone_rep, stem, original index), packed so a
-       single monomorphic int sort orders and disambiguates at once. *)
-    let order = Array.init n (fun i -> i) in
-    let key =
-      Array.init n (fun i ->
-          let f = faults.(i) in
-          (Circuit.cone_rep c f.Fault.stem, f.Fault.stem, i))
-    in
-    Array.sort
-      (fun a b ->
-        let (ra, sa, ia) = key.(a) and (rb, sb, ib) = key.(b) in
-        if ra <> rb then (if ra < rb then -1 else 1)
-        else if sa <> sb then (if sa < sb then -1 else 1)
-        else if ia < ib then -1
-        else if ia > ib then 1
-        else 0)
-      order;
+    let { rank; buckets } = Lazy.force t.ranks in
+    (* Zeroed again however the sort ends: a fault whose stem is not a net
+       of the circuit raises midway, and stale counts would corrupt every
+       later order. *)
+    Fun.protect ~finally:(fun () -> Array.fill buckets 0 (Array.length buckets) 0) @@ fun () ->
+    (* [buckets.(r + 1)] counts rank [r]; the prefix sum turns [buckets.(r)]
+       into the first position of rank [r]. *)
+    Array.iter
+      (fun f ->
+        let r = rank.(f.Fault.stem) + 1 in
+        buckets.(r) <- buckets.(r) + 1)
+      faults;
+    for r = 1 to Array.length buckets - 1 do
+      buckets.(r) <- buckets.(r) + buckets.(r - 1)
+    done;
+    let order = Array.make n 0 in
+    Array.iteri
+      (fun i f ->
+        let r = rank.(f.Fault.stem) in
+        order.(buckets.(r)) <- i;
+        buckets.(r) <- buckets.(r) + 1)
+      faults;
     order
   end
 
-(* The chunk order of [faults] and, per chunk, its injection list (lane
-   [i + 1] for the chunk's [i]-th fault) compiled into an
-   {!Tvs_sim.Inject.plan}. Replaying a plan costs a few dozen array writes
-   where reinstalling a list costs a validated, allocating walk per chunk per
-   vector. Drivers like [Generator.drop_detected] and every stitching cycle
-   re-screen the same physical fault array against many vectors, so the
-   last array's preparation is kept: re-sorting and recompiling each time
-   would cost more than the simulation itself. Built on the submitter
-   before any fan-out; pool workers only read it. *)
+(* The chunk order of [faults] and, per chunk, its injections (lane [i + 1]
+   for the chunk's [i]-th fault) compiled into an {!Tvs_sim.Inject.plan}.
+   Replaying a plan costs a few dozen array writes where reinstalling the
+   injections costs a validated walk per chunk per vector. A call pays
+   O(n + nets) for the order and O(n) for the plans, so a fresh subset —
+   [Generator.drop_detected]'s live faults, a stitching cycle's f_u, the
+   candidate-scoring sample — costs about as much to prepare as one
+   fault-free pass. The last array's preparation is kept by physical
+   identity for callers that screen one array against many vectors one
+   call at a time ([Broadcast_scan.run], the random-pattern study, the
+   bench micros). Built on the submitter before any fan-out; pool workers
+   only read it. *)
 let prepare t (faults : Fault.t array) =
   match t.memo with
   | Some p when p.faults == faults -> p
   | Some _ | None ->
       let n = Array.length faults in
-      let order = chunk_order (circuit t) faults in
+      let order = chunk_order t faults in
       let plans =
         Array.init (num_chunks n) (fun ci ->
             let pos = ci * chunk_size in
             let len = min chunk_size (n - pos) in
             Event.compile t.ev
-              (List.init len (fun i -> Fault.to_injection faults.(order.(pos + i)) ~lane:(i + 1))))
+              (Array.init len (fun i -> Fault.to_injection faults.(order.(pos + i)) ~lane:(i + 1))))
       in
       let p = { faults; order; plans } in
       t.memo <- Some p;

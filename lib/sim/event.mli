@@ -48,11 +48,11 @@ val good_po : t -> bool array
 val good_capture : t -> bool array
 (** Fault-free captured next state of the current stimulus. *)
 
-val compile : t -> Inject.injection list -> Inject.plan
+val compile : t -> Inject.injection array -> Inject.plan
 (** {!Inject.compile} against this context's override tables: validates the
-    list once and pre-merges its lane masks. The returned plan is immutable
-    and shared freely across sibling contexts of the same circuit — compile
-    on the submitter, run on any pool slot. *)
+    injections once and pre-merges their lane masks. The returned plan is
+    immutable and shared freely across sibling contexts of the same circuit
+    — compile on the submitter, run on any pool slot. *)
 
 val run : t -> ?states:int array -> plan:Inject.plan -> unit -> Parallel.result
 (** [run t ~plan ()] simulates the compiled faults against the baseline

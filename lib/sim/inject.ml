@@ -8,10 +8,28 @@ type injection = {
   branch : (Circuit.net * int) option;
 }
 
+(* A fixed-capacity int stack: the cells an install touched, in touch
+   order, so [clear] and [compile] visit exactly those. *)
+type stack = { items : int array; mutable len : int }
+
+let stack cap = { items = Array.make (max cap 1) 0; len = 0 }
+
+let push s x =
+  s.items.(s.len) <- x;
+  s.len <- s.len + 1
+
+let drain s f =
+  for k = 0 to s.len - 1 do
+    f s.items.(k)
+  done;
+  s.len <- 0
+
 (* Branch overrides live in a CSR-style flat table: slot = pin_base.(sink) +
    pin, one slot per consumer pin in the circuit. Keeps install/clear at a
    handful of array writes per injection — no hashing — which matters because
-   both simulators reinstall the override set once per chunk. *)
+   both simulators reinstall the override set once per chunk. Each cell is
+   pushed on its stack the first time an install touches it, so the stacks
+   never hold a duplicate and never outgrow their circuit-sized capacity. *)
 type t = {
   stem_set : int array;  (* per-net force-to-1 lane masks *)
   stem_clear : int array;  (* per-net force-to-0 lane masks *)
@@ -19,9 +37,9 @@ type t = {
   pin_base : int array;  (* first slot per sink net *)
   branch_set : int array;  (* per-slot force-to-1 lane masks *)
   branch_clear : int array;  (* per-slot force-to-0 lane masks *)
-  mutable touched_stems : Circuit.net list;
-  mutable touched_sinks : Circuit.net list;
-  mutable touched_slots : int list;
+  touched_stems : stack;
+  touched_sinks : stack;
+  touched_slots : stack;
 }
 
 let create circuit =
@@ -44,53 +62,52 @@ let create circuit =
     pin_base;
     branch_set = Array.make (max slots 1) 0;
     branch_clear = Array.make (max slots 1) 0;
-    touched_stems = [];
-    touched_sinks = [];
-    touched_slots = [];
+    touched_stems = stack n;
+    touched_sinks = stack n;
+    touched_slots = stack slots;
   }
 
 (* Undo only what the last install touched: time proportional to the
    injection count, independent of circuit size. *)
 let clear t =
-  List.iter
-    (fun n ->
+  drain t.touched_stems (fun n ->
       t.stem_set.(n) <- 0;
-      t.stem_clear.(n) <- 0)
-    t.touched_stems;
-  List.iter (fun n -> t.sink_flagged.(n) <- false) t.touched_sinks;
-  List.iter
-    (fun slot ->
+      t.stem_clear.(n) <- 0);
+  drain t.touched_sinks (fun n -> t.sink_flagged.(n) <- false);
+  drain t.touched_slots (fun slot ->
       t.branch_set.(slot) <- 0;
       t.branch_clear.(slot) <- 0)
-    t.touched_slots;
-  t.touched_stems <- [];
-  t.touched_sinks <- [];
-  t.touched_slots <- []
 
-let install t injections =
-  List.iter
-    (fun inj ->
-      if inj.lane < 0 || inj.lane >= Lanes.width then invalid_arg "Parallel.run: lane out of range";
-      let bit = Lanes.lane_bit inj.lane in
-      match inj.branch with
-      | None ->
-          if t.stem_set.(inj.stem) = 0 && t.stem_clear.(inj.stem) = 0 then
-            t.touched_stems <- inj.stem :: t.touched_stems;
-          if inj.stuck then t.stem_set.(inj.stem) <- t.stem_set.(inj.stem) lor bit
-          else t.stem_clear.(inj.stem) <- t.stem_clear.(inj.stem) lor bit
-      | Some (sink, pin) ->
-          let slot = t.pin_base.(sink) + pin in
-          if slot >= t.pin_base.(sink + 1) then
-            invalid_arg "Parallel.run: branch pin out of range";
-          if not t.sink_flagged.(sink) then begin
-            t.sink_flagged.(sink) <- true;
-            t.touched_sinks <- sink :: t.touched_sinks
-          end;
-          if t.branch_set.(slot) = 0 && t.branch_clear.(slot) = 0 then
-            t.touched_slots <- slot :: t.touched_slots;
-          if inj.stuck then t.branch_set.(slot) <- t.branch_set.(slot) lor bit
-          else t.branch_clear.(slot) <- t.branch_clear.(slot) lor bit)
-    injections
+let add t inj =
+  if inj.lane < 0 || inj.lane >= Lanes.width then invalid_arg "Parallel.run: lane out of range";
+  let bit = Lanes.lane_bit inj.lane in
+  match inj.branch with
+  | None ->
+      if t.stem_set.(inj.stem) = 0 && t.stem_clear.(inj.stem) = 0 then
+        push t.touched_stems inj.stem;
+      if inj.stuck then t.stem_set.(inj.stem) <- t.stem_set.(inj.stem) lor bit
+      else t.stem_clear.(inj.stem) <- t.stem_clear.(inj.stem) lor bit
+  | Some (sink, pin) ->
+      let slot = t.pin_base.(sink) + pin in
+      if pin < 0 || slot >= t.pin_base.(sink + 1) then
+        invalid_arg "Parallel.run: branch pin out of range";
+      if not t.sink_flagged.(sink) then begin
+        t.sink_flagged.(sink) <- true;
+        push t.touched_sinks sink
+      end;
+      if t.branch_set.(slot) = 0 && t.branch_clear.(slot) = 0 then push t.touched_slots slot;
+      if inj.stuck then t.branch_set.(slot) <- t.branch_set.(slot) lor bit
+      else t.branch_clear.(slot) <- t.branch_clear.(slot) lor bit
+
+(* A rejected injection undoes the whole call, so no half-installed set
+   outlives the exception. *)
+let add_all t iter injections =
+  try iter (add t) injections
+  with Invalid_argument _ as e ->
+    clear t;
+    raise e
+
+let install t injections = add_all t List.iter injections
 
 type plan = {
   stems : Circuit.net array;
@@ -105,28 +122,43 @@ type plan = {
   branch_pins : int array;
 }
 
-(* Reuse [install]'s merge-and-validate logic: install into [t], snapshot the
+(* Reuse [add]'s merge-and-validate logic: add into [t], snapshot the
    touched cells with their merged masks, then undo. [t] is only a scratch
-   here — its tables are byte-identical before and after. *)
-let compile t injections =
-  install t injections;
-  let stems = Array.of_list t.touched_stems in
+   here — its tables are byte-identical before and after. Cells are listed
+   newest first, the order an install has always recorded them in. *)
+let compile t (injections : injection array) =
+  add_all t Array.iter injections;
+  let newest_first s f = Array.init s.len (fun k -> f s.items.(s.len - 1 - k)) in
+  (* One row per branch injection, in injection order. *)
+  let nbranch =
+    Array.fold_left (fun acc i -> if i.branch = None then acc else acc + 1) 0 injections
+  in
+  let branch_stems = Array.make nbranch 0
+  and branch_sinks = Array.make nbranch 0
+  and branch_pins = Array.make nbranch 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun i ->
+      Option.iter
+        (fun (sink, pin) ->
+          branch_stems.(!k) <- i.stem;
+          branch_sinks.(!k) <- sink;
+          branch_pins.(!k) <- pin;
+          incr k)
+        i.branch)
+    injections;
   let plan =
     {
-      stems;
-      stem_set_m = Array.map (fun n -> t.stem_set.(n)) stems;
-      stem_clear_m = Array.map (fun n -> t.stem_clear.(n)) stems;
-      flag_sinks = Array.of_list t.touched_sinks;
-      slots = Array.of_list t.touched_slots;
-      slot_set_m = Array.of_list (List.map (fun s -> t.branch_set.(s)) t.touched_slots);
-      slot_clear_m = Array.of_list (List.map (fun s -> t.branch_clear.(s)) t.touched_slots);
-      branch_stems =
-        Array.of_list
-          (List.filter_map (fun i -> Option.map (fun _ -> i.stem) i.branch) injections);
-      branch_sinks =
-        Array.of_list (List.filter_map (fun i -> Option.map fst i.branch) injections);
-      branch_pins =
-        Array.of_list (List.filter_map (fun i -> Option.map snd i.branch) injections);
+      stems = newest_first t.touched_stems Fun.id;
+      stem_set_m = newest_first t.touched_stems (Array.get t.stem_set);
+      stem_clear_m = newest_first t.touched_stems (Array.get t.stem_clear);
+      flag_sinks = newest_first t.touched_sinks Fun.id;
+      slots = newest_first t.touched_slots Fun.id;
+      slot_set_m = newest_first t.touched_slots (Array.get t.branch_set);
+      slot_clear_m = newest_first t.touched_slots (Array.get t.branch_clear);
+      branch_stems;
+      branch_sinks;
+      branch_pins;
     }
   in
   clear t;

@@ -4,8 +4,9 @@
     An override set maps stem faults to per-net force-to-0/1 lane masks and
     fanout-branch faults to per-(sink, pin) masks. The structure is reusable:
     {!clear} undoes exactly what the previous {!install} touched, in time
-    proportional to the injection count, keeping array and hash-table
-    capacity across batch chunks. *)
+    proportional to the injection count: every touched cell is recorded on
+    an int stack sized by the circuit, so install and clear allocate
+    nothing. *)
 
 type injection = {
   lane : int;  (** lane carrying the faulty machine *)
@@ -25,7 +26,7 @@ val create : Tvs_netlist.Circuit.t -> t
 val clear : t -> unit
 val install : t -> injection list -> unit
 (** Raises [Invalid_argument] on a lane outside [0, Lanes.width) or a branch
-    pin outside the sink's fanin range. *)
+    pin outside the sink's fanin range; the tables are then left clear. *)
 
 type plan = private {
   stems : Tvs_netlist.Circuit.net array;  (** unique stem-faulted nets *)
@@ -39,7 +40,7 @@ type plan = private {
   branch_sinks : Tvs_netlist.Circuit.net array;
   branch_pins : int array;
 }
-(** A compiled injection list: the exact override-table writes an {!install}
+(** A compiled injection array: the exact override-table writes an {!install}
     of the list would perform, deduplicated and with lane masks pre-merged.
     Compiling once and replaying with {!install_plan}/{!clear_plan} turns the
     per-run injection cost from a list walk with per-entry allocation and
@@ -48,9 +49,11 @@ type plan = private {
     every vector reinstalls the same 62 overrides. Immutable after
     {!compile}; safe to share read-only across domains. *)
 
-val compile : t -> injection list -> plan
+val compile : t -> injection array -> plan
 (** Validates like {!install} (raising [Invalid_argument] on a bad lane or
-    pin) and leaves [t]'s override tables unchanged. *)
+    pin) and leaves [t]'s override tables unchanged, also when it raises.
+    Installing the plan writes exactly what [install t (Array.to_list a)]
+    would. *)
 
 val install_plan : t -> plan -> unit
 (** Requires [t] to hold no overrides (the state {!clear}/{!clear_plan}

@@ -132,6 +132,48 @@ let test_cycle_shift_too_big () =
        false
      with Invalid_argument _ -> true)
 
+(* The maintained counts and f_u list against a fresh fold of [status]. *)
+let check_books what machine =
+  let caught = ref 0 and hidden = ref 0 and uncaught = ref [] in
+  for i = Cycle.num_faults machine - 1 downto 0 do
+    match Cycle.status machine i with
+    | Cycle.Caught _ -> incr caught
+    | Cycle.Hidden -> incr hidden
+    | Cycle.Uncaught -> uncaught := i :: !uncaught
+  done;
+  Alcotest.(check (triple int int int))
+    (what ^ ": counts")
+    (!caught, !hidden, List.length !uncaught)
+    (Cycle.num_caught machine, Cycle.num_hidden machine, Cycle.num_uncaught machine);
+  Alcotest.(check (list int))
+    (what ^ ": uncaught indices")
+    !uncaught (Cycle.uncaught_indices machine)
+
+let test_cycle_incremental_books () =
+  (* Random steps, partial flushes and rewinds to an older snapshot on one
+     machine, each mirrored into a second machine by export/restore. *)
+  List.iter
+    (fun c ->
+      let faults = Fault_gen.collapsed c in
+      let machine = Cycle.create c ~faults and mirror = Cycle.create c ~faults in
+      let rng = Rng.of_string ("books:" ^ Circuit.name c) in
+      let saved = ref (Cycle.export machine) in
+      for op = 1 to 40 do
+        (match Rng.int rng 6 with
+        | 0 -> ignore (Cycle.flush machine ~full:false)
+        | 1 -> Cycle.restore machine !saved
+        | 2 -> saved := Cycle.export machine
+        | _ ->
+            let s = 1 + Rng.int rng (Circuit.num_flops c) in
+            let pi = Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng) in
+            ignore (Cycle.step machine ~pi ~fresh:(Array.init s (fun _ -> Rng.bool rng))));
+        Cycle.restore mirror (Cycle.export machine);
+        let what = Printf.sprintf "%s op %d" (Circuit.name c) op in
+        check_books what machine;
+        check_books (what ^ " (restored)") mirror
+      done)
+    [ s27; Tvs_circuits.Synth.generate_named "s444" ]
+
 (* --- engine -------------------------------------------------------------- *)
 
 let prep () =
@@ -260,6 +302,7 @@ let () =
           Alcotest.test_case "preview is pure" `Quick test_cycle_preview_pure;
           Alcotest.test_case "constraint cube" `Quick test_cycle_constraints;
           Alcotest.test_case "oversized shift rejected" `Quick test_cycle_shift_too_big;
+          Alcotest.test_case "incremental counts and f_u list" `Quick test_cycle_incremental_books;
         ] );
       ( "engine",
         [

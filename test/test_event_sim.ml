@@ -378,6 +378,124 @@ let qcheck_cone_transitive =
       done;
       !ok)
 
+(* --- compiled injection plans ----------------------------------------- *)
+
+module Inject = Tvs_sim.Inject
+module Lanes = Tvs_sim.Lanes
+
+(* Everything a simulator reads back from an override table: each net's
+   stem masks and branch flag, and each consumer pin's fetched value, all on
+   all-zero and all-one words. *)
+let readings c ov =
+  let n = Circuit.num_nets c in
+  let zeros = Array.make n 0 and ones = Array.make n Lanes.all_mask in
+  let out = ref [] in
+  let note v = out := v :: !out in
+  for net = 0 to n - 1 do
+    note (Inject.apply_stem ov net 0);
+    note (Inject.apply_stem ov net Lanes.all_mask);
+    note (if Inject.sink_flagged ov net then 1 else 0);
+    let ins =
+      match Circuit.driver c net with
+      | Circuit.Gate_node (_, ins) -> ins
+      | Circuit.Flip_flop d -> [| d |]
+      | Circuit.Primary_input | Circuit.Const _ -> [||]
+    in
+    Array.iteri
+      (fun pin src ->
+        note (Inject.fetch ov ~values:zeros ~sink:net ~pin src);
+        note (Inject.fetch ov ~values:ones ~sink:net ~pin src))
+      ins
+  done;
+  !out
+
+(* Injections drawn from a few stems and a few lanes, so stems, polarities
+   and lanes repeat; about half are fanout branches, into gates and flops
+   alike. *)
+let random_injections rng c =
+  let n = Circuit.num_nets c in
+  let stems = Array.init (1 + Rng.int rng 6) (fun _ -> Rng.int rng n) in
+  let lanes = Array.init (1 + Rng.int rng 6) (fun _ -> Rng.int rng Lanes.width) in
+  Array.init (1 + Rng.int rng 40) (fun _ ->
+      let stem = stems.(Rng.int rng (Array.length stems)) in
+      let fanout = Circuit.fanout c stem in
+      let branch =
+        if Array.length fanout > 0 && Rng.bool rng then
+          Some fanout.(Rng.int rng (Array.length fanout))
+        else None
+      in
+      let lane = lanes.(Rng.int rng (Array.length lanes)) in
+      { Inject.lane; stuck = Rng.bool rng; stem; branch })
+
+(* 9. A compiled plan installs exactly what the list install writes, its
+   clear restores the identity, and a rejected array leaves the tables
+   untouched. *)
+let qcheck_compile_equals_install =
+  QCheck.Test.make ~name:"compiled plan equals list install" ~count:60
+    QCheck.(pair (int_range 0 32) small_int)
+    (fun (i, seed) ->
+      let c = tiny_circuit i in
+      let rng = Rng.create (Int64.of_int seed) in
+      let a = random_injections rng c in
+      let identity = readings c (Inject.create c) in
+      let by_list = Inject.create c in
+      Inject.install by_list (Array.to_list a);
+      let by_plan = Inject.create c in
+      let plan = Inject.compile by_plan a in
+      let untouched_by_compile = readings c by_plan = identity in
+      Inject.install_plan by_plan plan;
+      let same = readings c by_plan = readings c by_list in
+      Inject.clear_plan by_plan plan;
+      let cleared = readings c by_plan = identity in
+      (* One bad entry anywhere: a lane past the last, a negative lane, or
+         a pin past (or before) the sink's fanins. *)
+      let bad =
+        let victim = a.(Rng.int rng (Array.length a)) in
+        match Rng.int rng 3 with
+        | 0 -> { victim with Inject.lane = Lanes.width }
+        | 1 -> { victim with Inject.lane = -1 }
+        | _ -> (
+            match Circuit.fanout c victim.Inject.stem with
+            | [||] -> { victim with Inject.lane = Lanes.width }
+            | fo ->
+                let sink, _ = fo.(0) in
+                let pins =
+                  match Circuit.driver c sink with
+                  | Circuit.Gate_node (_, ins) -> Array.length ins
+                  | Circuit.Flip_flop _ | Circuit.Primary_input | Circuit.Const _ -> 1
+                in
+                { victim with Inject.branch = Some (sink, if Rng.bool rng then pins else -1) })
+      in
+      let at = Rng.int rng (Array.length a + 1) in
+      let with_bad =
+        Array.concat [ Array.sub a 0 at; [| bad |]; Array.sub a at (Array.length a - at) ]
+      in
+      let rejected =
+        match Inject.compile by_plan with_bad with
+        | _ -> false
+        | exception Invalid_argument _ -> readings c by_plan = identity
+      in
+      untouched_by_compile && same && cleared && rejected)
+
+(* 10. A screen that rejects a fault midway leaves the context exact: the
+   next call on it answers like a fresh context. *)
+let test_rejected_screen_leaves_context_exact () =
+  let c = Synth.generate_named "s444" in
+  let faults = Fault_gen.collapsed c in
+  let pi, state = random_stimulus (Rng.create 5L) c in
+  let sim = Fault_sim.create ~jobs:1 c in
+  let bad = Array.copy faults in
+  bad.(100) <- Fault.stem_fault (Circuit.num_nets c) true;
+  Alcotest.(check bool)
+    "foreign stem rejected" true
+    (match Fault_sim.detected_faults sim ~pi ~state bad with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool)
+    "next screen exact" true
+    (Fault_sim.detected_faults sim ~pi ~state (Array.copy faults)
+    = Fault_sim.detected_faults (Fault_sim.create ~jobs:1 c) ~pi ~state faults)
+
 let () =
   Alcotest.run "event-sim"
     [
@@ -407,5 +525,11 @@ let () =
           Alcotest.test_case "membership and sizes" `Quick test_cone_membership;
           Alcotest.test_case "flop Q restarts the cone" `Quick test_cone_q_restarts;
           QCheck_alcotest.to_alcotest qcheck_cone_transitive;
+        ] );
+      ( "plans",
+        [
+          QCheck_alcotest.to_alcotest qcheck_compile_equals_install;
+          Alcotest.test_case "rejected screen leaves the context exact" `Quick
+            test_rejected_screen_leaves_context_exact;
         ] );
     ]
