@@ -9,8 +9,8 @@
 
    Table circuits default to full profile scale except the four Table 5
    giants (0.25 linear scale); see DESIGN.md §5 and EXPERIMENTS.md.
-   --scale, --jobs, --batch and --cache are the Tvs_harness.Cli terms the
-   tvs CLI uses; --help lists every flag. *)
+   --scale, --jobs and --cache are the Tvs_harness.Cli terms the tvs CLI
+   uses; --help lists every flag. *)
 
 open Bechamel
 
@@ -234,7 +234,7 @@ let write_report ?scale file =
 
 (* Artifacts run in the fixed order below, each once, whatever order (or
    repetition) they are named in; none named means all of them. *)
-let run () () () scale out only =
+let run () () scale out only =
   let wants what = only = [] || List.mem what only in
   let t0 = Unix.gettimeofday () in
   if wants "table1" then table "Table 1 / Figure 1" "table1" Experiments.table1;
@@ -276,4 +276,4 @@ let () =
   in
   exit
     (Cmd.eval
-       (Cmd.v info Term.(const run $ Cli.cache $ Cli.jobs $ Cli.batch $ Cli.scale $ out $ only)))
+       (Cmd.v info Term.(const run $ Cli.cache $ Cli.jobs $ Cli.scale $ out $ only)))

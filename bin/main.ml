@@ -277,7 +277,7 @@ let atpg_cmd =
     Term.(const run $ obs_term $ Cli.jobs $ circuit_arg $ Cli.scale)
 
 let faultsim_cmd =
-  let run () () () () spec scale =
+  let run () () () spec scale =
     let prep = prep_of ?scale spec in
     let d = Experiments.baseline_detection prep in
     Printf.printf "%s: %d/%d faults detected by the %d baseline vectors (%.2f%%)\n"
@@ -286,7 +286,7 @@ let faultsim_cmd =
       (100.0 *. float_of_int d.Experiments.detected /. float_of_int d.Experiments.faults)
   in
   Cmd.v (Cmd.info "faultsim" ~doc:"Fault-simulate the baseline test set")
-    Term.(const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ circuit_arg $ Cli.scale)
+    Term.(const run $ obs_term $ Cli.cache $ Cli.jobs $ circuit_arg $ Cli.scale)
 
 (* Scheme and selection share their vocabulary with the serve protocol's job
    fields through Tvs_harness.Cli, so the CLI and a serve client can never
@@ -341,7 +341,7 @@ let preflight_arg =
   Arg.(value & flag & info [ "preflight" ] ~doc)
 
 let stitch_cmd =
-  let run () () () () spec scale scheme selection shift preflight ckpt every =
+  let run () () () spec scale scheme selection shift preflight ckpt every =
     let prep = prep_of ?scale spec in
     let shift_policy = Option.map (fun s -> Policy.Fixed s) shift in
     let checkpoint =
@@ -368,7 +368,7 @@ let stitch_cmd =
   in
   Cmd.v (Cmd.info "stitch" ~doc:"Run the stitched compression flow")
     Term.(
-      const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ circuit_arg $ Cli.scale
+      const run $ obs_term $ Cli.cache $ Cli.jobs $ circuit_arg $ Cli.scale
       $ scheme_arg $ selection_arg $ shift_arg $ preflight_arg $ checkpoint_file_arg
       $ checkpoint_every_arg)
 
@@ -382,7 +382,7 @@ let resume_cmd =
     prerr_endline ("tvs: " ^ msg);
     exit Cmd.Exit.some_error
   in
-  let run () () () () file ckpt every =
+  let run () () () file ckpt every =
     match Checkpoint.load file with
     | Error e ->
         die (Printf.sprintf "cannot resume from %S: %s" file (Codec.error_to_string e))
@@ -418,7 +418,7 @@ let resume_cmd =
          "Continue an interrupted stitched run from a checkpoint; the output is byte-identical \
           to the uninterrupted run's")
     Term.(
-      const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ file_arg $ checkpoint_file_arg
+      const run $ obs_term $ Cli.cache $ Cli.jobs $ file_arg $ checkpoint_file_arg
       $ checkpoint_every_arg)
 
 let tpi_cmd =
@@ -458,7 +458,7 @@ let tpi_cmd =
     in
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
-  let run () () () () spec scale points budget shift po_taps controls format verify =
+  let run () () () spec scale points budget shift po_taps controls format verify =
     let c = load_circuit ?scale spec in
     let options = { Tpi.points; budget; shift; po_taps; controls } in
     match Tpi.run ~options c with
@@ -481,7 +481,7 @@ let tpi_cmd =
          "ATPG-aware test-point insertion: mine candidates from the lint risk table, select \
           greedily by re-running the stitched flow, report hidden-to-caught conversions")
     Term.(
-      const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ circuit_arg $ Cli.scale
+      const run $ obs_term $ Cli.cache $ Cli.jobs $ circuit_arg $ Cli.scale
       $ points_arg $ budget_arg $ tpi_shift_arg $ po_taps_arg $ controls_arg $ format_arg
       $ verify_arg)
 
@@ -495,7 +495,7 @@ let table_cmd =
     let doc = "Restrict to these circuits (comma-separated)." in
     Arg.(value & opt (some string) None & info [ "circuits" ] ~docv:"LIST" ~doc)
   in
-  let run () () () () n scale circuits =
+  let run () () () n scale circuits =
     let circuits = Option.map (String.split_on_char ',') circuits in
     let text =
       match n with
@@ -508,18 +508,16 @@ let table_cmd =
     print_string text
   in
   Cmd.v (Cmd.info "table" ~doc:"Regenerate a paper table")
-    Term.(
-      const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ which $ Cli.scale
-      $ circuits_arg)
+    Term.(const run $ obs_term $ Cli.cache $ Cli.jobs $ which $ Cli.scale $ circuits_arg)
 
 let ablation_cmd =
   let circuit_arg =
     let doc = "Profile circuit for the ablations." in
     Arg.(value & opt string "s953" & info [ "circuit" ] ~docv:"NAME" ~doc)
   in
-  let run () () () scale circuit = print_string (Experiments.ablations ?scale ~circuit ()) in
+  let run () () scale circuit = print_string (Experiments.ablations ?scale ~circuit ()) in
   Cmd.v (Cmd.info "ablation" ~doc:"Run the design-choice ablations")
-    Term.(const run $ obs_term $ Cli.jobs $ Cli.batch $ Cli.scale $ circuit_arg)
+    Term.(const run $ obs_term $ Cli.jobs $ Cli.scale $ circuit_arg)
 
 let misr_cmd =
   let circuit_arg =
@@ -843,7 +841,7 @@ let serve_cmd =
     in
     Arg.(value & opt int 1000 & info [ "checkpoint-threshold" ] ~docv:"N" ~doc)
   in
-  let run () () () () socket port state every threshold =
+  let run () () () socket port state every threshold =
     let listen =
       match (socket, port) with
       | Some path, None -> Tvs_serve.Server.Unix_socket path
@@ -880,7 +878,7 @@ let serve_cmd =
           JSONL frames), dedupes identical jobs through the result cache, checkpoints large jobs \
           for restart recovery, and streams progress events")
     Term.(
-      const run $ obs_term $ Cli.cache $ Cli.jobs $ Cli.batch $ socket_arg $ port_arg $ state_arg
+      const run $ obs_term $ Cli.cache $ Cli.jobs $ socket_arg $ port_arg $ state_arg
       $ checkpoint_every_arg $ threshold_arg)
 
 (* --version: the code generation (git revision when available) plus the two

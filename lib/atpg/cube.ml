@@ -58,34 +58,6 @@ let fill_const b t = fill_with (fun () -> b) t
 let of_vector (v : vector) : t =
   { pi = Array.map Ternary.of_bool v.pi; scan = Array.map Ternary.of_bool v.scan }
 
-module Wire = Tvs_util.Wire
-
-let write_ternary w v =
-  Wire.write_u8 w (match v with Ternary.Zero -> 0 | Ternary.One -> 1 | Ternary.X -> 2)
-
-let read_ternary r =
-  match Wire.read_u8 r with
-  | 0 -> Ternary.Zero
-  | 1 -> Ternary.One
-  | 2 -> Ternary.X
-  | n -> raise (Wire.Error (Printf.sprintf "unknown ternary tag %d" n))
-
-let encode w (t : t) =
-  Wire.write_array write_ternary w t.pi;
-  Wire.write_array write_ternary w t.scan
-
-let decode r : t =
-  let pi = Wire.read_array read_ternary r in
-  { pi; scan = Wire.read_array read_ternary r }
-
-let encode_vector w (v : vector) =
-  Wire.write_bool_array w v.pi;
-  Wire.write_bool_array w v.scan
-
-let decode_vector r : vector =
-  let pi = Wire.read_bool_array r in
-  { pi; scan = Wire.read_bool_array r }
-
 let chars arr = String.init (Array.length arr) (fun i -> Ternary.to_char arr.(i))
 
 let to_string (t : t) = chars t.pi ^ "|" ^ chars t.scan

@@ -38,15 +38,4 @@ val to_string : t -> string
 
 val vector_to_string : vector -> string
 
-val encode : Tvs_util.Wire.writer -> t -> unit
-(** Wire form (one byte per ternary position) for the persistence layer. *)
-
-val decode : Tvs_util.Wire.reader -> t
-(** Raises [Tvs_util.Wire.Error] on malformed input. *)
-
-val encode_vector : Tvs_util.Wire.writer -> vector -> unit
-(** Bit-packed wire form of a fully specified stimulus. *)
-
-val decode_vector : Tvs_util.Wire.reader -> vector
-
 val pp : Format.formatter -> t -> unit

@@ -686,7 +686,7 @@ let count_verdict = function
   | Inequivalent _ -> Metrics.incr m_inequivalent
   | Unknown _ -> Metrics.incr m_unknown
 
-let compute ~options ~jobs left right =
+let compute ~options left right =
   let m = build_matching ~options left right in
   let sig_l, sig_r = simulate ~options ~m left right in
   let canon, subst, classes, proved, s_calls, s_decisions, s_propagations =
@@ -697,8 +697,8 @@ let compute ~options ~jobs left right =
   (* Phase B: independent cone-local miters, one per observation point,
      fanned across the domain pool. The merge below reads the slot array in
      index order, so the verdict — including which counterexample is
-     reported — is identical at every [jobs]. *)
-  let pool = Pool.shared ~jobs in
+     reported — is identical at every [--jobs]. *)
+  let pool = Pool.shared ~jobs:(Pool.default_jobs ()) in
   let checks =
     Pool.parallel_map_chunks pool ~n (fun ~slot:_ i ->
         check_point ~options ~m ~canon ~subst left right pts.(i))
@@ -745,8 +745,7 @@ let compute ~options ~jobs left right =
     cached = false;
   }
 
-let check ?(options = default_options) ?cache ?jobs left right =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+let check ?(options = default_options) ?cache left right =
   Metrics.incr m_checks;
   let key = check_key ~options left right in
   let cached =
@@ -758,7 +757,7 @@ let check ?(options = default_options) ?cache ?jobs left right =
       count_verdict r.verdict;
       r
   | None ->
-      let r = compute ~options ~jobs left right in
+      let r = compute ~options left right in
       (match cache with
       | None -> ()
       | Some c -> Cache.store c ~kind:cache_kind ~key (fun w -> encode_result w r));

@@ -102,13 +102,13 @@ val points : result -> int
 val check :
   ?options:options ->
   ?cache:Tvs_store.Cache.t ->
-  ?jobs:int ->
   Tvs_netlist.Circuit.t ->
   Tvs_netlist.Circuit.t ->
   result
 (** [check left right] decides whether [right] preserves [left]'s function
-    at every matched observation point, under the ties. [jobs] defaults to
-    {!Tvs_util.Pool.default_jobs}; the result is identical for every value.
+    at every matched observation point, under the ties. The per-point
+    checks fan out over {!Tvs_util.Pool.default_jobs} domains; the result is
+    identical for every value.
     With [cache], the whole check is memoized under {!cache_kind} keyed by
     both circuit digests and the options. Raises {!Mismatch}. *)
 

@@ -39,11 +39,11 @@ type t = {
   mutable last_shift : int;
 }
 
-let create ?(scheme = Xor_scheme.Nxor) ?jobs ?batch circuit ~faults =
+let create ?(scheme = Xor_scheme.Nxor) circuit ~faults =
   {
     circuit;
     scheme;
-    sim = Fault_sim.create ?jobs ?batch circuit;
+    sim = Fault_sim.create circuit;
     faults;
     state = Array.make (Array.length faults) U;
     n_caught = 0;

@@ -26,8 +26,6 @@ type config = {
   max_cycles : int;
   stagnation_limit : int;
   max_targets_per_cycle : int;
-  jobs : int option;
-  batch : int option;
   preflight : bool;
 }
 
@@ -40,8 +38,6 @@ let default_config ~chain_len =
     max_cycles = 4000;
     stagnation_limit = 25;
     max_targets_per_cycle = 25;
-    jobs = None;
-    batch = None;
     preflight = false;
   }
 
@@ -179,8 +175,8 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
           (Printf.sprintf "preflight lint failed on %s: %d error(s), first: [%s] %s"
              (Circuit.name c) (List.length errs) first.rule first.message)
   end;
-  let machine = Cycle.create ~scheme:cfg.scheme ?jobs:cfg.jobs ?batch:cfg.batch c ~faults in
-  let sim = Tvs_fault.Fault_sim.create ?jobs:cfg.jobs ?batch:cfg.batch c in
+  let machine = Cycle.create ~scheme:cfg.scheme c ~faults in
+  let sim = Tvs_fault.Fault_sim.create c in
   let hardness =
     let guide = Podem.scoap ctx in
     Array.map (fun f -> Scoap.fault_hardness guide f) faults
@@ -351,7 +347,7 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
          append any fallback vector that detects a still-missing fault. *)
       let aborted = ref gen.Generator.aborted in
       if !aborted <> [] && Array.length fallback > 0 then begin
-        let sim = Tvs_fault.Fault_sim.create ?jobs:cfg.jobs ?batch:cfg.batch c in
+        let sim = Tvs_fault.Fault_sim.create c in
         let missing = ref !aborted in
         (* Accumulate appended vectors in reverse and splice once at the end:
            list append inside the loop is quadratic in the fallback count. *)

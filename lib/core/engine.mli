@@ -22,16 +22,6 @@ type config = {
           (newly hidden faults do not count: they can churn between hidden
           and uncaught without ever being observed) *)
   max_targets_per_cycle : int;  (** PODEM attempts before declaring the cycle stuck *)
-  jobs : int option;
-      (** fault-simulation fan-out width; [None] defers to
-          {!Tvs_util.Pool.default_jobs}. Results are bit-identical for every
-          value — the knob trades wall-clock for cores only. *)
-  batch : int option;
-      (** vectors per pool chunk in multi-vector screening; [None] defers to
-          {!Tvs_fault.Fault_sim.default_batch}. Like [jobs], a pure
-          scheduling knob: results are bit-identical for every value, and it
-          is excluded from {!Tvs_store.Digest.config} so checkpoints and
-          cache keys stay compatible across settings. *)
   preflight : bool;
       (** run the cheap lint gate ({!Tvs_lint.Lint.preflight}: structural +
           constant propagation, no SAT) before the first cycle and raise

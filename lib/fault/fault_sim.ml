@@ -29,25 +29,10 @@ type ranks = { rank : int array; buckets : int array }
 type t = {
   ev : Event.t;
   jobs : int;
-  batch : int;  (* vectors per pool chunk in multi-vector screening *)
   mutable fanout : fanout option;
   mutable memo : prepared option;  (* the last fault array screened *)
   ranks : ranks Lazy.t;  (* forced on the submitter by the first large [prepare] *)
 }
-
-let batch_override = ref None
-
-let set_default_batch b =
-  if b < 1 then invalid_arg "Fault_sim.set_default_batch: batch must be >= 1";
-  batch_override := Some b
-
-let default_batch () =
-  match !batch_override with
-  | Some b -> b
-  | None -> (
-      match Tvs_util.Env.positive_int ~fallback:"16" "TVS_BATCH" with
-      | Some b -> b
-      | None -> 16)
 
 (* A stable sort of the nets (ascending) by cone representative lists them
    in [(cone_rep, net)] order. *)
@@ -59,21 +44,17 @@ let cone_ranks c =
   Array.iteri (fun r net -> rank.(net) <- r) by_cone;
   { rank; buckets = Array.make (n + 1) 0 }
 
-let create ?jobs ?batch circuit =
+let create ?jobs circuit =
   let jobs = max 1 (match jobs with Some j -> j | None -> Pool.default_jobs ()) in
-  let batch = max 1 (match batch with Some b -> b | None -> default_batch ()) in
   {
     ev = Event.create circuit;
     jobs;
-    batch;
     fanout = None;
     memo = None;
     ranks = lazy (cone_ranks circuit);
   }
 
 let circuit t = Event.circuit t.ev
-let jobs t = t.jobs
-let batch t = t.batch
 
 type counters = {
   event_runs : int;
@@ -355,14 +336,18 @@ let detected_faults t ~pi ~state faults =
          Event.run_diff ev ~plan:p.plans.(ci) ~used:(Lanes.mask (len + 1)) ()));
   flags
 
-(* Multi-vector screening. The pool axis here is *vector batches* of size
-   [t.batch], not 62-fault chunks: one pool submission covers the whole
-   vector set, the cone order and injection plans are built once and shared
-   read-only, and each vector's full stimulus pass is private to the slot
-   that screens it (no baseline adoption traffic). Results are keyed by
-   batch index and every vector's work is identical no matter which slot
-   runs it, so the matrix — and the merged stable counters — are
-   byte-identical for every [jobs] and every [batch] setting. *)
+(* Vectors per pool chunk in multi-vector screening. Sizes 1, 4 and 16
+   measured within noise of each other, so the size is fixed. *)
+let vector_batch = 16
+
+(* Multi-vector screening. The pool axis here is *vector batches* of
+   [vector_batch] vectors, not 62-fault chunks: one pool submission covers
+   the whole vector set, the cone order and injection plans are built once
+   and shared read-only, and each vector's full stimulus pass is private to
+   the slot that screens it (no baseline adoption traffic). Results are
+   keyed by batch index and every vector's work is identical no matter
+   which slot runs it, so the matrix — and the merged stable counters — are
+   byte-identical for every [jobs] setting. *)
 let detected_matrix t ~vectors faults =
   Metrics.incr m_batches;
   Trace.with_span "faultsim.detected_matrix"
@@ -390,18 +375,17 @@ let detected_matrix t ~vectors faults =
         scatter_diff p ~n flags ci diff
       done;
       (* One flush per vector: shard merge is a sum, so totals match a
-         per-chunk flush exactly, for every jobs and batch value. *)
+         per-chunk flush exactly, for every jobs value. *)
       Metrics.add m_events_fired !events;
       Metrics.add m_gate_evals !evals;
       Metrics.add m_gates_skipped ((nchunks * Event.full_evals ev) - !evals);
       Metrics.add m_chunks nchunks;
       flags
     in
-    let bsize = t.batch in
-    let nbatches = (nvec + bsize - 1) / bsize in
+    let nbatches = (nvec + vector_batch - 1) / vector_batch in
     let screen_batch ev bi =
-      let pos = bi * bsize in
-      let len = min bsize (nvec - pos) in
+      let pos = bi * vector_batch in
+      let len = min vector_batch (nvec - pos) in
       Array.init len (fun k -> screen ev vectors.(pos + k))
     in
     let out =
@@ -414,7 +398,7 @@ let detected_matrix t ~vectors faults =
     in
     let matrix = Array.make nvec [||] in
     Array.iteri
-      (fun bi batch -> Array.iteri (fun k flags -> matrix.((bi * bsize) + k) <- flags) batch)
+      (fun bi batch -> Array.iteri (fun k flags -> matrix.((bi * vector_batch) + k) <- flags) batch)
       out;
     matrix
   end

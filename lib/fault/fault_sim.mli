@@ -41,31 +41,12 @@ type t
     engine (and, when [jobs > 1], per-domain copies of it). Not
     thread-safe. *)
 
-val create : ?jobs:int -> ?batch:int -> Tvs_netlist.Circuit.t -> t
+val create : ?jobs:int -> Tvs_netlist.Circuit.t -> t
 (** [jobs] is the fan-out width (clamped to at least 1); defaults to
     {!Tvs_util.Pool.default_jobs}. Batches too small to chunk always run
-    inline on the caller's domain. [batch] is the number of vectors per pool
-    chunk in {!detected_matrix} (clamped to at least 1); defaults to
-    {!default_batch}. Like [jobs], [batch] is a scheduling knob only: it
-    never changes any result. *)
-
-val set_default_batch : int -> unit
-(** Process-wide default for [?batch] (the [--batch] CLI flag lands here).
-    Raises [Invalid_argument] if the value is < 1. *)
-
-val default_batch : unit -> int
-(** The default vector-batch size: {!set_default_batch}'s value if set, else
-    the [TVS_BATCH] environment variable, else 16. A set but non-positive or
-    unparseable [TVS_BATCH] falls back to 16 and warns through
-    {!Tvs_util.Env}. *)
+    inline on the caller's domain. *)
 
 val circuit : t -> Tvs_netlist.Circuit.t
-
-val jobs : t -> int
-(** Fan-out width this context was created with. *)
-
-val batch : t -> int
-(** Vector-batch size this context was created with. *)
 
 (** Cumulative work counters across all contexts. The numbers live in the
     [faultsim.*] counters of the {!Tvs_obs.Metrics} registry (per-domain
@@ -115,8 +96,8 @@ val detected_matrix :
 
     This is the batched form of per-vector screening: the cone order and
     per-chunk injection plans are built once for the entire call, and the
-    domain-pool axis is vector batches of size {!batch} rather than 62-fault
-    chunks — so one pool submission amortizes fan-out overhead across the
-    whole vector set. Rows are merged by batch index and each vector's work
-    is slot-independent, making the matrix byte-identical for every [jobs]
-    and [batch] value. *)
+    domain-pool axis is batches of 16 vectors rather than 62-fault chunks —
+    so one pool submission amortizes fan-out overhead across the whole
+    vector set. Rows are merged by batch index and each vector's work is
+    slot-independent, making the matrix byte-identical for every [jobs]
+    value. *)

@@ -112,7 +112,6 @@ let check_table n =
   else Error (Printf.sprintf "no table %d in the paper (tables are numbered 1-5)" n)
 
 let check_jobs = check_positive "--jobs"
-let check_batch = check_positive "--batch"
 
 let check_scale f =
   if f > 0.0 && f <= 1.0 then Ok f
@@ -167,11 +166,11 @@ let scale =
   in
   Arg.(value & opt (some scale_conv) None & info [ "scale" ] ~docv:"F" ~doc)
 
-(* --jobs and --batch are pure scheduling knobs: each installs the
-   process-wide default that every fault-simulation context created without
-   an explicit value picks up, and results are bit-identical for every
-   value. The environment variables go through the same validator, so a
-   malformed one is a usage error rather than a silent fallback. *)
+(* --jobs is the one scheduling knob: it installs the process-wide default
+   that every domain pool created without an explicit width picks up, and
+   results are bit-identical for every value. The environment variable goes
+   through the same validator, so a malformed one is a usage error rather
+   than a silent fallback. *)
 let jobs =
   let doc =
     "Number of domains for fault simulation (default: available cores). Results are identical \
@@ -183,18 +182,6 @@ let jobs =
         value
         & opt (some (int_conv ~docv:"N" check_jobs)) None
         & info [ "jobs"; "j" ] ~env:(Cmd.Env.info "TVS_JOBS") ~docv:"N" ~doc))
-
-let batch =
-  let doc =
-    "Vectors per domain-pool chunk in multi-vector fault screening (default: 16). Results are \
-     identical for every value; only wall-clock time changes."
-  in
-  Term.(
-    const (Option.iter Tvs_fault.Fault_sim.set_default_batch)
-    $ Arg.(
-        value
-        & opt (some (int_conv ~docv:"N" check_batch)) None
-        & info [ "batch" ] ~env:(Cmd.Env.info "TVS_BATCH") ~docv:"N" ~doc))
 
 (* The handle is installed process-wide so every [run_flow] a command
    triggers sees it. *)

@@ -63,9 +63,6 @@ val check_table : int -> (int, string) result
 val check_jobs : int -> (int, string) result
 (** Fan-out width for the fault-simulation domain pool: at least 1. *)
 
-val check_batch : int -> (int, string) result
-(** Vector-batch size for multi-vector screening: at least 1. *)
-
 val check_scale : float -> (float, string) result
 (** Profile scale factor: must lie in (0, 1]. Values above 1 would blow up
     synthetic profiles past their reference sizes, and non-positive values
@@ -106,10 +103,6 @@ val scale : float option Cmdliner.Term.t
 val jobs : unit Cmdliner.Term.t
 (** [--jobs N] / [-j N] / [TVS_JOBS]: installs
     {!Tvs_util.Pool.set_default_jobs}. Absent: nothing is installed. *)
-
-val batch : unit Cmdliner.Term.t
-(** [--batch N] / [TVS_BATCH]: installs
-    {!Tvs_fault.Fault_sim.set_default_batch}. *)
 
 val cache : unit Cmdliner.Term.t
 (** [--cache DIR]: opens the result cache and installs it with

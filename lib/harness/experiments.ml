@@ -38,9 +38,9 @@ type run_summary = {
    [baseline_detection] consults it. Keys are content digests of the inputs
    that determine the result — circuit structure plus engine configuration
    plus the label that seeds the RNG — so a changed netlist or option can
-   never replay a stale row, while [jobs] and [batch] (results are
-   invariant to both) and the host are free to differ between the writing
-   and the reading run. *)
+   never replay a stale row, while [--jobs] (results are invariant to it)
+   and the host are free to differ between the writing and the reading
+   run. *)
 
 let active_cache : Cache.t option ref = ref None
 let set_cache c = active_cache := c
@@ -592,11 +592,11 @@ let ablations ?(scale = 1.0) ?(circuit = "s953") () =
      over 1/2/4/N domains. Results are bit-identical at every width; only
      the wall clock moves. *)
   let jobs_sweep = List.sort_uniq compare [ 1; 2; 4; Tvs_util.Pool.default_jobs () ] in
-  let screen_time j b =
-    let sim = Fault_sim.create ~jobs:j ~batch:b c in
+  let screen_time j =
+    let sim = Fault_sim.create ~jobs:j c in
     snd (time_it (fun () -> ignore (Fault_sim.detected_matrix sim ~vectors:vec_pairs faults)))
   in
-  let scaling = List.map (fun j -> (j, screen_time j 1)) jobs_sweep in
+  let scaling = List.map (fun j -> (j, screen_time j)) jobs_sweep in
   let base_time = List.assoc 1 scaling in
   Buffer.add_string buf "  domain-pool scaling (wall clock):";
   List.iter
@@ -605,17 +605,6 @@ let ablations ?(scale = 1.0) ?(circuit = "s953") () =
         (Printf.sprintf " jobs=%d %.3fs (%.2fx)" j tm
            (if tm > 0.0 then base_time /. tm else nan)))
     scaling;
-  Buffer.add_char buf '\n';
-  (* 1c. Vector-batch size under the widest pool of the sweep: how coarse
-     the vector axis can get before slots idle. Results are identical at
-     every (jobs, batch); only the wall clock moves. *)
-  let widest = List.fold_left max 1 jobs_sweep in
-  let batch_sweep = [ 1; 4; 16 ] in
-  let batch_scaling = List.map (fun b -> (b, screen_time widest b)) batch_sweep in
-  Buffer.add_string buf (Printf.sprintf "  vector-batch scaling (jobs=%d):" widest);
-  List.iter
-    (fun (b, tm) -> Buffer.add_string buf (Printf.sprintf " batch=%d %.3fs" b tm))
-    batch_scaling;
   Buffer.add_char buf '\n';
   (* 2. SCOAP-guided vs naive PODEM backtrace. *)
   let gen_with ~guided ~dropping label =

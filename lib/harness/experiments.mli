@@ -51,8 +51,7 @@ val config_for :
   ?preflight:bool ->
   Prep.t ->
   Tvs_core.Engine.config
-(** The exact engine configuration {!run_flow} would run with. Its [jobs]
-    and [batch] are unset, so the process-wide defaults apply. *)
+(** The exact engine configuration {!run_flow} would run with. *)
 
 val run_key :
   ?scheme:Tvs_scan.Xor_scheme.t ->
@@ -107,9 +106,8 @@ val run_flow :
   run_summary
 (** One stitched run on a prepared circuit, defaults: NXOR, variable shift,
     most-faults selection. Fault simulation fans out at
-    {!Tvs_util.Pool.default_jobs} with batches of
-    {!Tvs_fault.Fault_sim.default_batch}; the summary is bit-identical for
-    every value of either. [preflight] (default off) aborts with [Failure] on
+    {!Tvs_util.Pool.default_jobs}; the summary is bit-identical for every
+    value. [preflight] (default off) aborts with [Failure] on
     error-severity lint findings before the engine starts; it never changes
     the results of a run that passes, so cache keys and checkpoint digests
     ignore it. Exposed for the examples and the CLI.
@@ -156,9 +154,8 @@ val faultsim_work : since:Tvs_fault.Fault_sim.counters -> string
 val ablations : ?scale:float -> ?circuit:string -> unit -> string
 (** The DESIGN.md §6 design-choice ablations: parallel vs serial fault
     simulation, domain-pool scaling at 1/2/4/{!Tvs_util.Pool.default_jobs}
-    domains (wall clock), vector-batch size
-    scaling at the widest pool of the sweep, SCOAP-guided vs naive
-    backtrace, fault dropping on/off, collapsing on/off. *)
+    domains (wall clock), SCOAP-guided vs naive backtrace, fault dropping
+    on/off, collapsing on/off. *)
 
 val misr_study : ?scale:float -> ?circuit:string -> unit -> string
 (** Quantifies the paper's "no MISR, no aliasing" motivation: compacts every

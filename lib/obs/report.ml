@@ -195,10 +195,8 @@ let of_json s =
   | Ok v -> (
       try
         let version = as_int "schema_version" (get "schema_version" v) in
-        (* v1 reports (no [tpi] section) stay parseable — the accumulated
-           BENCH_*.json trajectory must not go stale on a schema bump. *)
-        if version < 1 || version > schema_version then
-          fail "schema_version %d unsupported (expected 1..%d)" version schema_version;
+        if version <> schema_version then
+          fail "schema_version %d unsupported (expected %d)" version schema_version;
         (match as_string "tool" (get "tool" v) with
         | "tvs-bench" -> ()
         | t -> fail "tool %S unsupported" t);
@@ -210,52 +208,44 @@ let of_json s =
             git_rev = as_opt as_string "git_rev" (get "git_rev" v);
             runs = List.map run_of_json (as_list "runs" (get "runs" v));
             tpi =
-              (if version < 2 then []
-               else
-                 List.map
-                   (fun e ->
-                     let caught = as_int "caught" (get "caught" e) in
-                     let converted_faults =
-                       as_int "converted_faults" (get "converted_faults" e)
-                     in
-                     if caught < 0 || converted_faults < 0 || caught > converted_faults then
-                       fail "tpi entry: caught %d out of range (converted_faults %d)" caught
-                         converted_faults;
-                     {
-                       tpi_circuit = as_string "circuit" (get "circuit" e);
-                       points = as_int "points" (get "points" e);
-                       converted_faults;
-                       caught;
-                       d_coverage = as_number "d_coverage" (get "d_coverage" e);
-                       dm = as_number "dm" (get "dm" e);
-                       dt = as_number "dt" (get "dt" e);
-                     })
-                   (as_list "tpi" (get "tpi" v)));
+              List.map
+                (fun e ->
+                  let caught = as_int "caught" (get "caught" e) in
+                  let converted_faults = as_int "converted_faults" (get "converted_faults" e) in
+                  if caught < 0 || converted_faults < 0 || caught > converted_faults then
+                    fail "tpi entry: caught %d out of range (converted_faults %d)" caught
+                      converted_faults;
+                  {
+                    tpi_circuit = as_string "circuit" (get "circuit" e);
+                    points = as_int "points" (get "points" e);
+                    converted_faults;
+                    caught;
+                    d_coverage = as_number "d_coverage" (get "d_coverage" e);
+                    dm = as_number "dm" (get "dm" e);
+                    dt = as_number "dt" (get "dt" e);
+                  })
+                (as_list "tpi" (get "tpi" v));
             cec =
-              (* the [cec] section arrived with v3; older reports simply
-                 have none *)
-              (if version < 3 then []
-               else
-                 List.map
-                   (fun e ->
-                     let verdict = as_string "verdict" (get "verdict" e) in
-                     if not (List.mem verdict verdict_vocabulary) then
-                       fail "cec entry: unknown verdict %S (expected %s)" verdict
-                         (String.concat "/" verdict_vocabulary);
-                     let non_negative field =
-                       let n = as_int field (get field e) in
-                       if n < 0 then fail "cec entry: %S must be non-negative, got %d" field n;
-                       n
-                     in
-                     {
-                       cec_circuit = as_string "circuit" (get "circuit" e);
-                       transform = as_string "transform" (get "transform" e);
-                       verdict;
-                       points = non_negative "points";
-                       sat_calls = non_negative "sat_calls";
-                       decisions = non_negative "decisions";
-                     })
-                   (as_list "cec" (get "cec" v)));
+              List.map
+                (fun e ->
+                  let verdict = as_string "verdict" (get "verdict" e) in
+                  if not (List.mem verdict verdict_vocabulary) then
+                    fail "cec entry: unknown verdict %S (expected %s)" verdict
+                      (String.concat "/" verdict_vocabulary);
+                  let non_negative field =
+                    let n = as_int field (get field e) in
+                    if n < 0 then fail "cec entry: %S must be non-negative, got %d" field n;
+                    n
+                  in
+                  {
+                    cec_circuit = as_string "circuit" (get "circuit" e);
+                    transform = as_string "transform" (get "transform" e);
+                    verdict;
+                    points = non_negative "points";
+                    sat_calls = non_negative "sat_calls";
+                    decisions = non_negative "decisions";
+                  })
+                (as_list "cec" (get "cec" v));
             metrics =
               List.map (fun (k, m) -> (k, metric_of_json k m)) (as_obj "metrics" (get "metrics" v));
           }

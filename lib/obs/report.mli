@@ -3,15 +3,14 @@
     One report captures a bench invocation: which artifacts ran, how long
     each took, Bechamel ns/run estimates where available, the merged
     {!Metrics} snapshot, and provenance (git revision, jobs, scale). The
-    JSON schema is versioned so the accumulated [BENCH_*.json] trajectory
-    stays parseable as it grows; {!of_json} doubles as the validator. The
+    JSON schema is versioned; {!of_json} doubles as the validator. The
     [metrics] section contains only stable metrics, so it is bit-identical
     across [--jobs] values. *)
 
 val schema_version : int
 (** Currently 3: v2 added the [tpi] section (test-point-insertion studies
     run by the bench), v3 the [cec] section (equivalence-checker gates).
-    Earlier versions still parse — the missing sections read as empty. *)
+    Only the current version parses. *)
 
 type bench = { name : string; ns_per_run : float }
 (** One Bechamel estimate (micro artifacts only). *)
@@ -32,7 +31,7 @@ type tpi_entry = {
   dm : float;  (** memory-ratio delta *)
   dt : float;  (** test-time-ratio delta *)
 }
-(** One `tvs tpi` study, summarized for the bench trajectory. The [tpi_]
+(** One `tvs tpi` study, summarized for the bench report. The [tpi_]
     prefix on [tpi_circuit] avoids clashing with {!run.circuit}; the JSON
     field is plain ["circuit"]. *)
 
@@ -68,8 +67,9 @@ val make :
 val to_json : t -> string
 
 val of_json : string -> (t, string) result
-(** Parse and validate: schema version, field presence and types, metric
-    kinds, histogram shape. The error message names the offending field. *)
+(** Parse and validate: schema version (exactly {!schema_version}), field
+    presence and types, metric kinds, histogram shape. The error message
+    names the offending field. *)
 
 val validate : string -> (unit, string) result
 (** [of_json] with the result discarded — the CI gate. *)

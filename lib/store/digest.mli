@@ -30,9 +30,9 @@ val circuit : Tvs_netlist.Circuit.t -> t
 
 val config : config:Tvs_core.Engine.config -> label:string -> t
 (** Digest of every engine-configuration field that affects results, plus the
-    experiment label (which seeds the engine RNG). [jobs] is deliberately
-    excluded: results are bit-identical for every fan-out width, so cached
-    results are shared across it. *)
+    experiment label (which seeds the engine RNG). [preflight] is
+    deliberately excluded: it never changes the result of a run that passes
+    it, so cached results are shared across it. *)
 
 val encode : Tvs_util.Wire.writer -> t -> unit
 val decode : Tvs_util.Wire.reader -> t

@@ -1,8 +1,8 @@
 (* Environment knobs with misconfiguration reporting. A deployment that sets
-   TVS_JOBS or TVS_BATCH to garbage used to run silently at the default
-   parallelism; now every unparseable value is reported once per distinct
-   value on stderr and through an installable hook (tvs_obs routes it into a
-   metrics counter), while the knob still falls back to its default. *)
+   TVS_JOBS to garbage used to run silently at the default parallelism; now
+   every unparseable value is reported once per distinct value on stderr and
+   through an installable hook (tvs_obs routes it into a metrics counter),
+   while the knob still falls back to its default. *)
 
 let mutex = Mutex.create ()
 

@@ -224,8 +224,14 @@ let qcheck_verdict_matches_simulation =
 let test_jobs_invariant () =
   let left = load "s444" in
   let right = (Scan_insert.insert left).Scan_insert.circuit in
-  let r1 = Cec.check ~jobs:1 left right in
-  let r4 = Cec.check ~jobs:4 left right in
+  let check jobs =
+    let before = Tvs_util.Pool.default_jobs () in
+    Tvs_util.Pool.set_default_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Tvs_util.Pool.set_default_jobs before)
+      (fun () -> Cec.check left right)
+  in
+  let r1 = check 1 and r4 = check 4 in
   Alcotest.(check string) "json byte-identical across jobs" (Cec.to_json_string r1)
     (Cec.to_json_string r4);
   Alcotest.(check string) "ascii byte-identical across jobs" (Cec.to_ascii r1)

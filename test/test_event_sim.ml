@@ -258,7 +258,8 @@ let test_counters_merge_across_jobs () =
 let random_vectors rng c n = Array.init n (fun _ -> random_stimulus rng c)
 
 (* 6. detected_matrix's contract: row [v] equals a detected_faults screen of
-   vector [v]. *)
+   vector [v]. Up to 41 vectors span three 16-vector batches, so a row
+   merged into the wrong place fails here at any jobs value. *)
 let qcheck_matrix_equals_per_vector =
   QCheck.Test.make ~name:"detected_matrix rows equal detected_faults" ~count:25
     QCheck.(pair (int_range 0 32) small_int)
@@ -266,7 +267,7 @@ let qcheck_matrix_equals_per_vector =
       let c = tiny_circuit i in
       let rng = Rng.create (Int64.of_int seed) in
       let faults = random_faults rng c in
-      let vectors = random_vectors rng c (1 + Rng.int rng 9) in
+      let vectors = random_vectors rng c (1 + Rng.int rng 41) in
       let sim = Fault_sim.create c in
       let matrix = Fault_sim.detected_matrix sim ~vectors faults in
       Array.length matrix = Array.length vectors
@@ -274,24 +275,20 @@ let qcheck_matrix_equals_per_vector =
            (fun row (pi, state) -> row = Fault_sim.detected_faults sim ~pi ~state faults)
            matrix vectors)
 
-(* 7. The batch knob, like jobs, is a pure scheduling choice: every
-   (jobs, batch) combination returns the byte-identical matrix. batch=3
-   leaves a ragged final batch; batch=16 swallows the set whole. *)
-let qcheck_batch_and_jobs_invariance =
-  QCheck.Test.make ~name:"batch=1 equals batch=16 across jobs" ~count:15
+(* 7. The pool's vector-batch axis is a pure scheduling choice: every jobs
+   value returns the byte-identical matrix. 17 to 40 vectors span two or
+   three batches of 16, the last one ragged. *)
+let qcheck_matrix_jobs_invariance =
+  QCheck.Test.make ~name:"jobs=1 equals jobs=2,4 across batches" ~count:15
     QCheck.(pair (int_range 0 24) small_int)
     (fun (i, seed) ->
       let c = tiny_circuit i in
       let rng = Rng.create (Int64.of_int seed) in
       let faults = random_faults rng c in
-      let vectors = random_vectors rng c (2 + Rng.int rng 14) in
-      let screen jobs batch =
-        Fault_sim.detected_matrix (Fault_sim.create ~jobs ~batch c) ~vectors faults
-      in
-      let base = screen 1 1 in
-      List.for_all
-        (fun (jobs, batch) -> screen jobs batch = base)
-        [ (1, 16); (4, 1); (4, 3); (2, 16) ])
+      let vectors = random_vectors rng c (17 + Rng.int rng 24) in
+      let screen jobs = Fault_sim.detected_matrix (Fault_sim.create ~jobs c) ~vectors faults in
+      let base = screen 1 in
+      List.for_all (fun jobs -> screen jobs = base) [ 2; 4 ])
 
 let test_matrix_empty_vectors () =
   let c = tiny_circuit 3 in
@@ -301,30 +298,31 @@ let test_matrix_empty_vectors () =
     "no vectors, no rows" 0
     (Array.length (Fault_sim.detected_matrix sim ~vectors:[||] faults))
 
-(* 8. Work counters are batch- and jobs-invariant: per-vector work is fixed,
-   shards merge by summation, and the batch axis only regroups it. *)
-let test_counters_merge_across_batch () =
+(* 8. Work counters are jobs-invariant across batches: per-vector work is
+   fixed, shards merge by summation, and 37 vectors make three batches of
+   16 (the last ragged) that the pool can deal out to different slots. *)
+let test_counters_merge_across_batches () =
   let c = Synth.generate_named "s444" in
   let faults = Fault_gen.collapsed c in
   let rng = Rng.create 7L in
-  let vectors = Array.init 11 (fun _ -> random_stimulus rng c) in
-  let tally jobs batch =
-    let sim = Fault_sim.create ~jobs ~batch c in
+  let vectors = Array.init 37 (fun _ -> random_stimulus rng c) in
+  let tally jobs =
+    let sim = Fault_sim.create ~jobs c in
     reset_counters ();
     let matrix = Fault_sim.detected_matrix sim ~vectors faults in
     (matrix, Fault_sim.counters ())
   in
-  let matrix1, ctr1 = tally 1 1 in
+  let matrix1, ctr1 = tally 1 in
   List.iter
-    (fun (jobs, batch) ->
-      let matrixj, ctrj = tally jobs batch in
+    (fun jobs ->
+      let matrixj, ctrj = tally jobs in
       Alcotest.(check bool)
-        (Printf.sprintf "matrix identical at jobs=%d batch=%d" jobs batch)
+        (Printf.sprintf "matrix identical at jobs=%d" jobs)
         true (matrix1 = matrixj);
       Alcotest.(check bool)
-        (Printf.sprintf "counters identical at jobs=%d batch=%d" jobs batch)
+        (Printf.sprintf "counters identical at jobs=%d" jobs)
         true (ctr1 = ctrj))
-    [ (1, 16); (2, 4); (4, 1); (4, 16) ];
+    [ 2; 4 ];
   reset_counters ()
 
 (* --- cone index -------------------------------------------------------- *)
@@ -515,10 +513,10 @@ let () =
       ( "matrix",
         [
           QCheck_alcotest.to_alcotest qcheck_matrix_equals_per_vector;
-          QCheck_alcotest.to_alcotest qcheck_batch_and_jobs_invariance;
+          QCheck_alcotest.to_alcotest qcheck_matrix_jobs_invariance;
           Alcotest.test_case "empty vector set" `Quick test_matrix_empty_vectors;
-          Alcotest.test_case "counters merge identically across batch" `Quick
-            test_counters_merge_across_batch;
+          Alcotest.test_case "counters merge identically across batches" `Quick
+            test_counters_merge_across_batches;
         ] );
       ( "cones",
         [

@@ -210,50 +210,6 @@ let qcheck_same_means_same =
           | Fault_sim.Po_detected | Fault_sim.Capture_differs _ -> serial)
         (Array.init (Array.length faults) (fun i -> i)))
 
-(* --- coverage --------------------------------------------------------- *)
-
-module Coverage = Tvs_fault.Coverage
-
-let test_coverage_arithmetic () =
-  let c = Coverage.make ~total:100 ~detected:90 ~redundant:5 ~aborted:2 in
-  Alcotest.(check (float 0.0001)) "fault coverage" (90.0 /. 95.0) (Coverage.fault_coverage c);
-  Alcotest.(check (float 0.0001)) "effectiveness" 0.95 (Coverage.atpg_effectiveness c);
-  Alcotest.(check int) "undetected" 5 (Coverage.undetected c)
-
-let test_coverage_edge_cases () =
-  let empty = Coverage.make ~total:0 ~detected:0 ~redundant:0 ~aborted:0 in
-  Alcotest.(check (float 0.0001)) "empty universe" 1.0 (Coverage.fault_coverage empty);
-  Alcotest.(check bool) "overflow rejected" true
-    (try
-       ignore (Coverage.make ~total:3 ~detected:2 ~redundant:2 ~aborted:0);
-       false
-     with Invalid_argument _ -> true)
-
-let test_coverage_merge () =
-  let a = Coverage.make ~total:10 ~detected:8 ~redundant:1 ~aborted:0 in
-  let b = Coverage.make ~total:20 ~detected:15 ~redundant:0 ~aborted:2 in
-  let m = Coverage.merge a b in
-  Alcotest.(check int) "totals add" 30 m.Coverage.total;
-  Alcotest.(check (float 0.0001)) "coverage recomputed" (23.0 /. 29.0) (Coverage.fault_coverage m)
-
-let test_coverage_of_flags () =
-  let c = Coverage.of_flags ~detected:[| true; false; true; true |] ~redundant:1 ~aborted:0 in
-  Alcotest.(check int) "detected counted" 3 c.Coverage.detected;
-  Alcotest.(check (float 0.0001)) "coverage" 1.0 (Coverage.fault_coverage c)
-
-(* Regression: a malformed TVS_BATCH used to fall back to 16 silently; it
-   must still fall back, but with a warning through Tvs_util.Env. *)
-let test_default_batch_env () =
-  let before = Tvs_util.Env.warning_count () in
-  Unix.putenv "TVS_BATCH" "lots";
-  Alcotest.(check int) "bad TVS_BATCH falls back to 16" 16 (Fault_sim.default_batch ());
-  Alcotest.(check int) "and warns" (before + 1) (Tvs_util.Env.warning_count ());
-  Alcotest.(check int) "re-read stays quiet" 16 (Fault_sim.default_batch ());
-  Alcotest.(check int) "no duplicate warning" (before + 1) (Tvs_util.Env.warning_count ());
-  Unix.putenv "TVS_BATCH" "8";
-  Alcotest.(check int) "valid TVS_BATCH wins" 8 (Fault_sim.default_batch ());
-  Unix.putenv "TVS_BATCH" "16"
-
 let () =
   Alcotest.run "fault"
     [
@@ -271,13 +227,6 @@ let () =
           Alcotest.test_case "no merge through a PO" `Quick test_collapse_no_merge_through_po;
           Alcotest.test_case "detection-equivalence sanity" `Quick test_collapse_detection_equivalent;
         ] );
-      ( "coverage",
-        [
-          Alcotest.test_case "arithmetic" `Quick test_coverage_arithmetic;
-          Alcotest.test_case "edge cases" `Quick test_coverage_edge_cases;
-          Alcotest.test_case "merge" `Quick test_coverage_merge;
-          Alcotest.test_case "of_flags" `Quick test_coverage_of_flags;
-        ] );
       ( "simulation",
         [
           Alcotest.test_case "fig1 outcomes" `Quick test_outcomes_fig1;
@@ -287,5 +236,4 @@ let () =
           Alcotest.test_case "per-state length check" `Quick test_per_state_length_check;
           QCheck_alcotest.to_alcotest qcheck_same_means_same;
         ] );
-      ("knobs", [ Alcotest.test_case "TVS_BATCH misconfiguration" `Quick test_default_batch_env ]);
     ]

@@ -226,9 +226,6 @@ let test_cli_table_and_jobs_bounds () =
   Alcotest.(check bool) "jobs 1 ok" true (Cli.check_jobs 1 = Ok 1);
   Alcotest.(check bool) "jobs 8 ok" true (Cli.check_jobs 8 = Ok 8);
   Alcotest.(check bool) "jobs 0 rejected" true (Result.is_error (Cli.check_jobs 0));
-  Alcotest.(check bool) "batch 1 ok" true (Cli.check_batch 1 = Ok 1);
-  Alcotest.(check bool) "batch 16 ok" true (Cli.check_batch 16 = Ok 16);
-  Alcotest.(check bool) "batch 0 rejected" true (Result.is_error (Cli.check_batch 0));
   Alcotest.(check bool) "scale 1.0 ok" true (Cli.check_scale 1.0 = Ok 1.0);
   Alcotest.(check bool) "scale 0.25 ok" true (Cli.check_scale 0.25 = Ok 0.25);
   List.iter

@@ -163,8 +163,8 @@ let test_digest_circuit () =
 let test_digest_config () =
   let base = Engine.default_config ~chain_len:9 in
   let d = Digest.config ~config:base ~label:"a" in
-  Alcotest.(check bool) "jobs excluded" true
-    (Digest.equal d (Digest.config ~config:{ base with Engine.jobs = Some 7 } ~label:"a"));
+  Alcotest.(check bool) "preflight excluded" true
+    (Digest.equal d (Digest.config ~config:{ base with Engine.preflight = true } ~label:"a"));
   Alcotest.(check bool) "label included" false
     (Digest.equal d (Digest.config ~config:base ~label:"b"));
   Alcotest.(check bool) "scheme included" false

@@ -385,22 +385,23 @@ let test_report_schema_bump () =
   | Ok r ->
       Alcotest.(check bool) "tpi section survives" true (r.Report.tpi = [ entry ]);
       Alcotest.(check bool) "cec section survives" true (r.Report.cec = [ cec_entry ]));
-  (* A v1 document (no tpi or cec member) still parses, with empty sections. *)
-  let v1 =
-    {|{"schema_version":1,"tool":"tvs-bench","scale":null,"jobs":1,"git_rev":null,"runs":[],"metrics":{}}|}
-  in
-  (match Report.of_json v1 with
-  | Error m -> Alcotest.failf "v1 report rejected: %s" m
-  | Ok r ->
-      Alcotest.(check bool) "v1 parses with empty tpi" true (r.Report.tpi = []);
-      Alcotest.(check bool) "v1 parses with empty cec" true (r.Report.cec = []));
-  (* A v2 document (tpi but no cec member) parses with an empty cec section. *)
-  let v2 =
-    {|{"schema_version":2,"tool":"tvs-bench","scale":null,"jobs":1,"git_rev":null,"runs":[],"tpi":[],"metrics":{}}|}
-  in
-  (match Report.of_json v2 with
-  | Error m -> Alcotest.failf "v2 report rejected: %s" m
-  | Ok r -> Alcotest.(check bool) "v2 parses with empty cec" true (r.Report.cec = []));
+  (* Only the current schema parses: a v1 document (no tpi or cec member)
+     and a v2 document (tpi but no cec member) are rejected by version. *)
+  List.iter
+    (fun (label, doc) ->
+      match Report.of_json doc with
+      | Ok _ -> Alcotest.failf "%s report accepted" label
+      | Error m ->
+          Alcotest.(check bool) (label ^ " rejected by schema_version") true
+            (String.starts_with ~prefix:"schema_version" m))
+    [
+      ( "v1",
+        {|{"schema_version":1,"tool":"tvs-bench","scale":null,"jobs":1,"git_rev":null,"runs":[],"metrics":{}}|}
+      );
+      ( "v2",
+        {|{"schema_version":2,"tool":"tvs-bench","scale":null,"jobs":1,"git_rev":null,"runs":[],"tpi":[],"metrics":{}}|}
+      );
+    ];
   (* An out-of-range caught count is invalid, and so is a bad verdict. *)
   (let bad = Report.to_json { report with Report.tpi = [ { entry with Report.caught = 3 } ] } in
    match Report.of_json bad with
