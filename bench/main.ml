@@ -115,8 +115,9 @@ let micro_tests () =
            ignore
              (Tvs_fault.Fault_sim.detected_faults s444_sim ~pi:s444_vec.Tvs_atpg.Cube.pi
                 ~state:s444_vec.Tvs_atpg.Cube.scan s444_faults)));
-    (* The multi-vector screen behind candidate scoring: 16 vectors in one
-       call, so cone setup and injection tables amortize across the batch. *)
+    (* The multi-vector screen behind baseline grading: 16 vectors in one
+       call share one packed fault-free sweep and one root flip per
+       fanout-free region. *)
     Test.make ~name:"table5/faultsim-matrix"
       (Staged.stage (fun () ->
            ignore (Tvs_fault.Fault_sim.detected_matrix s444_sim ~vectors:s444_vecs s444_faults)));

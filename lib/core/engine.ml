@@ -98,12 +98,13 @@ let wanted_candidates = function
    candidate's vector differentiates, estimated on a fixed random sample of
    f_u (full classification per candidate would dominate the runtime on big
    circuits); [Weighted] sums SCOAP hardness instead of counting. All
-   candidates are screened in one [detected_matrix] call, so the cone order
-   and injection tables are built once per cycle and the pool's vector-batch
-   axis applies. A fault counts as differentiated iff its detection flag is
-   set — exactly the [outcome <> Same] criterion of per-candidate scoring,
-   so the scores (and therefore the selected candidate and every downstream
-   byte) are unchanged. *)
+   candidates are screened in one [detected_matrix] call: two or more
+   candidates share one packed fault-free sweep and one root flip per
+   fanout-free region, and a lone candidate is screened fault-parallel. A
+   fault counts as differentiated iff its detection flag is set — exactly
+   the [outcome <> Same] criterion of per-candidate scoring, so the scores
+   (and therefore the selected candidate and every downstream byte) are
+   unchanged. *)
 let sample_size = 512
 
 let score_candidates ~sim ~machine ~hardness selection ~sample candidates =

@@ -1,5 +1,6 @@
 module Event = Tvs_sim.Event
 module Lanes = Tvs_sim.Lanes
+module Soa = Tvs_sim.Soa
 module Circuit = Tvs_netlist.Circuit
 module Pool = Tvs_util.Pool
 module Metrics = Tvs_obs.Metrics
@@ -279,6 +280,14 @@ let run_batch t ~pi ~state ~faults =
 let run_per_state t ~pi ~good_state ~faults ~states =
   if Array.length states <> Array.length faults then
     invalid_arg "Fault_sim.run_per_state: states length mismatch";
+  let nflops = Circuit.num_flops (circuit t) in
+  Array.iteri
+    (fun i st ->
+      if Array.length st <> nflops then
+        invalid_arg
+          (Printf.sprintf "Fault_sim.run_per_state: states.(%d) has %d bits, the circuit %d flops" i
+             (Array.length st) nflops))
+    states;
   Metrics.incr m_batches;
   Trace.with_span "faultsim.run_per_state"
     ~args:[ ("faults", string_of_int (Array.length faults)) ]
@@ -321,11 +330,7 @@ let scatter_diff p ~n flags ci diff =
 (* Detection flags don't need the per-fault faulty-capture payloads that
    [outcomes_of_run] materializes, so the screening entry points read the
    lane difference masks directly. *)
-let detected_faults t ~pi ~state faults =
-  Metrics.incr m_batches;
-  Trace.with_span "faultsim.detected_faults"
-    ~args:[ ("faults", string_of_int (Array.length faults)) ]
-  @@ fun () ->
+let detect t ~pi ~state faults =
   let n = Array.length faults in
   let flags = Array.make n false in
   let p = prepare t faults in
@@ -336,18 +341,161 @@ let detected_faults t ~pi ~state faults =
          Event.run_diff ev ~plan:p.plans.(ci) ~used:(Lanes.mask (len + 1)) ()));
   flags
 
-(* Vectors per pool chunk in multi-vector screening. Sizes 1, 4 and 16
-   measured within noise of each other, so the size is fixed. *)
-let vector_batch = 16
+let detected_faults t ~pi ~state faults =
+  Metrics.incr m_batches;
+  Trace.with_span "faultsim.detected_faults"
+    ~args:[ ("faults", string_of_int (Array.length faults)) ]
+  @@ fun () -> detect t ~pi ~state faults
 
-(* Multi-vector screening. The pool axis here is *vector batches* of
-   [vector_batch] vectors, not 62-fault chunks: one pool submission covers
-   the whole vector set, the cone order and injection plans are built once
-   and shared read-only, and each vector's full stimulus pass is private to
-   the slot that screens it (no baseline adoption traffic). Results are
-   keyed by batch index and every vector's work is identical no matter
-   which slot runs it, so the matrix — and the merged stable counters — are
-   byte-identical for every [jobs] setting. *)
+(* --- multi-vector screening -------------------------------------------- *)
+
+(* Below this many vectors a matrix call screens vector by vector, fault-
+   parallel like [detected_faults]: with one live lane a root flip buys no
+   lane parallelism, and nearly every root hosting a fault flips. *)
+let packed_min_vectors = 2
+
+(* Where each fault of a call meets the fanout-free-region table of
+   {!Tvs_sim.Soa}: the net whose fault-free value it overrides ([src]), its
+   stuck value as a word, and the root its effect leaves through. A stem
+   fault follows [src]'s own path to the root; a branch into a gate
+   ([gate] >= 0) enters that gate at [pin] and then follows the gate's
+   path; a branch into a flop is captured as it is and has no root
+   ([root] = -1). *)
+type sites = {
+  src : int array;
+  stuck : int array;
+  gate : int array;
+  pin : int array;
+  root : int array;
+}
+
+let sites soa (faults : Fault.t array) =
+  let c = Soa.circuit soa in
+  let nets = Circuit.num_nets c in
+  let n = Array.length faults in
+  let src = Array.make n 0 and stuck = Array.make n 0 and gate = Array.make n (-1) in
+  let pin = Array.make n 0 and root = Array.make n (-1) in
+  let bad what = invalid_arg ("Fault_sim.detected_matrix: " ^ what) in
+  Array.iteri
+    (fun i (f : Fault.t) ->
+      if f.stem < 0 || f.stem >= nets then bad "fault stem is not a net of the circuit";
+      stuck.(i) <- Lanes.broadcast f.stuck;
+      match f.branch with
+      | None ->
+          src.(i) <- f.stem;
+          root.(i) <- soa.Soa.ffr_root.(f.stem)
+      | Some (sink, p) -> (
+          if sink < 0 || sink >= nets then bad "branch sink is not a net of the circuit";
+          match Circuit.driver c sink with
+          | Circuit.Gate_node (_, ins) when p >= 0 && p < Array.length ins ->
+              src.(i) <- ins.(p);
+              gate.(i) <- sink;
+              pin.(i) <- p;
+              root.(i) <- soa.Soa.ffr_root.(sink)
+          | Circuit.Flip_flop d when p = 0 -> src.(i) <- d
+          | Circuit.Gate_node _ | Circuit.Flip_flop _ | Circuit.Primary_input | Circuit.Const _ ->
+              bad "branch pin out of range"))
+    faults;
+  { src; stuck; gate; pin; root }
+
+(* One pool slot's scratch for a matrix call: each net's traced
+   observability, each root's flip mask (then its observed mask), the roots
+   of the current pack, and each fault's mask. [flip] is all zero between
+   packs. *)
+type scratch = { obs : int array; flip : int array; roots : int array; fmask : int array }
+
+let scratch ~nets ~faults =
+  {
+    obs = Array.make nets 0;
+    flip = Array.make nets 0;
+    roots = Array.make nets 0;
+    fmask = Array.make faults 0;
+  }
+
+(* Screen one pack of up to [Lanes.width] vectors, lane [k] holding vector
+   [pos + k], against every fault of [s]:
+   1. one packed fault-free sweep;
+   2. critical-path tracing on its words, which gives each fault the lanes
+      where it is activated and reaches its region's root;
+   3. one root-flip run per root some fault reaches, in exactly those
+      lanes.
+   A fault inside a region changes nothing outside it but its root, so its
+   faulty machine in such a lane is the root-flipped one, and it is
+   detected where its own mask meets its root's observed mask. *)
+let screen_pack ev sc s ~vectors ~pos ~len =
+  let soa = Event.soa ev in
+  let pack field width =
+    Array.init width (fun j ->
+        let w = ref 0 in
+        for k = 0 to len - 1 do
+          if (field vectors.(pos + k)).(j) then w := !w lor (1 lsl k)
+        done;
+        !w)
+  in
+  let c = Event.circuit ev in
+  Event.set_packed_stimulus ev ~pi:(pack fst (Circuit.num_inputs c))
+    ~state:(pack snd (Circuit.num_flops c));
+  let good = Event.good ev in
+  let used = Lanes.mask len in
+  Soa.trace_ffr soa ~good ~obs:sc.obs;
+  let n = Array.length s.src in
+  let nroots = ref 0 in
+  for i = 0 to n - 1 do
+    let act = (good.(s.src.(i)) lxor s.stuck.(i)) land used in
+    let r = s.root.(i) in
+    let m =
+      if act = 0 || r < 0 then act
+      else
+        let g = s.gate.(i) in
+        if g < 0 then act land sc.obs.(s.src.(i))
+        else act land sc.obs.(g) land Soa.pin_sens soa good g s.pin.(i)
+    in
+    sc.fmask.(i) <- m;
+    if m <> 0 && r >= 0 then begin
+      if sc.flip.(r) = 0 then begin
+        sc.roots.(!nroots) <- r;
+        incr nroots
+      end;
+      sc.flip.(r) <- sc.flip.(r) lor m
+    end
+  done;
+  let events = ref 0 and evals = ref 0 in
+  for k = 0 to !nroots - 1 do
+    let r = sc.roots.(k) in
+    sc.flip.(r) <- Event.run_flip ev ~net:r ~lanes:sc.flip.(r) ~used;
+    events := !events + Event.last_events ev;
+    evals := !evals + Event.last_evals ev
+  done;
+  let rows = Array.init len (fun _ -> Array.make n false) in
+  for i = 0 to n - 1 do
+    let m = sc.fmask.(i) in
+    if m <> 0 then begin
+      let r = s.root.(i) in
+      let hit = ref (if r < 0 then m else m land sc.flip.(r)) and k = ref 0 in
+      while !hit <> 0 do
+        if !hit land 1 = 1 then rows.(!k).(i) <- true;
+        hit := !hit lsr 1;
+        incr k
+      done
+    end
+  done;
+  for k = 0 to !nroots - 1 do
+    sc.flip.(sc.roots.(k)) <- 0
+  done;
+  Metrics.add m_events_fired !events;
+  Metrics.add m_gate_evals !evals;
+  Metrics.add m_gates_skipped ((!nroots * Event.full_evals ev) - !evals);
+  Metrics.add m_chunks !nroots;
+  rows
+
+(* Multi-vector screening. Few vectors go one by one through [detect],
+   without a span or batch of their own. Otherwise the pool axis is packs of
+   [Lanes.width] vectors: the fault sites are mapped once on the submitter
+   and shared read-only, and each pack's sweep, trace and root flips are
+   private to the slot that screens it (no baseline adoption traffic).
+   Results are keyed by pack index and every pack's work is identical no
+   matter which slot runs it, so the matrix — and the merged stable
+   counters — are byte-identical for every [jobs] setting. *)
 let detected_matrix t ~vectors faults =
   Metrics.incr m_batches;
   Trace.with_span "faultsim.detected_matrix"
@@ -357,48 +505,32 @@ let detected_matrix t ~vectors faults =
         ("faults", string_of_int (Array.length faults));
       ]
   @@ fun () ->
+  let c = circuit t in
+  Array.iter
+    (fun (pi, state) ->
+      if Array.length pi <> Circuit.num_inputs c || Array.length state <> Circuit.num_flops c then
+        invalid_arg "Fault_sim.detected_matrix: vector length mismatch")
+    vectors;
   let nvec = Array.length vectors in
-  let n = Array.length faults in
-  if nvec = 0 then [||]
+  if nvec < packed_min_vectors then Array.map (fun (pi, state) -> detect t ~pi ~state faults) vectors
   else begin
-    let nchunks = num_chunks n in
-    let p = prepare t faults in
-    let screen ev (pi, state) =
-      Event.set_stimulus ev ~pi ~state;
-      let flags = Array.make n false in
-      let events = ref 0 and evals = ref 0 in
-      for ci = 0 to nchunks - 1 do
-        let len = min chunk_size (n - (ci * chunk_size)) in
-        let diff = Event.run_diff ev ~plan:p.plans.(ci) ~used:(Lanes.mask (len + 1)) () in
-        events := !events + Event.last_events ev;
-        evals := !evals + Event.last_evals ev;
-        scatter_diff p ~n flags ci diff
-      done;
-      (* One flush per vector: shard merge is a sum, so totals match a
-         per-chunk flush exactly, for every jobs value. *)
-      Metrics.add m_events_fired !events;
-      Metrics.add m_gate_evals !evals;
-      Metrics.add m_gates_skipped ((nchunks * Event.full_evals ev) - !evals);
-      Metrics.add m_chunks nchunks;
-      flags
+    let s = sites (Event.soa t.ev) faults in
+    let npacks = (nvec + Lanes.width - 1) / Lanes.width in
+    let screen ev sc pk =
+      let pos = pk * Lanes.width in
+      screen_pack ev (Lazy.force sc) s ~vectors ~pos ~len:(min Lanes.width (nvec - pos))
     in
-    let nbatches = (nvec + vector_batch - 1) / vector_batch in
-    let screen_batch ev bi =
-      let pos = bi * vector_batch in
-      let len = min vector_batch (nvec - pos) in
-      Array.init len (fun k -> screen ev vectors.(pos + k))
-    in
+    let scratch () = lazy (scratch ~nets:(Circuit.num_nets c) ~faults:(Array.length faults)) in
     let out =
-      if t.jobs = 1 || nbatches <= 1 then Array.init nbatches (screen_batch t.ev)
+      if t.jobs = 1 || npacks <= 1 then Array.init npacks (screen t.ev (scratch ()))
       else begin
         let fo = fanout_ctx t in
-        Pool.parallel_map_chunks fo.pool ~n:nbatches (fun ~slot bi ->
-            screen_batch (Lazy.force fo.slots.(slot)) bi)
+        (* One scratch per slot, each forced by the one domain that owns
+           the slot. *)
+        let scr = Array.init (Array.length fo.slots) (fun _ -> scratch ()) in
+        Pool.parallel_map_chunks fo.pool ~n:npacks (fun ~slot pk ->
+            screen (Lazy.force fo.slots.(slot)) scr.(slot) pk)
       end
     in
-    let matrix = Array.make nvec [||] in
-    Array.iteri
-      (fun bi batch -> Array.iteri (fun k flags -> matrix.((bi * vector_batch) + k) <- flags) batch)
-      out;
-    matrix
+    Array.concat (Array.to_list out)
   end

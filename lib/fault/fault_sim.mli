@@ -1,29 +1,40 @@
 (** Batch fault simulation on top of the event-driven engine.
 
-    One engine run simulates the fault-free machine in lane 0 and up to 62
-    faulty machines in the remaining lanes; arbitrary fault batches are
-    chunked internally. Two entry points cover the stitching engine's needs:
+    Two kernels share one {!Tvs_sim.Event} engine.
+
+    {b Fault-parallel, one vector at a time.} One engine run simulates the
+    fault-free machine in lane 0 and up to 62 faulty machines in the
+    remaining lanes; arbitrary fault batches are chunked internally. The
+    fault-free machine is evaluated once per stimulus; each chunk then
+    propagates only lane events inside its fault cones, and chunks are
+    grouped so faults with overlapping cones share lanes. The stitching
+    engine's per-vector entry points all work this way:
 
     - {!run_batch}: all machines receive the same stimulus (screening the
       uncaught set against a candidate vector);
     - {!run_per_state}: each faulty machine applies its own scan state (the
       hidden-fault case, where a fault's retained response bits mutate the
-      vector it actually receives).
+      vector it actually receives);
+    - {!detected_faults}: detection flags only.
 
-    The fault-free machine is evaluated once per stimulus; each chunk then
-    propagates only lane events inside its fault cones
-    ({!Tvs_sim.Event}), and chunks are grouped so faults with overlapping
-    cones share lanes. Work done and skipped is tallied in {!counters}.
-    Property tests check every entry point against a naive bool-level
-    single-fault simulator.
+    {b Pattern-parallel, over fanout-free regions.} {!detected_matrix} packs
+    up to {!Tvs_sim.Lanes.width} vectors into one word per net, lane [k]
+    holding vector [k]. One packed fault-free sweep, critical-path tracing
+    over the {!Tvs_sim.Soa} fanout-free-region table, and one root-flip run
+    per region root that some fault reaches screen every fault against the
+    whole pack. Calls with too few vectors use the first kernel instead.
 
-    Chunks are independent, so they fan out across a {!Tvs_util.Pool}
-    domain pool when [jobs > 1]: each pool slot owns a private engine
-    context (the engine is not thread-safe), and results and counter
-    tallies are merged in chunk order, making outcomes and counters
-    bit-identical for every [jobs] value — including [jobs = 1], which never
-    touches the pool. Entry points must be called from one domain at a time
-    (the submitter). *)
+    Work done and skipped is tallied in {!counters}. Property tests check
+    every entry point against a naive bool-level single-fault simulator, and
+    {!detected_matrix} against per-fault {!Tvs_sim.Parallel.run} as well.
+
+    Chunks and packs are independent, so they fan out across a
+    {!Tvs_util.Pool} domain pool when [jobs > 1]: each pool slot owns a
+    private engine context (the engine is not thread-safe), and results and
+    counter tallies are merged in chunk or pack order, making outcomes and
+    counters bit-identical for every [jobs] value — including [jobs = 1],
+    which never touches the pool. Entry points must be called from one
+    domain at a time (the submitter). *)
 
 type outcome =
   | Same  (** response identical to the fault-free machine *)
@@ -54,7 +65,9 @@ val circuit : t -> Tvs_netlist.Circuit.t
     for callers that sample deltas (the engine per cycle, the bench
     harness). *)
 type counters = {
-  event_runs : int;  (** chunk runs of up to 62 faults ([faultsim.chunks]) *)
+  event_runs : int;
+      (** engine runs ([faultsim.chunks]): chunk runs of up to 62 faults,
+          and the root-flip runs of {!detected_matrix} *)
   events_fired : int;  (** net-value changes propagated *)
   gate_evals : int;  (** gates evaluated *)
   gates_skipped : int;  (** gate evaluations avoided vs. full passes *)
@@ -79,7 +92,9 @@ val run_per_state :
   states:bool array array ->
   batch_result
 (** [states.(i)] is the scan state fault [i]'s machine applies;
-    [Array.length states] must equal [Array.length faults]. *)
+    [Array.length states] must equal [Array.length faults], and every
+    [states.(i)] must hold one bit per flip-flop. Raises
+    [Invalid_argument] otherwise, before any simulation. *)
 
 val detects : t -> pi:bool array -> state:bool array -> Fault.t -> bool
 (** Full-observability detection (all POs and the whole captured state), the
@@ -94,10 +109,16 @@ val detected_matrix :
     against the whole fault list: row [v] equals
     [detected_faults t ~pi ~state faults] for vector [v].
 
-    This is the batched form of per-vector screening: the cone order and
-    per-chunk injection plans are built once for the entire call, and the
-    domain-pool axis is batches of 16 vectors rather than 62-fault chunks —
-    so one pool submission amortizes fan-out overhead across the whole
-    vector set. Rows are merged by batch index and each vector's work is
-    slot-independent, making the matrix byte-identical for every [jobs]
-    value. *)
+    With at least two vectors the call is pattern-parallel: per pack of up
+    to {!Tvs_sim.Lanes.width} vectors, one packed fault-free sweep, one
+    critical-path trace of every fanout-free region, and one
+    {!Tvs_sim.Event.run_flip} per region root that some fault reaches, in
+    exactly the lanes where one does. A fault is detected in the lanes
+    where it reaches its root and the flipped root is observed; a branch
+    fault into a flop wherever it is activated. The pool's unit of work is a
+    pack; each pack's work is private to the slot that runs it, so the
+    matrix and the counters are byte-identical for every [jobs] value. A
+    single vector is screened exactly as {!detected_faults} screens it.
+
+    Raises [Invalid_argument] if a vector's lengths do not match the
+    circuit, or if a fault names a net, sink or pin the circuit lacks. *)

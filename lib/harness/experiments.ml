@@ -243,9 +243,9 @@ let baseline_detection (prep : Prep.t) =
     @@ fun () ->
     let sim = Fault_sim.create prep.circuit in
     let hit = Array.make (Array.length prep.faults) false in
-    (* One matrix call over the whole baseline set: the cone order and
-       injection tables are built once, and the pool axis (when jobs > 1)
-       is vector batches. *)
+    (* One matrix call over the whole baseline set: one packed sweep and
+       one root flip per fanout-free region per 63 vectors, and the pool
+       axis (when jobs > 1) is those packs. *)
     let vectors =
       Array.map (fun (v : Cube.vector) -> (v.Cube.pi, v.Cube.scan)) prep.baseline.Baseline.vectors
     in

@@ -17,7 +17,7 @@ let h_disturbed = Metrics.histogram "sim.event.disturbed_nets"
    record only owns the mutable per-context scratch. *)
 type t = {
   soa : Soa.t;
-  good : int array;  (* broadcast fault-free value per net, set by set_stimulus *)
+  good : int array;  (* lane-packed fault-free value per net, set by set_packed_stimulus *)
   values : int array;  (* working lane-packed values; equal to [good] between runs *)
   ov : Inject.t;
   (* Per-level pending stacks, capacity = level population. *)
@@ -26,8 +26,6 @@ type t = {
   scheduled : bool array;
   touched : int array;  (* stack of nets whose value deviates from [good] *)
   mutable touched_len : int;
-  mutable good_po : bool array;
-  mutable good_capture : bool array;
   mutable stimulus_set : bool;
   mutable last_events : int;  (* net value changes in the last run *)
   mutable last_evals : int;  (* gate evaluations in the last run *)
@@ -52,8 +50,6 @@ let create ?soa circuit =
     scheduled = Array.make n false;
     touched = Array.make n 0;
     touched_len = 0;
-    good_po = [||];
-    good_capture = [||];
     stimulus_set = false;
     last_events = 0;
     last_evals = 0;
@@ -61,27 +57,31 @@ let create ?soa circuit =
 
 let circuit t = Soa.circuit t.soa
 let soa t = t.soa
+let good t = t.good
 let last_events t = t.last_events
 let last_evals t = t.last_evals
 let full_evals t = Soa.num_evals t.soa
 
-(* One full fault-free pass; every later [run] against this stimulus only
-   re-evaluates what its injections actually disturb. *)
-let set_stimulus t ~pi ~state =
-  let c = circuit t in
-  if Array.length pi <> Circuit.num_inputs c then
-    invalid_arg "Event.set_stimulus: pi length mismatch";
-  if Array.length state <> Circuit.num_flops c then
-    invalid_arg "Event.set_stimulus: state length mismatch";
-  (* Ensure no stale overrides or deviations linger from an aborted run. *)
+(* Drop any override or deviation an aborted run left behind. *)
+let reset t =
   Inject.clear t.ov;
   for k = 0 to t.touched_len - 1 do
     let net = t.touched.(k) in
     t.values.(net) <- t.good.(net)
   done;
-  t.touched_len <- 0;
-  Array.iteri (fun i net -> t.good.(net) <- Lanes.broadcast pi.(i)) (Circuit.inputs c);
-  Array.iteri (fun i net -> t.good.(net) <- Lanes.broadcast state.(i)) (Circuit.flops c);
+  t.touched_len <- 0
+
+(* One full fault-free pass over every lane at once; every later run
+   against this stimulus only re-evaluates what it actually disturbs. *)
+let set_packed_stimulus t ~pi ~state =
+  let c = circuit t in
+  if Array.length pi <> Circuit.num_inputs c then
+    invalid_arg "Event.set_stimulus: pi length mismatch";
+  if Array.length state <> Circuit.num_flops c then
+    invalid_arg "Event.set_stimulus: state length mismatch";
+  reset t;
+  Array.iteri (fun i net -> t.good.(net) <- pi.(i) land Lanes.all_mask) (Circuit.inputs c);
+  Array.iteri (fun i net -> t.good.(net) <- state.(i) land Lanes.all_mask) (Circuit.flops c);
   let soa = t.soa and good = t.good in
   let order = soa.Soa.order in
   (* Consts ride the same kernel (empty XOR fold + inversion word). *)
@@ -90,33 +90,28 @@ let set_stimulus t ~pi ~state =
     Array.unsafe_set good net (Soa.eval soa good net)
   done;
   Array.blit t.good 0 t.values 0 (Array.length t.good);
-  t.good_po <- Array.map (fun net -> t.good.(net) land 1 = 1) (Circuit.outputs c);
-  t.good_capture <- Array.map (fun d -> t.good.(d) land 1 = 1) soa.Soa.flop_d;
   t.stimulus_set <- true;
   Metrics.incr m_full_passes
 
-(* Same contract as [set_stimulus], but the fault-free pass is inherited
-   from a sibling context by blitting its baseline — O(nets) copies instead
-   of gate evaluations. This is what lets a domain pool evaluate the
-   fault-free machine once and fan chunks out to per-domain contexts. *)
+let set_stimulus t ~pi ~state =
+  set_packed_stimulus t ~pi:(Array.map Lanes.broadcast pi) ~state:(Array.map Lanes.broadcast state)
+
+(* Same contract as [set_packed_stimulus], but the fault-free pass is
+   inherited from a sibling context by blitting its baseline — O(nets)
+   copies instead of gate evaluations. This is what lets a domain pool
+   evaluate the fault-free machine once and fan chunks out to per-domain
+   contexts. *)
 let adopt_baseline t ~from =
   if not from.stimulus_set then invalid_arg "Event.adopt_baseline: source has no stimulus";
   if circuit t != circuit from then invalid_arg "Event.adopt_baseline: circuit mismatch";
-  Inject.clear t.ov;
-  for k = 0 to t.touched_len - 1 do
-    let net = t.touched.(k) in
-    t.values.(net) <- t.good.(net)
-  done;
-  t.touched_len <- 0;
+  reset t;
   Array.blit from.good 0 t.good 0 (Array.length t.good);
   Array.blit t.good 0 t.values 0 (Array.length t.good);
-  t.good_po <- Array.copy from.good_po;
-  t.good_capture <- Array.copy from.good_capture;
   t.stimulus_set <- true;
   Metrics.incr m_adoptions
 
-let good_po t = t.good_po
-let good_capture t = t.good_capture
+let good_po t = Array.map (fun net -> t.good.(net) land 1 = 1) (Circuit.outputs (circuit t))
+let good_capture t = Array.map (fun d -> t.good.(d) land 1 = 1) t.soa.Soa.flop_d
 
 (* Unchecked accesses throughout the event machinery: every index is a net
    or level drawn from the circuit's own CSR tables, and every scratch array
@@ -149,23 +144,48 @@ let touch t net v =
 
 let compile t injections = Inject.compile t.ov injections
 
-(* Shared front half of [run] and [run_diff]: install overrides, seed lane
-   deviations, and propagate level by level. Leaves the disturbed values, the
-   touched stack and the installed overrides in place for the caller to read;
-   the caller must undo the overrides with [Inject.clear_plan] before
-   [finish]. All validation happens before the install so no exception can
-   leave overrides dangling. *)
-let propagate t ?states ~(plan : Inject.plan) () =
+(* Evaluate every scheduled gate, level by level: a gate's fanins are all
+   at strictly lower levels, so each pending gate is evaluated exactly once
+   per run. *)
+let settle t =
+  let soa = t.soa in
+  for lvl = 0 to soa.Soa.depth do
+    let pending = t.bucket.(lvl) in
+    (* [touch] only schedules at higher levels, so this length is final. *)
+    let len = t.bucket_len.(lvl) in
+    for k = 0 to len - 1 do
+      let net = pending.(k) in
+      t.scheduled.(net) <- false;
+      t.last_evals <- t.last_evals + 1;
+      let v =
+        if Inject.sink_flagged t.ov net then Soa.eval_inject soa t.ov t.values net
+        else Soa.eval soa t.values net
+      in
+      touch t net (Inject.apply_stem t.ov net v)
+    done;
+    t.bucket_len.(lvl) <- 0
+  done
+
+let start_run t =
   if not t.stimulus_set then invalid_arg "Event.run: set_stimulus first";
+  t.last_events <- 0;
+  t.last_evals <- 0
+
+(* Shared front half of [run] and [run_diff]: install overrides, seed lane
+   deviations, and settle. Leaves the disturbed values, the touched stack
+   and the installed overrides in place for the caller to read; the caller
+   must undo the overrides with [Inject.clear_plan] before [finish]. All
+   validation happens before the install so no exception can leave
+   overrides dangling. *)
+let propagate t ?states ~(plan : Inject.plan) () =
+  start_run t;
   let c = circuit t in
   (match states with
   | Some words when Array.length words <> Circuit.num_flops c ->
       invalid_arg "Event.run: states length mismatch"
   | Some _ | None -> ());
-  t.last_events <- 0;
-  t.last_evals <- 0;
   Inject.install_plan t.ov plan;
-  (* Seed 1: per-lane scan states deviating from the broadcast baseline. *)
+  (* Seed 1: per-lane scan states deviating from the baseline. *)
   (match states with
   | None -> ()
   | Some words ->
@@ -184,24 +204,7 @@ let propagate t ?states ~(plan : Inject.plan) () =
   Array.iter
     (fun sink -> if soa.Soa.is_gate.(sink) then schedule t sink)
     plan.Inject.branch_sinks;
-  (* Propagate level by level: a gate's fanins are all at strictly lower
-     levels, so each pending gate is evaluated exactly once per run. *)
-  for lvl = 0 to soa.Soa.depth do
-    let pending = t.bucket.(lvl) in
-    (* [touch] only schedules at higher levels, so this length is final. *)
-    let len = t.bucket_len.(lvl) in
-    for k = 0 to len - 1 do
-      let net = pending.(k) in
-      t.scheduled.(net) <- false;
-      t.last_evals <- t.last_evals + 1;
-      let v =
-        if Inject.sink_flagged t.ov net then Soa.eval_inject soa t.ov t.values net
-        else Soa.eval soa t.values net
-      in
-      touch t net (Inject.apply_stem t.ov net v)
-    done;
-    t.bucket_len.(lvl) <- 0
-  done
+  settle t
 
 (* Shared back half: record work metrics and roll the working values back to
    the baseline for the next run. *)
@@ -230,20 +233,19 @@ let run t ?states ~plan () =
   finish t;
   { Parallel.po; capture }
 
-let run_diff t ?states ~(plan : Inject.plan) ~used () =
-  propagate t ?states ~plan ();
+(* Lanes that differ from their own fault-free machine at some observation
+   point, over [used]. Only disturbed nets can differ, so the scan is
+   O(touched), not O(outputs + flops): a touched net contributes its
+   deviation once if it is a primary output and once per flop that captures
+   it — unless that flop observes its D net through a branch override,
+   which can create or cancel a lane deviation and is therefore left to the
+   caller. *)
+let observed t ~used =
   let soa = t.soa in
   let diff = ref 0 in
-  (* Only disturbed nets can differ from lane 0, so the observability scan is
-     O(touched), not O(outputs + flops): a touched net contributes its
-     deviation mask once if it is a primary output and once per flop that
-     captures it — unless that flop observes its D net through a branch
-     override, which can create or cancel a lane deviation and is therefore
-     handled explicitly from the injection list below. *)
   for k = 0 to t.touched_len - 1 do
     let net = Array.unsafe_get t.touched k in
-    let w = Array.unsafe_get t.values net in
-    let d = (w lxor (-(w land 1) land Lanes.all_mask)) land used in
+    let d = (Array.unsafe_get t.values net lxor Array.unsafe_get t.good net) land used in
     if d <> 0 then begin
       if Array.unsafe_get soa.Soa.is_po net then diff := !diff lor d;
       let db = soa.Soa.dflop_base in
@@ -253,17 +255,31 @@ let run_diff t ?states ~(plan : Inject.plan) ~used () =
       done
     end
   done;
+  !diff
+
+let run_diff t ?states ~(plan : Inject.plan) ~used () =
+  propagate t ?states ~plan ();
+  let soa = t.soa in
+  let diff = ref (observed t ~used) in
   let bsinks = plan.Inject.branch_sinks in
   for i = 0 to Array.length bsinks - 1 do
     let sink = Array.unsafe_get bsinks i in
     if soa.Soa.is_flop.(sink) then begin
-      let w =
-        Inject.fetch t.ov ~values:t.values ~sink ~pin:plan.Inject.branch_pins.(i)
-          plan.Inject.branch_stems.(i)
-      in
-      diff := !diff lor ((w lxor (-(w land 1) land Lanes.all_mask)) land used)
+      let stem = plan.Inject.branch_stems.(i) in
+      let w = Inject.fetch t.ov ~values:t.values ~sink ~pin:plan.Inject.branch_pins.(i) stem in
+      diff := !diff lor ((w lxor t.good.(stem)) land used)
     end
   done;
   Inject.clear_plan t.ov plan;
   finish t;
   !diff
+
+(* A root flip needs no override: nothing below the root is disturbed, so
+   the root is never re-evaluated and keeps its flipped value. *)
+let run_flip t ~net ~lanes ~used =
+  start_run t;
+  touch t net (t.values.(net) lxor (lanes land Lanes.all_mask));
+  settle t;
+  let diff = observed t ~used in
+  finish t;
+  diff

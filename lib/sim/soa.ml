@@ -26,6 +26,10 @@ type t = {
   is_flop : bool array;
   dflop_base : int array;
   dflop : int array;
+  ffr_root : int array;
+  ffr_sink : int array;
+  ffr_pin : int array;
+  ffr_order : int array;
 }
 
 let op_inv_of_kind = function
@@ -122,6 +126,37 @@ let create circuit =
   for net = 0 to n - 1 do
     if is_gate.(net) then level_pop.(level_of.(net)) <- level_pop.(level_of.(net)) + 1
   done;
+  (* Fanout-free regions. A net is a root when it is observed (a PO or a
+     flop's D) or has other than exactly one consumer; every other net
+     feeds one gate pin, and its region is its sink's. A gate's level
+     exceeds its fanins', so a level-descending walk meets each sink
+     before the nets it reads. *)
+  let ffr_sink = Array.make n (-1) and ffr_pin = Array.make n (-1) in
+  for net = 0 to n - 1 do
+    match Circuit.fanout circuit net with
+    | [| (s, p) |] when is_gate.(s) && not is_po.(net) ->
+        ffr_sink.(net) <- s;
+        ffr_pin.(net) <- p
+    | _ -> ()
+  done;
+  let ffr_order =
+    let start = Array.make (depth + 2) 0 in
+    Array.iter (fun l -> start.(depth - l + 1) <- start.(depth - l + 1) + 1) level_of;
+    for k = 1 to depth + 1 do
+      start.(k) <- start.(k) + start.(k - 1)
+    done;
+    let order = Array.make n 0 in
+    for net = 0 to n - 1 do
+      let k = depth - level_of.(net) in
+      order.(start.(k)) <- net;
+      start.(k) <- start.(k) + 1
+    done;
+    order
+  in
+  let ffr_root = Array.init n Fun.id in
+  Array.iter
+    (fun net -> if ffr_sink.(net) >= 0 then ffr_root.(net) <- ffr_root.(ffr_sink.(net)))
+    ffr_order;
   {
     circuit;
     order;
@@ -140,6 +175,10 @@ let create circuit =
     is_flop;
     dflop_base;
     dflop;
+    ffr_root;
+    ffr_sink;
+    ffr_pin;
+    ffr_order;
   }
 
 let circuit t = t.circuit
@@ -198,3 +237,41 @@ let eval_inject t ov values net =
     | _ -> Inject.fetch ov ~values ~sink:net ~pin:0 t.fanin.(base)
   in
   (v lxor t.inv.(net)) land Lanes.all_mask
+
+(* Lanes where pin [pin] of gate [net] decides its output: every other pin
+   non-controlling. XOR folds and copies pass every flip. *)
+let pin_sens t values net pin =
+  let base = Array.unsafe_get t.fanin_base net in
+  let stop = Array.unsafe_get t.fanin_base (net + 1) in
+  match Array.unsafe_get t.op net with
+  | 0 ->
+      let acc = ref Lanes.all_mask in
+      for p = base to stop - 1 do
+        if p - base <> pin then
+          acc := !acc land Array.unsafe_get values (Array.unsafe_get t.fanin p)
+      done;
+      !acc
+  | 1 ->
+      let acc = ref 0 in
+      for p = base to stop - 1 do
+        if p - base <> pin then
+          acc := !acc lor Array.unsafe_get values (Array.unsafe_get t.fanin p)
+      done;
+      lnot !acc land Lanes.all_mask
+  | _ -> Lanes.all_mask
+
+(* Inside a region each net reaches the root along one path, and a flip on
+   it meets every gate of that path as that gate's only changed pin. So the
+   flip reaches the root in exactly the lanes where every pin on the path
+   is sensitized, and one sweep sink-first computes that for all nets. *)
+let trace_ffr t ~good ~obs =
+  let order = t.ffr_order in
+  for k = 0 to Array.length order - 1 do
+    let net = Array.unsafe_get order k in
+    let s = Array.unsafe_get t.ffr_sink net in
+    Array.unsafe_set obs net
+      (if s < 0 then Lanes.all_mask
+       else
+         let o = Array.unsafe_get obs s in
+         if o = 0 then 0 else o land pin_sens t good s (Array.unsafe_get t.ffr_pin net))
+  done

@@ -36,7 +36,17 @@ type t = private {
   is_flop : bool array;  (** nets driven by a flip-flop *)
   dflop_base : int array;  (** CSR offsets into [dflop], length nets+1 *)
   dflop : int array;  (** flop nets consuming each net as their D input *)
+  ffr_root : int array;  (** per net: the root of its fanout-free region *)
+  ffr_sink : int array;  (** per net: its one consumer gate, [-1] at a root *)
+  ffr_pin : int array;  (** per net: the pin it drives on [ffr_sink], [-1] at a root *)
+  ffr_order : int array;  (** every net, level-descending *)
 }
+(** The fanout-free-region (FFR) table. A net is a {e root} when it is a
+    primary output, feeds a flop's D, or has other than exactly one
+    consumer ([Circuit.fanout], gate and flop pins alike). Every other net
+    drives one pin of one gate and shares that gate's region, so a fault
+    inside a region reaches the rest of the circuit only through its root.
+    [ffr_root.(r) = r] at a root. *)
 
 val op_and : int
 val op_or : int
@@ -62,3 +72,13 @@ val eval : t -> int array -> int -> int
 val eval_inject : t -> Inject.t -> int array -> int -> int
 (** Like {!eval} but reads each fanin through {!Inject.fetch}, honouring
     branch overrides installed against [net] as a sink. *)
+
+val pin_sens : t -> int array -> int -> int -> int
+(** [pin_sens t values gate pin] is the lane mask where flipping pin [pin]
+    of [gate] alone flips the gate's output, every other pin holding its
+    value in [values]. *)
+
+val trace_ffr : t -> good:int array -> obs:int array -> unit
+(** Critical-path tracing: sets [obs.(net)], for every net, to the lanes
+    where flipping [net] alone, against the fault-free words [good], flips
+    its region's root. Roots get every lane. O(nets + fanin edges). *)

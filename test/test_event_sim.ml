@@ -258,8 +258,9 @@ let test_counters_merge_across_jobs () =
 let random_vectors rng c n = Array.init n (fun _ -> random_stimulus rng c)
 
 (* 6. detected_matrix's contract: row [v] equals a detected_faults screen of
-   vector [v]. Up to 41 vectors span three 16-vector batches, so a row
-   merged into the wrong place fails here at any jobs value. *)
+   vector [v]. Up to 150 vectors span three 63-vector packs, so a row
+   written at the wrong pack offset fails here at any jobs value; a single
+   vector takes the per-vector kernel. *)
 let qcheck_matrix_equals_per_vector =
   QCheck.Test.make ~name:"detected_matrix rows equal detected_faults" ~count:25
     QCheck.(pair (int_range 0 32) small_int)
@@ -267,7 +268,7 @@ let qcheck_matrix_equals_per_vector =
       let c = tiny_circuit i in
       let rng = Rng.create (Int64.of_int seed) in
       let faults = random_faults rng c in
-      let vectors = random_vectors rng c (1 + Rng.int rng 41) in
+      let vectors = random_vectors rng c (1 + Rng.int rng 150) in
       let sim = Fault_sim.create c in
       let matrix = Fault_sim.detected_matrix sim ~vectors faults in
       Array.length matrix = Array.length vectors
@@ -275,9 +276,9 @@ let qcheck_matrix_equals_per_vector =
            (fun row (pi, state) -> row = Fault_sim.detected_faults sim ~pi ~state faults)
            matrix vectors)
 
-(* 7. The pool's vector-batch axis is a pure scheduling choice: every jobs
-   value returns the byte-identical matrix. 17 to 40 vectors span two or
-   three batches of 16, the last one ragged. *)
+(* 7. The pool's pack axis is a pure scheduling choice: every jobs value
+   returns the byte-identical matrix. 64 to 190 vectors span two to four
+   packs of 63, the last one ragged. *)
 let qcheck_matrix_jobs_invariance =
   QCheck.Test.make ~name:"jobs=1 equals jobs=2,4 across batches" ~count:15
     QCheck.(pair (int_range 0 24) small_int)
@@ -285,7 +286,7 @@ let qcheck_matrix_jobs_invariance =
       let c = tiny_circuit i in
       let rng = Rng.create (Int64.of_int seed) in
       let faults = random_faults rng c in
-      let vectors = random_vectors rng c (17 + Rng.int rng 24) in
+      let vectors = random_vectors rng c (64 + Rng.int rng 127) in
       let screen jobs = Fault_sim.detected_matrix (Fault_sim.create ~jobs c) ~vectors faults in
       let base = screen 1 in
       List.for_all (fun jobs -> screen jobs = base) [ 2; 4 ])
@@ -298,14 +299,14 @@ let test_matrix_empty_vectors () =
     "no vectors, no rows" 0
     (Array.length (Fault_sim.detected_matrix sim ~vectors:[||] faults))
 
-(* 8. Work counters are jobs-invariant across batches: per-vector work is
-   fixed, shards merge by summation, and 37 vectors make three batches of
-   16 (the last ragged) that the pool can deal out to different slots. *)
+(* 8. Work counters are jobs-invariant across packs: per-pack work is
+   fixed, shards merge by summation, and 130 vectors make three packs of 63
+   (the last ragged) that the pool can deal out to different slots. *)
 let test_counters_merge_across_batches () =
   let c = Synth.generate_named "s444" in
   let faults = Fault_gen.collapsed c in
   let rng = Rng.create 7L in
-  let vectors = Array.init 37 (fun _ -> random_stimulus rng c) in
+  let vectors = Array.init 130 (fun _ -> random_stimulus rng c) in
   let tally jobs =
     let sim = Fault_sim.create ~jobs c in
     reset_counters ();
@@ -324,6 +325,156 @@ let test_counters_merge_across_batches () =
         true (ctr1 = ctrj))
     [ 2; 4 ];
   reset_counters ()
+
+(* --- fanout-free regions ------------------------------------------------ *)
+
+module Soa = Tvs_sim.Soa
+module Parallel = Tvs_sim.Parallel
+
+(* The FFR table's invariants: a net is a root exactly when it is a PO,
+   feeds a flop or has other than one consumer; a non-root net's one
+   consumer is a gate, recorded with its pin, and the net shares that
+   gate's region; [root.(root r) = r]; the order lists every net once,
+   level-descending. *)
+let ffr_invariants c =
+  let soa = Soa.create c in
+  let n = Circuit.num_nets c in
+  let is_flop s = match Circuit.driver c s with Circuit.Flip_flop _ -> true | _ -> false in
+  let is_gate s = match Circuit.driver c s with Circuit.Gate_node _ -> true | _ -> false in
+  let ok = ref true in
+  let check b = if not b then ok := false in
+  for net = 0 to n - 1 do
+    let r = soa.Soa.ffr_root.(net) in
+    check (soa.Soa.ffr_root.(r) = r);
+    let fo = Circuit.fanout c net in
+    if Circuit.is_output c net || Array.exists (fun (s, _) -> is_flop s) fo || Array.length fo <> 1
+    then check (r = net && soa.Soa.ffr_sink.(net) = -1 && soa.Soa.ffr_pin.(net) = -1)
+    else begin
+      let s, p = fo.(0) in
+      check (soa.Soa.ffr_sink.(net) = s && soa.Soa.ffr_pin.(net) = p);
+      check (is_gate s && not (Circuit.is_output c net));
+      check (r = soa.Soa.ffr_root.(s))
+    end
+  done;
+  let order = soa.Soa.ffr_order in
+  let seen = Array.make n false in
+  check (Array.length order = n);
+  Array.iteri
+    (fun k net ->
+      check (not seen.(net));
+      seen.(net) <- true;
+      if k > 0 then check (Circuit.level c order.(k - 1) >= Circuit.level c net))
+    order;
+  !ok
+
+(* Every FFR corner in one circuit:
+   - k = 1, a const feeding a gate;
+   - g1 = AND(a, a), one net on two pins of one gate;
+   - g2 = NAND(k, b), which also feeds flop q1: branch faults into a flop;
+   - g3 = OR(g1, g2), a PO that also feeds g4;
+   - g4 = XOR(g3, q1), a PO;
+   - g5 = NOT(g4), which feeds only flop q2's D;
+   - g6 = AND(b, q2), a dangling gate output. *)
+let ffr_corners () =
+  let module B = Circuit.Builder in
+  let b = B.create "ffr-corners" in
+  let a = B.input b "a" in
+  let bb = B.input b "b" in
+  let q1 = B.flop_forward b "q1" in
+  let q2 = B.flop_forward b "q2" in
+  let k = B.const b ~name:"k" true in
+  let g1 = B.gate b ~name:"g1" Gate.And [ a; a ] in
+  let g2 = B.gate b ~name:"g2" Gate.Nand [ k; bb ] in
+  let g3 = B.gate b ~name:"g3" Gate.Or [ g1; g2 ] in
+  let g4 = B.gate b ~name:"g4" Gate.Xor [ g3; q1 ] in
+  let g5 = B.gate b ~name:"g5" Gate.Not [ g4 ] in
+  ignore (B.gate b ~name:"g6" Gate.And [ bb; q2 ]);
+  B.connect_flop b q1 g2;
+  B.connect_flop b q2 g5;
+  B.mark_output b g3;
+  B.mark_output b g4;
+  B.finish b
+
+(* 11. Every fault of [Fault_gen.all] against every input/state combination
+   (five times over: two packs, the second ragged) equals the naive
+   reference, at one job and at two. *)
+let test_ffr_corners () =
+  let c = ffr_corners () in
+  let net = Circuit.find_net c in
+  let soa = Soa.create c in
+  Alcotest.(check bool) "FFR invariants" true (ffr_invariants c);
+  List.iter
+    (fun (n, r) ->
+      Alcotest.(check string) ("root of " ^ n) r (Circuit.net_name c soa.Soa.ffr_root.(net n)))
+    [ ("k", "g2"); ("a", "a"); ("g1", "g3"); ("q1", "g4"); ("g5", "g5"); ("q2", "g6"); ("g6", "g6") ];
+  let faults = Fault_gen.all c in
+  Alcotest.(check bool)
+    "branch faults into a flop" true
+    (Array.exists (fun f -> f.Fault.branch = Some (net "q1", 0)) faults);
+  let vectors =
+    Array.init 80 (fun v ->
+        let bit i = (v mod 16) lsr i land 1 = 1 in
+        ([| bit 0; bit 1 |], [| bit 2; bit 3 |]))
+  in
+  let expect =
+    Array.map
+      (fun (pi, state) ->
+        let good = ref_frame c ~fault:None ~pi ~state in
+        Array.map (fun f -> ref_frame c ~fault:(Some f) ~pi ~state <> good) faults)
+      vectors
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "matrix equals reference at jobs=%d" jobs)
+        true
+        (Fault_sim.detected_matrix (Fault_sim.create ~jobs c) ~vectors faults = expect))
+    [ 1; 2 ];
+  (* Malformed input is rejected before any sweep, and the context stays
+     exact. *)
+  let sim = Fault_sim.create ~jobs:1 c in
+  let rejects label vectors faults =
+    Alcotest.(check bool) label true
+      (match Fault_sim.detected_matrix sim ~vectors faults with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "vector one input short" (Array.append vectors [| ([| true |], [| true; true |]) |]) faults;
+  rejects "branch pin out of range"
+    vectors
+    (Array.append faults [| Fault.branch_fault (net "g3") ~sink:(net "g4") ~pin:2 true |]);
+  Alcotest.(check bool) "next matrix exact" true
+    (Fault_sim.detected_matrix sim ~vectors faults = expect)
+
+(* 12. The FFR invariants hold on random circuits. *)
+let qcheck_ffr_invariants =
+  QCheck.Test.make ~name:"FFR table invariants" ~count:30 (QCheck.int_range 0 40) (fun i ->
+      ffr_invariants (tiny_circuit i))
+
+(* 13. The packed matrix equals the oracle: one [Parallel.run] per fault and
+   vector, the fault in lane 1 beside the fault-free lane 0. Every fault of
+   [Fault_gen.all] — branches into gates and flops, stems on POs and on
+   flop D nets — over two packs at most. *)
+let qcheck_matrix_equals_parallel =
+  QCheck.Test.make ~name:"detected_matrix equals per-fault Parallel.run" ~count:15
+    QCheck.(pair (int_range 0 32) small_int)
+    (fun (i, seed) ->
+      let c = tiny_circuit i in
+      let rng = Rng.create (Int64.of_int seed) in
+      let faults = Fault_gen.all c in
+      let vectors = random_vectors rng c (2 + Rng.int rng 90) in
+      let par = Parallel.create c in
+      let word b = Tvs_sim.Lanes.broadcast b in
+      let detects (pi, state) f =
+        let r =
+          Parallel.run par ~pi:(Array.map word pi) ~state:(Array.map word state)
+            ~injections:[ Fault.to_injection f ~lane:1 ]
+        in
+        let differs w = Tvs_sim.Lanes.get w 0 <> Tvs_sim.Lanes.get w 1 in
+        Array.exists differs r.Parallel.po || Array.exists differs r.Parallel.capture
+      in
+      Fault_sim.detected_matrix (Fault_sim.create c) ~vectors faults
+      = Array.map (fun v -> Array.map (detects v) faults) vectors)
 
 (* --- cone index -------------------------------------------------------- *)
 
@@ -517,6 +668,12 @@ let () =
           Alcotest.test_case "empty vector set" `Quick test_matrix_empty_vectors;
           Alcotest.test_case "counters merge identically across batches" `Quick
             test_counters_merge_across_batches;
+        ] );
+      ( "ffr",
+        [
+          Alcotest.test_case "every FFR corner equals the reference" `Quick test_ffr_corners;
+          QCheck_alcotest.to_alcotest qcheck_ffr_invariants;
+          QCheck_alcotest.to_alcotest qcheck_matrix_equals_parallel;
         ] );
       ( "cones",
         [

@@ -190,6 +190,27 @@ let test_per_state_length_check () =
        false
      with Invalid_argument _ -> true)
 
+(* Every inner state is checked up front: one bit short used to index out
+   of bounds mid-packing, and extra bits used to be ignored. *)
+let test_per_state_inner_length_check () =
+  let sim = Fault_sim.create fig1 in
+  let f0 = Tvs_circuits.Fig1.paper_fault fig1 "F/0" in
+  let good_state = [| false; false; true |] in
+  let rejects label states =
+    Alcotest.(check bool) label true
+      (match Fault_sim.run_per_state sim ~pi:[||] ~good_state ~faults:[| f0; f0 |] ~states with
+      | _ -> false
+      | exception Invalid_argument msg ->
+          String.length msg > 23 && String.sub msg 0 23 = "Fault_sim.run_per_state")
+  in
+  rejects "one bit short" [| good_state; [| false; false |] |];
+  rejects "three bits long" [| good_state; Array.make 6 false |];
+  Alcotest.(check bool) "context still exact" true
+    ((Fault_sim.run_per_state sim ~pi:[||] ~good_state ~faults:[| f0 |]
+        ~states:[| [| false; false; false |] |])
+       .Fault_sim.outcomes.(0)
+    <> Fault_sim.Same)
+
 let qcheck_same_means_same =
   (* Property: an outcome of Same implies serial simulation agrees there is
      no detection. *)
@@ -234,6 +255,8 @@ let () =
           Alcotest.test_case "chunked batches" `Quick test_big_batch_chunks;
           Alcotest.test_case "per-state (hidden faults)" `Quick test_run_per_state;
           Alcotest.test_case "per-state length check" `Quick test_per_state_length_check;
+          Alcotest.test_case "per-state inner length check" `Quick
+            test_per_state_inner_length_check;
           QCheck_alcotest.to_alcotest qcheck_same_means_same;
         ] );
     ]
