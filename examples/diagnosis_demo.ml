@@ -20,6 +20,8 @@ module Misr = Tvs_scan.Misr
 module Baseline = Tvs_core.Baseline
 module Rng = Tvs_util.Rng
 
+let bits a = String.init (Array.length a) (fun i -> if a.(i) then '1' else '0')
+
 let () =
   let c = Tvs_circuits.Synth.generate_named "s444" in
   Format.printf "Device under test: %a@." Circuit.pp_summary c;
@@ -55,16 +57,14 @@ let () =
   Format.printf "@.Through an %d-bit MISR the tester keeps %d bits instead of %d:@." width width
     (List.fold_left (fun acc a -> acc + Array.length a) 0 observed);
   Format.printf "  good signature %s, failing signature %s -> %s@."
-    (Tvs_logic.Bitvec.to_string good_sig)
-    (Tvs_logic.Bitvec.to_string bad_sig)
-    (if Tvs_logic.Bitvec.equal good_sig bad_sig then "ALIASED: the defect escapes!"
+    (bits good_sig) (bits bad_sig)
+    (if good_sig = bad_sig then "ALIASED: the defect escapes!"
      else "fails, but which fault? The signature cannot say.");
   (* How many faults share that signature? *)
   let sharing =
     Array.to_list faults
     |> List.filter (fun f ->
-           Tvs_logic.Bitvec.equal bad_sig
-             (Misr.signature_of ~width (Diagnosis.respond sim ~tests ~fault:f ())))
+           bad_sig = Misr.signature_of ~width (Diagnosis.respond sim ~tests ~fault:f ()))
   in
   Format.printf "  %d modelled faults produce this very signature.@." (List.length sharing);
   Format.printf

@@ -1,28 +1,9 @@
-(** Static test-set compaction.
-
-    Two classic passes, usable separately or chained:
-
-    - {!merge_cubes}: greedy pairwise merging of compatible cubes (their
-      specified bits do not conflict), folding each cube into the first
-      compatible survivor in reverse generation order. Detection is
-      preserved structurally: a merged cube keeps every specified bit of its
-      members, and a PODEM cube detects its target under {e any} fill.
-    - {!reverse_order}: fault-simulate fully specified vectors in reverse
-      order with fault dropping and keep only vectors that detect something
-      new — late vectors (generated for hard faults) tend to cover many easy
-      faults, making early vectors redundant. *)
+(** Static test-set compaction: greedy pairwise merging of compatible cubes
+    (their specified bits do not conflict), folding each cube into the first
+    compatible survivor in reverse generation order. Detection is preserved
+    structurally: a merged cube keeps every specified bit of its members,
+    and a PODEM cube detects its target under {e any} fill. *)
 
 val merge_cubes : Cube.t list -> Cube.t list
 (** Result length <= input length; application order of survivors is
     preserved. *)
-
-val reverse_order :
-  Tvs_fault.Fault_sim.t ->
-  faults:Tvs_fault.Fault.t array ->
-  vectors:Cube.vector array ->
-  Cube.vector array
-(** The kept subset, in the original application order. Faults undetected by
-    the whole input set impose no constraint. *)
-
-val compaction_ratio : before:int -> after:int -> float
-(** after / before; 1.0 for an empty input. *)

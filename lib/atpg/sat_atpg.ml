@@ -21,11 +21,11 @@ let encode_gate b ~out kind ins =
 
 (* The fault's combinational output cone (as in Podem.mark_tfo). *)
 let fanout_cone c (fault : Fault.t) =
-  let in_cone = Hashtbl.create 64 in
+  let cone = Hashtbl.create 64 in
   let obs_flops = Hashtbl.create 8 in
   let rec visit net =
-    if not (Hashtbl.mem in_cone net) then begin
-      Hashtbl.add in_cone net ();
+    if not (Hashtbl.mem cone net) then begin
+      Hashtbl.add cone net ();
       Array.iter
         (fun (sink, _pin) ->
           match Circuit.driver c sink with
@@ -42,7 +42,7 @@ let fanout_cone c (fault : Fault.t) =
       | Circuit.Flip_flop _ -> Hashtbl.replace obs_flops sink ()
       | Circuit.Gate_node _ -> visit sink
       | Circuit.Primary_input | Circuit.Const _ -> ()));
-  (in_cone, obs_flops)
+  (cone, obs_flops)
 
 let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
   let n = Circuit.num_nets c in
@@ -72,7 +72,7 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
           | Ternary.Zero -> add b [ -(good flops.(i)) ])
         arr);
   (* Faulty copy over the cone. *)
-  let in_cone, obs_flops = fanout_cone c fault in
+  let cone, obs_flops = fanout_cone c fault in
   let faulty_var = Hashtbl.create 64 in
   let faulty net =
     match Hashtbl.find_opt faulty_var net with
@@ -93,7 +93,7 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
       add b [ stuck_lit v ];
       v
     end
-    else if (fault.branch = None && src = fault.stem) || Hashtbl.mem in_cone src then faulty src
+    else if (fault.branch = None && src = fault.stem) || Hashtbl.mem cone src then faulty src
     else good src
   in
   (match fault.branch with
@@ -101,7 +101,7 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
   | Some _ -> ());
   Array.iter
     (fun net ->
-      if Hashtbl.mem in_cone net && not (fault.branch = None && net = fault.stem) then
+      if Hashtbl.mem cone net && not (fault.branch = None && net = fault.stem) then
         match Circuit.driver c net with
         | Circuit.Gate_node (kind, ins) ->
             let f_ins = Array.to_list (Array.mapi (fun pin src -> faulty_input ~sink:net ~pin src) ins) in
@@ -117,7 +117,7 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
   in
   Array.iter
     (fun net ->
-      if Circuit.is_output c net && (Hashtbl.mem in_cone net || (fault.branch = None && net = fault.stem))
+      if Circuit.is_output c net && (Hashtbl.mem cone net || (fault.branch = None && net = fault.stem))
       then add_diff (good net) (faulty net))
     (Circuit.outputs c);
   Array.iter
@@ -125,7 +125,7 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
       match Circuit.driver c fnet with
       | Circuit.Flip_flop d ->
           let watch =
-            Hashtbl.mem obs_flops fnet || Hashtbl.mem in_cone d
+            Hashtbl.mem obs_flops fnet || Hashtbl.mem cone d
             || (fault.branch = None && d = fault.stem)
           in
           if watch then begin
@@ -136,7 +136,7 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
                   add b [ stuck_lit v ];
                   v
               | Some _ | None ->
-                  if Hashtbl.mem in_cone d || (fault.branch = None && d = fault.stem) then faulty d
+                  if Hashtbl.mem cone d || (fault.branch = None && d = fault.stem) then faulty d
                   else good d
             in
             add_diff (good d) flit

@@ -2,7 +2,6 @@ module Circuit = Tvs_netlist.Circuit
 module Ternary = Tvs_logic.Ternary
 module Fault = Tvs_fault.Fault
 module Fault_sim = Tvs_fault.Fault_sim
-module Parallel = Tvs_sim.Parallel
 module Chain = Tvs_scan.Chain
 module Xor_scheme = Tvs_scan.Xor_scheme
 module Metrics = Tvs_obs.Metrics
@@ -20,16 +19,14 @@ let m_shift_bits_saved = Metrics.counter "cycle.shift_bits_saved"
 let g_peak_hidden = Metrics.gauge "cycle.peak_hidden"
 let h_hidden_after = Metrics.histogram "cycle.hidden_after"
 
-type status = Caught of int | Hidden | Uncaught
-
-type st = C of int | H of bool array | U
+type fault_state = Fs_caught of int | Fs_hidden of bool array | Fs_uncaught
 
 type t = {
   circuit : Circuit.t;
   scheme : Xor_scheme.t;
   sim : Fault_sim.t;
   faults : Fault.t array;
-  state : st array;  (* written only through [set] *)
+  state : fault_state array;  (* written only through [set] *)
   mutable n_caught : int;
   mutable n_hidden : int;
   mutable n_uncaught : int;
@@ -45,7 +42,7 @@ let create ?(scheme = Xor_scheme.Nxor) circuit ~faults =
     scheme;
     sim = Fault_sim.create circuit;
     faults;
-    state = Array.make (Array.length faults) U;
+    state = Array.make (Array.length faults) Fs_uncaught;
     n_caught = 0;
     n_hidden = 0;
     n_uncaught = Array.length faults;
@@ -55,56 +52,44 @@ let create ?(scheme = Xor_scheme.Nxor) circuit ~faults =
     last_shift = Circuit.num_flops circuit;
   }
 
-let circuit t = t.circuit
-let scheme t = t.scheme
-let num_faults t = Array.length t.faults
 let cycle_count t = t.cycles
-
-let status t i = match t.state.(i) with C n -> Caught n | H _ -> Hidden | U -> Uncaught
 
 (* The one writer of [t.state]: keeps the three set sizes exact and drops
    the cached f_u list whenever a fault enters or leaves f_u. *)
 let set t i st =
   let bump d = function
-    | C _ -> t.n_caught <- t.n_caught + d
-    | H _ -> t.n_hidden <- t.n_hidden + d
-    | U -> t.n_uncaught <- t.n_uncaught + d
+    | Fs_caught _ -> t.n_caught <- t.n_caught + d
+    | Fs_hidden _ -> t.n_hidden <- t.n_hidden + d
+    | Fs_uncaught -> t.n_uncaught <- t.n_uncaught + d
   in
   let old = t.state.(i) in
   bump (-1) old;
   bump 1 st;
   (match (old, st) with
-  | U, U | (C _ | H _), (C _ | H _) -> ()
-  | U, (C _ | H _) | (C _ | H _), U -> t.uncaught <- None);
+  | Fs_uncaught, Fs_uncaught | (Fs_caught _ | Fs_hidden _), (Fs_caught _ | Fs_hidden _) -> ()
+  | Fs_uncaught, (Fs_caught _ | Fs_hidden _) | (Fs_caught _ | Fs_hidden _), Fs_uncaught ->
+      t.uncaught <- None);
   t.state.(i) <- st
 
 let num_caught t = t.n_caught
 let num_hidden t = t.n_hidden
 let num_uncaught t = t.n_uncaught
 
-let indices p t =
-  let acc = ref [] in
-  for i = Array.length t.state - 1 downto 0 do
-    if p t.state.(i) then acc := i :: !acc
-  done;
-  !acc
-
 (* Rebuilt at most once per state change, however often a cycle asks. *)
 let uncaught_indices t =
   match t.uncaught with
   | Some l -> l
   | None ->
-      let l = indices (function U -> true | C _ | H _ -> false) t in
-      t.uncaught <- Some l;
-      l
-
-let hidden_indices = indices (function H _ -> true | C _ | U -> false)
+      let acc = ref [] in
+      for i = Array.length t.state - 1 downto 0 do
+        match t.state.(i) with Fs_uncaught -> acc := i :: !acc | Fs_caught _ | Fs_hidden _ -> ()
+      done;
+      t.uncaught <- Some !acc;
+      !acc
 
 let good_contents t = t.good
 
 (* --- persisted state (checkpoint/resume) ---------------------------- *)
-
-type fault_state = Fs_caught of int | Fs_hidden of bool array | Fs_uncaught
 
 type persisted = {
   states : fault_state array;
@@ -113,12 +98,13 @@ type persisted = {
   last_shift : int;
 }
 
+let copy_state = function
+  | Fs_hidden contents -> Fs_hidden (Array.copy contents)
+  | (Fs_caught _ | Fs_uncaught) as st -> st
+
 let export t =
   {
-    states =
-      Array.map
-        (function C n -> Fs_caught n | H contents -> Fs_hidden (Array.copy contents) | U -> Fs_uncaught)
-        t.state;
+    states = Array.map copy_state t.state;
     good = Array.copy t.good;
     cycles = t.cycles;
     last_shift = t.last_shift;
@@ -135,18 +121,15 @@ let restore t p =
       (Printf.sprintf "Cycle.restore: chain contents of %d bits on a %d-cell chain"
          (Array.length p.good) ln);
   Array.iteri
-    (fun i s ->
-      set t i
-        (match s with
-        | Fs_caught n -> C n
-        | Fs_hidden contents ->
-            if Array.length contents <> ln then
-              invalid_arg
-                (Printf.sprintf
-                   "Cycle.restore: hidden contents of %d bits on a %d-cell chain (fault %d)"
-                   (Array.length contents) ln i);
-            H (Array.copy contents)
-        | Fs_uncaught -> U))
+    (fun i st ->
+      (match st with
+      | Fs_hidden contents when Array.length contents <> ln ->
+          invalid_arg
+            (Printf.sprintf
+               "Cycle.restore: hidden contents of %d bits on a %d-cell chain (fault %d)"
+               (Array.length contents) ln i)
+      | Fs_hidden _ | Fs_caught _ | Fs_uncaught -> ());
+      set t i (copy_state st))
     p.states;
   t.good <- Array.copy p.good;
   t.cycles <- p.cycles;
@@ -154,52 +137,45 @@ let restore t p =
 
 let constraints_for (t : t) ~s = Chain.shift_ternary (Array.map Ternary.of_bool t.good) ~s
 
-type report = {
-  caught_now : int list;
-  newly_hidden : int list;
-  reverted : int list;
-  still_hidden : int list;
-  good_po : bool array;
-  good_capture : bool array;
-}
+type report = { caught_now : int list; newly_hidden : int list; reverted : int list }
 
-let differentiated r = List.length r.caught_now + List.length r.newly_hidden
-
-(* Deferred state mutations computed by [classify]; [step] commits them. *)
-type transition = { report : report; new_good : bool array; updates : (int * st) list }
-
-(* One test cycle, pure: shift [fresh] in (observing the outgoing stream,
-   which resolves hidden faults), apply the vector, capture, write back.
+(* One test cycle: shift [fresh] in (observing the outgoing stream, which
+   resolves hidden faults), apply the vector, capture, write back. Every
+   fault's new state is committed as soon as it is known; each fault moves
+   at most once per cycle.
 
    Hidden faults split three ways at the shift: stream difference = caught;
    divergent applied vector = tracked further with a private stimulus;
    convergent applied vector = screened together with f_u (the capture under
    the shared vector decides whether the fault re-differentiates). *)
-let classify t ~pi ~fresh =
+let step t ~pi ~fresh =
   let ln = Circuit.num_flops t.circuit in
   if Array.length fresh > ln then invalid_arg "Cycle: shift exceeds chain length";
   let cycle = t.cycles + 1 in
   let applied_g, _ = Chain.shift t.good ~fresh in
   let good_stream = Xor_scheme.observe t.scheme ~contents:t.good ~fresh in
-  let updates = ref [] in
-  let caught = ref [] and reverted = ref [] and newly_hidden = ref [] and still_hidden = ref [] in
+  let caught = ref [] and reverted = ref [] and newly_hidden = ref [] in
   let catch i =
     caught := i :: !caught;
-    updates := (i, C cycle) :: !updates
+    set t i (Fs_caught cycle)
+  in
+  let revert i =
+    reverted := i :: !reverted;
+    set t i Fs_uncaught
   in
   (* Phase 1: the shift resolves hidden faults against the outgoing stream. *)
   let survivors = ref [] and converged = ref [] in
   Array.iteri
     (fun i st ->
       match st with
-      | H contents ->
+      | Fs_hidden contents ->
           let stream_f = Xor_scheme.observe t.scheme ~contents ~fresh in
           if stream_f <> good_stream then catch i
           else
             let applied_f, _ = Chain.shift contents ~fresh in
             if applied_f = applied_g then converged := i :: !converged
             else survivors := (i, applied_f) :: !survivors
-      | C _ | U -> ())
+      | Fs_caught _ | Fs_uncaught -> ())
     t.state;
   let survivors = List.rev !survivors in
   let converged = List.rev !converged in
@@ -208,31 +184,25 @@ let classify t ~pi ~fresh =
   let shared = uncaught_indices t @ converged in
   let shared_faults = Array.of_list (List.map (fun i -> t.faults.(i)) shared) in
   let u_res = Fault_sim.run_batch t.sim ~pi ~state:applied_g ~faults:shared_faults in
-  let good_po = u_res.good.po and good_capture = u_res.good.capture in
+  let good_capture = u_res.good.capture in
   let contents_g = Xor_scheme.writeback t.scheme ~applied_scan:applied_g ~capture:good_capture in
   List.iteri
     (fun k i ->
-      let was_hidden = match t.state.(i) with H _ -> true | C _ | U -> false in
+      let was_hidden =
+        match t.state.(i) with Fs_hidden _ -> true | Fs_caught _ | Fs_uncaught -> false
+      in
       match u_res.outcomes.(k) with
-      | Fault_sim.Same ->
-          if was_hidden then begin
-            reverted := i :: !reverted;
-            updates := (i, U) :: !updates
-          end
+      | Fault_sim.Same -> if was_hidden then revert i
       | Fault_sim.Po_detected -> catch i
       | Fault_sim.Capture_differs cap_f ->
           let contents_f = Xor_scheme.writeback t.scheme ~applied_scan:applied_g ~capture:cap_f in
           if contents_f = contents_g then begin
             (* Differentiation erased by the write-back itself. *)
-            if was_hidden then begin
-              reverted := i :: !reverted;
-              updates := (i, U) :: !updates
-            end
+            if was_hidden then revert i
           end
           else begin
-            if was_hidden then still_hidden := i :: !still_hidden
-            else newly_hidden := i :: !newly_hidden;
-            updates := (i, H contents_f) :: !updates
+            if not was_hidden then newly_hidden := i :: !newly_hidden;
+            set t i (Fs_hidden contents_f)
           end)
     shared;
   (* Phase 2b: hidden survivors apply their own mutated vectors. *)
@@ -245,14 +215,7 @@ let classify t ~pi ~fresh =
     List.iteri
       (fun k (i, applied_f) ->
         let resolve contents_f =
-          if contents_f = contents_g then begin
-            reverted := i :: !reverted;
-            updates := (i, U) :: !updates
-          end
-          else begin
-            still_hidden := i :: !still_hidden;
-            updates := (i, H contents_f) :: !updates
-          end
+          if contents_f = contents_g then revert i else set t i (Fs_hidden contents_f)
         in
         match h_res.outcomes.(k) with
         | Fault_sim.Po_detected -> catch i
@@ -264,38 +227,25 @@ let classify t ~pi ~fresh =
             resolve (Xor_scheme.writeback t.scheme ~applied_scan:applied_f ~capture:cap_f))
       survivors
   end;
-  {
-    report =
-      {
-        caught_now = List.rev !caught;
-        newly_hidden = List.rev !newly_hidden;
-        reverted = List.rev !reverted;
-        still_hidden = List.rev !still_hidden;
-        good_po;
-        good_capture;
-      };
-    new_good = contents_g;
-    updates = !updates;
-  }
-
-let preview t ~pi ~fresh = (classify t ~pi ~fresh).report
-
-let step t ~pi ~fresh =
-  let { report; new_good; updates } = classify t ~pi ~fresh in
-  List.iter (fun (i, st) -> set t i st) updates;
+  let report =
+    {
+      caught_now = List.rev !caught;
+      newly_hidden = List.rev !newly_hidden;
+      reverted = List.rev !reverted;
+    }
+  in
   (* Caught faults leave the uncaught/hidden pools for good: no future
-     [classify] simulates them again. *)
+     [step] simulates them again. *)
   Fault_sim.note_dropped (List.length report.caught_now);
-  t.good <- new_good;
-  t.cycles <- t.cycles + 1;
+  t.good <- contents_g;
+  t.cycles <- cycle;
   t.last_shift <- Array.length fresh;
-  let chain_len = Circuit.num_flops t.circuit in
   Metrics.incr m_steps;
   Metrics.add m_caught (List.length report.caught_now);
   Metrics.add m_became_hidden (List.length report.newly_hidden);
   Metrics.add m_reverted (List.length report.reverted);
   Metrics.add m_shift_bits (Array.length fresh);
-  Metrics.add m_shift_bits_saved (chain_len - Array.length fresh);
+  Metrics.add m_shift_bits_saved (ln - Array.length fresh);
   let hidden = num_hidden t in
   Metrics.observe_max g_peak_hidden hidden;
   Metrics.observe h_hidden_after hidden;
@@ -311,23 +261,16 @@ let flush t ~full =
   Array.iteri
     (fun i st ->
       match st with
-      | H contents ->
+      | Fs_hidden contents ->
           let stream_f = Xor_scheme.observe t.scheme ~contents ~fresh in
           if stream_f <> good_stream then begin
             caught := i :: !caught;
-            set t i (C cycle)
+            set t i (Fs_caught cycle)
           end
           else begin
             reverted := i :: !reverted;
-            set t i U
+            set t i Fs_uncaught
           end
-      | C _ | U -> ())
+      | Fs_caught _ | Fs_uncaught -> ())
     t.state;
-  {
-    caught_now = List.rev !caught;
-    newly_hidden = [];
-    reverted = List.rev !reverted;
-    still_hidden = [];
-    good_po = [||];
-    good_capture = [||];
-  }
+  { caught_now = List.rev !caught; newly_hidden = []; reverted = List.rev !reverted }

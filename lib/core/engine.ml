@@ -41,18 +41,6 @@ let default_config ~chain_len =
     preflight = false;
   }
 
-type cycle_log = {
-  shift : int;
-  target : Fault.t;
-  caught : int;
-  became_hidden : int;
-  hidden_after : int;
-  uncaught_after : int;
-  events_fired : int;
-  gates_skipped : int;
-  faults_dropped : int;
-}
-
 type result = {
   schedule : Cost.schedule;
   stimuli : (bool array * bool array) list;
@@ -65,7 +53,6 @@ type result = {
   redundant : Fault.t list;
   aborted : Fault.t list;
   peak_hidden : int;
-  log : cycle_log list;
 }
 
 let coverage r =
@@ -75,11 +62,11 @@ let coverage r =
 
 (* A candidate vector produced for one target fault under the cycle's
    constraints, split into PI values and the fresh scan bits. *)
-type candidate = { target_idx : int; pi : bool array; fresh : bool array }
+type candidate = { pi : bool array; fresh : bool array }
 
 let make_candidate ~rng ~s cube =
   let vec = Cube.fill_random rng cube in
-  { target_idx = 0; pi = vec.Cube.pi; fresh = Array.sub vec.Cube.scan 0 s }
+  { pi = vec.Cube.pi; fresh = Array.sub vec.Cube.scan 0 s }
 
 (* Order in which targets are attempted this cycle. *)
 let target_order ~rng ~hardness selection uncaught =
@@ -144,7 +131,6 @@ type snapshot = {
   machine : Cycle.persisted;
   shifts_rev : int list;
   stimuli_rev : (bool array * bool array) list;
-  log_rev : cycle_log list;
   peak_hidden : int;
   stagnant : int;
   current_s : int;
@@ -184,7 +170,6 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
   in
   let shifts = ref [] in
   let stimuli = ref [] in
-  let log = ref [] in
   let peak_hidden = ref 0 in
   let stagnant = ref 0 in
   let current_s = ref (min chain_len (max 1 (Policy.initial_shift cfg.shift))) in
@@ -194,7 +179,6 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
       Cycle.restore machine s.machine;
       shifts := s.shifts_rev;
       stimuli := s.stimuli_rev;
-      log := s.log_rev;
       peak_hidden := s.peak_hidden;
       stagnant := s.stagnant;
       current_s := s.current_s;
@@ -204,7 +188,6 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
       machine = Cycle.export machine;
       shifts_rev = !shifts;
       stimuli_rev = !stimuli;
-      log_rev = !log;
       peak_hidden = !peak_hidden;
       stagnant = !stagnant;
       current_s = !current_s;
@@ -232,43 +215,22 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
           Metrics.incr m_atpg_attempts;
           match Podem.generate ~config:cfg.podem ~constraints ctx faults.(idx) with
           | Podem.Detected cube ->
-              let cand = { (make_candidate ~rng ~s cube) with target_idx = idx } in
-              gather (cand :: acc) (found + 1) (tries + 1) rest
+              gather (make_candidate ~rng ~s cube :: acc) (found + 1) (tries + 1) rest
           | Podem.Untestable | Podem.Aborted -> gather acc found (tries + 1) rest)
     in
     List.rev (gather [] 0 0 order)
   in
   let apply_candidate s cand =
-    let ctrs0 = Tvs_fault.Fault_sim.counters () in
-    let ev0 = ctrs0.Tvs_fault.Fault_sim.events_fired in
-    let sk0 = ctrs0.Tvs_fault.Fault_sim.gates_skipped in
-    let dr0 = ctrs0.Tvs_fault.Fault_sim.faults_dropped in
     let report =
       Trace.with_span "engine.stitch" ~args:[ ("shift", string_of_int s) ] (fun () ->
           Cycle.step machine ~pi:cand.pi ~fresh:cand.fresh)
     in
-    let ctrs = Tvs_fault.Fault_sim.counters () in
     shifts := s :: !shifts;
     stimuli := (cand.pi, cand.fresh) :: !stimuli;
     peak_hidden := max !peak_hidden (Cycle.num_hidden machine);
-    let caught = List.length report.Cycle.caught_now in
-    let became_hidden = List.length report.Cycle.newly_hidden in
     (* Only catches count as progress: newly hidden faults can churn between
        f_h and f_u forever without any ever reaching the tester. *)
-    if caught = 0 then incr stagnant else stagnant := 0;
-    log :=
-      {
-        shift = s;
-        target = faults.(cand.target_idx);
-        caught;
-        became_hidden;
-        hidden_after = Cycle.num_hidden machine;
-        uncaught_after = Cycle.num_uncaught machine;
-        events_fired = ctrs.Tvs_fault.Fault_sim.events_fired - ev0;
-        gates_skipped = ctrs.Tvs_fault.Fault_sim.gates_skipped - sk0;
-        faults_dropped = ctrs.Tvs_fault.Fault_sim.faults_dropped - dr0;
-      }
-      :: !log
+    if report.Cycle.caught_now = [] then incr stagnant else stagnant := 0
   in
   (* Main loop (Figure 2): iterate while uncaught faults remain and the
      stitched phase keeps making progress. *)
@@ -400,5 +362,4 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
     redundant;
     aborted;
     peak_hidden = !peak_hidden;
-    log = List.rev !log;
   }

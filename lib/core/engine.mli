@@ -34,19 +34,6 @@ val default_config : chain_len:int -> config
 (** Variable shift (paper's winner), most-faults selection over 5 candidates,
     no XOR hardware. *)
 
-type cycle_log = {
-  shift : int;
-  target : Tvs_fault.Fault.t;
-  caught : int;
-  became_hidden : int;
-  hidden_after : int;
-  uncaught_after : int;
-  events_fired : int;  (** simulator net events this cycle (event path) *)
-  gates_skipped : int;
-      (** gate evaluations the event path avoided vs. full passes *)
-  faults_dropped : int;  (** faults permanently dropped (caught) this cycle *)
-}
-
 type result = {
   schedule : Tvs_scan.Cost.schedule;
   stimuli : (bool array * bool array) list;
@@ -62,7 +49,6 @@ type result = {
   redundant : Tvs_fault.Fault.t list;  (** found untestable during the extra phase *)
   aborted : Tvs_fault.Fault.t list;
   peak_hidden : int;
-  log : cycle_log list;  (** per stitched cycle, in order *)
 }
 
 val coverage : result -> float
@@ -72,7 +58,6 @@ type snapshot = {
   machine : Cycle.persisted;
   shifts_rev : int list;  (** shift sizes so far, most recent first *)
   stimuli_rev : (bool array * bool array) list;
-  log_rev : cycle_log list;
   peak_hidden : int;
   stagnant : int;
   current_s : int;  (** the shift size the next cycle will try *)

@@ -22,28 +22,6 @@ let branch_fault stem ~sink ~pin stuck = { stem; branch = Some (sink, pin); stuc
 let to_injection t ~lane =
   { Tvs_sim.Parallel.lane; stuck = t.stuck; stem = t.stem; branch = t.branch }
 
-module Wire = Tvs_util.Wire
-
-let encode w t =
-  Wire.write_varint w t.stem;
-  Wire.write_option
-    (fun w (sink, pin) ->
-      Wire.write_varint w sink;
-      Wire.write_varint w pin)
-    w t.branch;
-  Wire.write_bool w t.stuck
-
-let decode r =
-  let stem = Wire.read_varint r in
-  let branch =
-    Wire.read_option
-      (fun r ->
-        let sink = Wire.read_varint r in
-        (sink, Wire.read_varint r))
-      r
-  in
-  { stem; branch; stuck = Wire.read_bool r }
-
 let name c t =
   let v = if t.stuck then "1" else "0" in
   match t.branch with

@@ -25,14 +25,6 @@ val branch_fault : Tvs_netlist.Circuit.net -> sink:Tvs_netlist.Circuit.net -> pi
 
 val to_injection : t -> lane:int -> Tvs_sim.Parallel.injection
 
-val encode : Tvs_util.Wire.writer -> t -> unit
-(** Wire form for the persistence layer. Net ids are meaningful only
-    relative to the circuit the fault was generated for; persisted fault
-    sets are therefore always stored next to the circuit's content digest. *)
-
-val decode : Tvs_util.Wire.reader -> t
-(** Raises [Tvs_util.Wire.Error] on malformed input. *)
-
 val name : Tvs_netlist.Circuit.t -> t -> string
 (** Human-readable name in the paper's style: ["F/0"] for a stem fault,
     ["B-D/1"] for the branch of net B feeding gate D. *)

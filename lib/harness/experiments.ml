@@ -690,9 +690,8 @@ let misr_study ?(scale = 1.0) ?(circuit = "s953") () =
         (fun i stream ->
           if exact_detected.(i) then begin
             let s = Tvs_scan.Misr.signature_of ~width stream in
-            if Tvs_logic.Bitvec.equal s good_sig then incr aliased;
-            let key = Tvs_logic.Bitvec.to_string s in
-            Hashtbl.replace classes key (1 + Option.value ~default:0 (Hashtbl.find_opt classes key))
+            if s = good_sig then incr aliased;
+            Hashtbl.replace classes s (1 + Option.value ~default:0 (Hashtbl.find_opt classes s))
           end)
         faulty_streams;
       let n_classes = Hashtbl.length classes in

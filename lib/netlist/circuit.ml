@@ -20,8 +20,6 @@ type t = {
   output_set : bool array;
   mutable topo : net array option;
   mutable levels : int array option;
-  mutable cones : Bytes.t array option;
-  mutable cone_sizes : int array option;
   mutable cone_reps : int array option;
 }
 
@@ -136,94 +134,10 @@ let level t n = (levels t).(n)
 
 let depth t = Array.fold_left max 0 (levels t)
 
-(* --- fanout-cone index ---------------------------------------------- *)
-
-(* The cone of net [n] is the set of nets a value change on [n] can reach
-   within one combinational evaluation: [n] itself plus, transitively, every
-   gate consuming a cone member. Propagation stops at flip-flop D pins and
-   primary outputs (both are observation points, not further combinational
-   drivers). Stored as one bitmap per net, each [num_nets] bits wide, built
-   in a single reverse-topological union pass and cached on the circuit. *)
-let compute_cones t =
-  let n = num_nets t in
-  let nbytes = (n + 7) / 8 in
-  let cones = Array.init n (fun _ -> Bytes.make nbytes '\000') in
-  let set_bit bm i =
-    Bytes.unsafe_set bm (i lsr 3)
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get bm (i lsr 3)) lor (1 lsl (i land 7))))
-  in
-  let union dst src =
-    for b = 0 to nbytes - 1 do
-      Bytes.unsafe_set dst b
-        (Char.unsafe_chr (Char.code (Bytes.unsafe_get dst b) lor Char.code (Bytes.unsafe_get src b)))
-    done
-  in
-  let absorb_sinks net =
-    set_bit cones.(net) net;
-    Array.iter
-      (fun (sink, _pin) ->
-        match t.drivers.(sink) with
-        | Gate_node _ -> union cones.(net) cones.(sink)
-        | Primary_input | Flip_flop _ | Const _ -> ())
-      t.fanouts.(net)
-  in
-  (* Gate/const nets in reverse evaluation order: every gate sink's cone is
-     complete before its fanins absorb it. *)
-  let order = topo_order t in
-  for k = Array.length order - 1 downto 0 do
-    absorb_sinks order.(k)
-  done;
-  (* Sources (primary inputs and flip-flop Q nets) only consume gate cones. *)
-  for net = 0 to n - 1 do
-    match t.drivers.(net) with
-    | Primary_input | Flip_flop _ -> absorb_sinks net
-    | Gate_node _ | Const _ -> ()
-  done;
-  cones
-
-let cones t =
-  match t.cones with
-  | Some c -> c
-  | None ->
-      let c = compute_cones t in
-      t.cones <- Some c;
-      c
-
-let cone t n = (cones t).(n)
-
-let in_cone t ~stem n =
-  let bm = (cones t).(stem) in
-  Char.code (Bytes.unsafe_get bm (n lsr 3)) land (1 lsl (n land 7)) <> 0
-
-let popcount_byte =
-  lazy
-    (Array.init 256 (fun b ->
-         let rec go b acc = if b = 0 then acc else go (b lsr 1) (acc + (b land 1)) in
-         go b 0))
-
-let cone_size t n =
-  let sizes =
-    match t.cone_sizes with
-    | Some s -> s
-    | None ->
-        let pop = Lazy.force popcount_byte in
-        let s =
-          Array.map
-            (fun bm ->
-              let acc = ref 0 in
-              Bytes.iter (fun c -> acc := !acc + pop.(Char.code c)) bm;
-              !acc)
-            (cones t)
-        in
-        t.cone_sizes <- Some s;
-        s
-  in
-  sizes.(n)
-
-(* A cheap cone-locality key that needs no bitmaps: the smallest-numbered
-   observation point (primary output, or flip-flop identified by its Q net)
-   the net reaches. Faults sharing a representative tend to share most of
-   their downstream cone, so sorting by it clusters overlapping cones. *)
+(* A cheap cone-locality key: the smallest-numbered observation point
+   (primary output, or flip-flop identified by its Q net) the net reaches.
+   Faults sharing a representative tend to share most of their downstream
+   cone, so sorting by it clusters overlapping cones. *)
 let compute_cone_reps t =
   let n = num_nets t in
   let inf = max_int in
@@ -371,8 +285,6 @@ module Builder = struct
         output_set;
         topo = None;
         levels = None;
-        cones = None;
-        cone_sizes = None;
         cone_reps = None;
       }
     in

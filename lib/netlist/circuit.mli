@@ -63,27 +63,11 @@ val level : t -> net -> int
 val depth : t -> int
 (** Maximum level over all nets. *)
 
-val cone : t -> net -> Bytes.t
-(** [cone c n] is the fanout cone of net [n] as a bitmap over net ids: [n]
-    itself plus every net a value change on [n] can reach combinationally
-    (propagation stops at flip-flop D pins and primary outputs). All cones
-    are computed once per circuit on first use — an O(nets²/8)-byte index —
-    and cached. The returned bytes must not be mutated. *)
-
-val in_cone : t -> stem:net -> net -> bool
-(** O(1) cone membership. [in_cone c ~stem n] implies the cone of [n] is a
-    subset of the cone of [stem] (combinational reachability is transitive),
-    the property the fault simulator's chunk grouping relies on. *)
-
-val cone_size : t -> net -> int
-(** Number of nets in the cone, cached alongside the bitmaps. *)
-
 val cone_rep : t -> net -> int
 (** A cheap cone-locality key: the smallest-numbered observation point
     (primary-output net, or the Q net of a capturing flip-flop) reachable
     from the net; [max_int] when the net reaches no observation point.
-    Computed in O(edges) without the bitmap index — usable on circuits too
-    large for {!cone}. *)
+    Computed once per circuit in O(edges) and cached. *)
 
 exception Build_error of string
 

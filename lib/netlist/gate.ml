@@ -70,25 +70,6 @@ let eval_fivev kind inputs =
   | Not -> f_not inputs.(0)
   | Buf -> inputs.(0)
 
-let eval_word kind inputs mask =
-  let fold op seed =
-    let acc = ref seed in
-    Array.iter (fun v -> acc := op !acc v) inputs;
-    !acc
-  in
-  let v =
-    match kind with
-    | And -> fold ( land ) mask
-    | Nand -> lnot (fold ( land ) mask)
-    | Or -> fold ( lor ) 0
-    | Nor -> lnot (fold ( lor ) 0)
-    | Xor -> fold ( lxor ) 0
-    | Xnor -> lnot (fold ( lxor ) 0)
-    | Not -> lnot inputs.(0)
-    | Buf -> inputs.(0)
-  in
-  v land mask
-
 let controlling_value = function
   | And | Nand -> Some false
   | Or | Nor -> Some true

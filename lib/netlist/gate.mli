@@ -28,11 +28,6 @@ val eval_fivev : kind -> Tvs_logic.Fivev.t array -> Tvs_logic.Fivev.t
     {!Tvs_logic.Fivev} connectives); PODEM's table kernel is tested
     against it. *)
 
-val eval_word : kind -> int array -> int -> int
-(** [eval_word kind inputs mask] evaluates bit-parallel over machine words
-    restricted to [mask] (bits outside [mask] are returned as 0). Each bit
-    lane is an independent machine. *)
-
 val controlling_value : kind -> bool option
 (** The input value that forces the output regardless of other inputs:
     0 for AND/NAND, 1 for OR/NOR, none for XOR/XNOR/NOT/BUF. *)

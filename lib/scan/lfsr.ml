@@ -1,5 +1,3 @@
-module Bitvec = Tvs_logic.Bitvec
-
 type t = { taps : int list; state : bool array }
 
 let create ?(seed = 1) ~width () =
@@ -22,14 +20,14 @@ let next_bit t =
 
 let next_vector t n = Array.init n (fun _ -> next_bit t)
 
-let state t = Bitvec.of_bool_array t.state
+let state t = Array.copy t.state
 
 let period_is_maximal ~width =
   let t = create ~width () in
-  let start = Bitvec.to_string (state t) in
+  let start = state t in
   let rec walk steps =
     ignore (next_bit t);
-    if Bitvec.to_string (state t) = start then steps + 1
+    if t.state = start then steps + 1
     else if steps > 1 lsl width then steps (* safety: non-maximal cycles stop early *)
     else walk (steps + 1)
   in

@@ -19,7 +19,8 @@ val next_bit : t -> bool
 val next_vector : t -> int -> bool array
 (** [next_vector t n] collects [n] successive output bits. *)
 
-val state : t -> Tvs_logic.Bitvec.t
+val state : t -> bool array
+(** A copy of the register, stage 0 first. *)
 
 val period_is_maximal : width:int -> bool
 (** Whether the default taps for this width cycle through all [2^w - 1]

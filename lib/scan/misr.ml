@@ -1,5 +1,3 @@
-module Bitvec = Tvs_logic.Bitvec
-
 type t = { taps : int list; state : bool array }
 
 let create ~width ~taps =
@@ -55,7 +53,7 @@ let absorb t data =
 
 let absorb_stream t stream = List.iter (absorb t) stream
 
-let signature t = Bitvec.of_bool_array t.state
+let signature t = Array.copy t.state
 
 let signature_of ~width stream =
   let t = create ~width ~taps:(default_taps ~width) in

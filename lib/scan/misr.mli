@@ -32,9 +32,9 @@ val absorb : t -> bool array -> unit
 
 val absorb_stream : t -> bool array list -> unit
 
-val signature : t -> Tvs_logic.Bitvec.t
-(** Current contents, stage 0 first. *)
+val signature : t -> bool array
+(** A copy of the current contents, stage 0 first. *)
 
-val signature_of : width:int -> bool array list -> Tvs_logic.Bitvec.t
+val signature_of : width:int -> bool array list -> bool array
 (** One-shot: reset, absorb the stream, read the signature, using
     {!default_taps}. *)

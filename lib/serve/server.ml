@@ -24,6 +24,7 @@ module Circuit = Tvs_netlist.Circuit
 module Policy = Tvs_core.Policy
 module Cache = Tvs_store.Cache
 module Checkpoint = Tvs_store.Checkpoint
+module Codec = Tvs_store.Codec
 module Store_digest = Tvs_store.Digest
 module Metrics = Tvs_obs.Metrics
 module Json = Tvs_obs.Json
@@ -81,21 +82,6 @@ type t = {
   wake_w : Unix.file_descr;
 }
 
-let rec mkdir_p path =
-  if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
-  else begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let write_text_atomic path text =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc text);
-  try Sys.rename tmp path
-  with e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
-
 (* --- job execution (scheduler thread only) ------------------------------ *)
 
 let prep_for t circuit =
@@ -131,7 +117,7 @@ let resolve t (job : Protocol.job) =
                    so a restarted server reparses it identically even though
                    the checkpoint has no format field *)
                 let path = Filename.concat dir (Cli.inline_file_name ?format:job.format text) in
-                if not (Sys.file_exists path) then write_text_atomic path text;
+                if not (Sys.file_exists path) then Codec.write_file_atomic path text;
                 path
           in
           Ok (c, spec))
@@ -486,7 +472,7 @@ let scan_recovery t dir =
         match Checkpoint.load path with
         | Error e ->
             Printf.eprintf "tvs serve: dropping unreadable checkpoint %s: %s\n%!" path
-              (Tvs_store.Codec.error_to_string e);
+              (Codec.error_to_string e);
             (try Sys.remove path with Sys_error _ -> ())
         | Ok ck ->
             let job =
@@ -578,7 +564,13 @@ let run ?state_dir ?(checkpoint_every = 4) ?(checkpoint_threshold = 1000) ?on_re
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Stdlib.exit 0));
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> Stdlib.exit 130));
   Tvs_obs.Instrument.install_pool_probe ();
-  match bind_listen listen with
+  (* An unusable state directory is a startup error, found before the
+     socket exists: every checkpoint and inline netlist would fail later. *)
+  match
+    Result.bind
+      (Option.fold ~none:(Ok ()) ~some:(Codec.ensure_dir ~flag:"--state") state_dir)
+      (fun () -> bind_listen listen)
+  with
   | Error _ as e -> e
   | Ok (fd, cleanup) ->
       at_exit cleanup;
@@ -601,11 +593,7 @@ let run ?state_dir ?(checkpoint_every = 4) ?(checkpoint_threshold = 1000) ?on_re
           wake_w;
         }
       in
-      (match state_dir with
-      | Some dir ->
-          mkdir_p dir;
-          scan_recovery t dir
-      | None -> ());
+      Option.iter (scan_recovery t) state_dir;
       let scheduler = Thread.create scheduler_loop t in
       Option.iter (fun f -> f ()) on_ready;
       let rec accept_loop () =

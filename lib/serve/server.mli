@@ -38,7 +38,9 @@ val run :
   (unit, string) result
 (** Run the daemon until a [shutdown] verb arrives (the queue is drained
     first, new submissions are rejected, then [Ok ()] returns) or a fatal
-    signal ends the process. [Error] on bind failures. [state_dir] enables
+    signal ends the process. [Error] when [state_dir] cannot be used as a
+    directory ({!Tvs_store.Codec.ensure_dir}, checked before the socket is
+    bound) or when binding fails. [state_dir] enables
     checkpointing and restart recovery; [checkpoint_every] (default 4) is
     the checkpoint period in stitched cycles, [checkpoint_threshold]
     (default 1000) the minimum collapsed-fault count for a job to

@@ -1,5 +1,4 @@
 module Circuit = Tvs_netlist.Circuit
-module Gate = Tvs_netlist.Gate
 
 type injection = {
   lane : int;
@@ -199,8 +198,6 @@ let apply_stem t net v =
 
 let sink_flagged t sink = Array.unsafe_get t.sink_flagged sink
 
-let stem_overridden t net = t.stem_set.(net) lor t.stem_clear.(net) <> 0
-
 (* Value of [src] as seen by pin [pin] of consumer [sink]. *)
 let fetch t ~values ~sink ~pin src =
   let v : int = values.(src) in
@@ -209,26 +206,3 @@ let fetch t ~values ~sink ~pin src =
     v land lnot t.branch_clear.(slot) lor t.branch_set.(slot)
   end
   else v
-
-let eval_gate t ~values sink kind (ins : int array) =
-  let n = Array.length ins in
-  let fetch_pin pin = fetch t ~values ~sink ~pin ins.(pin) in
-  let fold op seed =
-    let acc = ref seed in
-    for pin = 0 to n - 1 do
-      acc := op !acc (fetch_pin pin)
-    done;
-    !acc
-  in
-  let v =
-    match kind with
-    | Gate.And -> fold ( land ) Lanes.all_mask
-    | Gate.Nand -> lnot (fold ( land ) Lanes.all_mask)
-    | Gate.Or -> fold ( lor ) 0
-    | Gate.Nor -> lnot (fold ( lor ) 0)
-    | Gate.Xor -> fold ( lxor ) 0
-    | Gate.Xnor -> lnot (fold ( lxor ) 0)
-    | Gate.Not -> lnot (fetch_pin 0)
-    | Gate.Buf -> fetch_pin 0
-  in
-  v land Lanes.all_mask

@@ -65,8 +65,6 @@ val clear_plan : t -> plan -> unit
 val apply_stem : t -> Tvs_netlist.Circuit.net -> int -> int
 (** Apply the net's stem force masks to a lane-packed value. *)
 
-val stem_overridden : t -> Tvs_netlist.Circuit.net -> bool
-
 val sink_flagged : t -> Tvs_netlist.Circuit.net -> bool
 (** Whether the sink has at least one branch override installed — the guard
     for taking the slower per-pin {!fetch} path when evaluating its gate. *)
@@ -74,9 +72,3 @@ val sink_flagged : t -> Tvs_netlist.Circuit.net -> bool
 val fetch : t -> values:int array -> sink:Tvs_netlist.Circuit.net -> pin:int -> Tvs_netlist.Circuit.net -> int
 (** Value of a source net as seen by one consumer pin (branch overrides
     applied). *)
-
-val eval_gate :
-  t -> values:int array -> Tvs_netlist.Circuit.net -> Tvs_netlist.Gate.kind -> int array -> int
-(** Evaluate one gate over lane-packed fanin values, honouring branch
-    overrides on the gate's pins. The stem masks of the output net are NOT
-    applied — callers compose with {!apply_stem}. *)

@@ -10,29 +10,7 @@ let m_stores = Metrics.counter ~stable:false "store.cache.stores"
 
 type t = { dir : string }
 
-let rec mkdir_p path =
-  if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
-  else begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let open_dir path =
-  if String.length path = 0 then Error "--cache needs a non-empty directory name"
-  else
-    match
-      if Sys.file_exists path then
-        if Sys.is_directory path then Ok ()
-        else Error (Printf.sprintf "--cache %S exists and is not a directory" path)
-      else begin
-        mkdir_p path;
-        Ok ()
-      end
-    with
-    | Ok () -> Ok { dir = path }
-    | Error _ as e -> e
-    | exception Unix.Unix_error (err, _, arg) ->
-        Error (Printf.sprintf "--cache %S: cannot create %S: %s" path arg (Unix.error_message err))
+let open_dir path = Result.map (fun () -> { dir = path }) (Codec.ensure_dir ~flag:"--cache" path)
 
 let dir t = t.dir
 

@@ -16,8 +16,7 @@
 type t
 
 val open_dir : string -> (t, string) result
-(** Create the directory (and parents) if needed. [Error] when the path
-    exists but is not a directory, or cannot be created. *)
+(** {!Codec.ensure_dir} with flag [--cache]. *)
 
 val dir : t -> string
 

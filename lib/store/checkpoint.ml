@@ -1,5 +1,4 @@
 module Wire = Tvs_util.Wire
-module Fault = Tvs_fault.Fault
 module Xor_scheme = Tvs_scan.Xor_scheme
 module Policy = Tvs_core.Policy
 module Cycle = Tvs_core.Cycle
@@ -85,44 +84,10 @@ let read_stimulus r =
   let fresh = Wire.read_bool_array r in
   (pi, fresh)
 
-let write_cycle_log w (l : Engine.cycle_log) =
-  Wire.write_varint w l.Engine.shift;
-  Fault.encode w l.Engine.target;
-  Wire.write_varint w l.Engine.caught;
-  Wire.write_varint w l.Engine.became_hidden;
-  Wire.write_varint w l.Engine.hidden_after;
-  Wire.write_varint w l.Engine.uncaught_after;
-  Wire.write_varint w l.Engine.events_fired;
-  Wire.write_varint w l.Engine.gates_skipped;
-  Wire.write_varint w l.Engine.faults_dropped
-
-let read_cycle_log r =
-  let shift = Wire.read_varint r in
-  let target = Fault.decode r in
-  let caught = Wire.read_varint r in
-  let became_hidden = Wire.read_varint r in
-  let hidden_after = Wire.read_varint r in
-  let uncaught_after = Wire.read_varint r in
-  let events_fired = Wire.read_varint r in
-  let gates_skipped = Wire.read_varint r in
-  let faults_dropped = Wire.read_varint r in
-  {
-    Engine.shift;
-    target;
-    caught;
-    became_hidden;
-    hidden_after;
-    uncaught_after;
-    events_fired;
-    gates_skipped;
-    faults_dropped;
-  }
-
 let write_snapshot w (s : Engine.snapshot) =
   write_machine w s.Engine.machine;
   Wire.write_list Wire.write_varint w s.Engine.shifts_rev;
   Wire.write_list write_stimulus w s.Engine.stimuli_rev;
-  Wire.write_list write_cycle_log w s.Engine.log_rev;
   Wire.write_varint w s.Engine.peak_hidden;
   Wire.write_varint w s.Engine.stagnant;
   Wire.write_varint w s.Engine.current_s;
@@ -132,12 +97,11 @@ let read_snapshot r =
   let machine = read_machine r in
   let shifts_rev = Wire.read_list Wire.read_varint r in
   let stimuli_rev = Wire.read_list read_stimulus r in
-  let log_rev = Wire.read_list read_cycle_log r in
   let peak_hidden = Wire.read_varint r in
   let stagnant = Wire.read_varint r in
   let current_s = Wire.read_varint r in
   let rng_state = Wire.read_i64 r in
-  { Engine.machine; shifts_rev; stimuli_rev; log_rev; peak_hidden; stagnant; current_s; rng_state }
+  { Engine.machine; shifts_rev; stimuli_rev; peak_hidden; stagnant; current_s; rng_state }
 
 (* --- whole-checkpoint codec ------------------------------------------- *)
 

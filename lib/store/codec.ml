@@ -1,7 +1,7 @@
 module Wire = Tvs_util.Wire
 module Crc32 = Tvs_util.Crc32
 
-let schema_version = 1
+let schema_version = 2
 
 (* "TVS" plus a non-ASCII byte so a frame is never mistaken for text. *)
 let magic = "TVS\x01"
@@ -110,6 +110,24 @@ let decode ~kind s f =
       with
       | Wire.Error msg -> Error (Malformed msg)
       | Invalid_argument msg -> Error (Malformed msg))
+
+let rec mkdir_p path =
+  if path = "" || path = "." || path = "/" || Sys.file_exists path then ()
+  else begin
+    mkdir_p (Filename.dirname path);
+    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
+let ensure_dir ~flag path =
+  if String.length path = 0 then Error (flag ^ " needs a non-empty directory name")
+  else if Sys.file_exists path then
+    if Sys.is_directory path then Ok ()
+    else Error (Printf.sprintf "%s %S exists and is not a directory" flag path)
+  else
+    match mkdir_p path with
+    | () -> Ok ()
+    | exception Unix.Unix_error (err, _, arg) ->
+        Error (Printf.sprintf "%s %S: cannot create %S: %s" flag path arg (Unix.error_message err))
 
 let write_file_atomic path data =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in

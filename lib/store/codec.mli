@@ -43,6 +43,12 @@ val decode : kind:string -> string -> (wire_reader -> 'a) -> ('a, error) result
     decoder. Wire errors and [Invalid_argument] from structural validation
     inside the decoder surface as [Malformed] — never a bare exception. *)
 
+val ensure_dir : flag:string -> string -> (unit, string) result
+(** Create the directory (and parents) if needed. [Error], naming the
+    command-line [flag] the path came from, when the path is empty, exists
+    but is not a directory, or cannot be created (a parent is a regular
+    file, permissions). *)
+
 val write_file_atomic : string -> string -> unit
 (** [write_file_atomic path data]: write to [path ^ ".tmp.<pid>"] in the same
     directory, then rename over [path]. Raises [Sys_error] on I/O failure. *)

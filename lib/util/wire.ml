@@ -1,6 +1,7 @@
-(* Binary wire primitives shared by every codec instance (Bitvec, Circuit,
-   Fault, Cube, the engine snapshot). Writers append to a Buffer; readers
-   are bounds-checked cursors over a string and raise the local [Error]
+(* Binary wire primitives shared by every codec instance (Circuit, the
+   engine checkpoint, digests and the cached results of the harness, lint,
+   TPI and CEC layers). Writers append to a Buffer; readers are
+   bounds-checked cursors over a string and raise the local [Error]
    exception, which [decode] converts to a result so no half-read ever
    escapes as a bare [Failure]. *)
 
@@ -40,7 +41,7 @@ let write_string b s =
   Buffer.add_string b s
 
 (* Bit-packed, LSB-first within each byte: the canonical form is independent
-   of the host word size (unlike Bitvec's 63-bit internal words). *)
+   of the host word size. *)
 let write_bool_array b arr =
   let n = Array.length arr in
   write_varint b n;

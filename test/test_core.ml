@@ -95,21 +95,6 @@ let test_cycle_flush_empties_hidden () =
   ignore (Cycle.flush machine ~full:true);
   Alcotest.(check int) "no hidden after full drain" 0 (Cycle.num_hidden machine)
 
-let test_cycle_preview_pure () =
-  let faults = Fault_gen.collapsed s27 in
-  let machine = Cycle.create s27 ~faults in
-  let pi = Array.make (Circuit.num_inputs s27) true in
-  let fresh = Array.make 2 true in
-  let before = (Cycle.num_caught machine, Cycle.num_hidden machine, Cycle.num_uncaught machine) in
-  let r1 = Cycle.preview machine ~pi ~fresh in
-  let after = (Cycle.num_caught machine, Cycle.num_hidden machine, Cycle.num_uncaught machine) in
-  Alcotest.(check (triple int int int)) "no mutation" before after;
-  let r2 = Cycle.step machine ~pi ~fresh in
-  Alcotest.(check int) "preview equals committed step (caught)"
-    (List.length r1.Cycle.caught_now) (List.length r2.Cycle.caught_now);
-  Alcotest.(check int) "preview equals committed step (hidden)"
-    (List.length r1.Cycle.newly_hidden) (List.length r2.Cycle.newly_hidden)
-
 let test_cycle_constraints () =
   let faults = Fault_gen.collapsed s27 in
   let machine = Cycle.create s27 ~faults in
@@ -132,14 +117,16 @@ let test_cycle_shift_too_big () =
        false
      with Invalid_argument _ -> true)
 
-(* The maintained counts and f_u list against a fresh fold of [status]. *)
+(* The maintained counts and f_u list against a fresh fold of the exported
+   fault states. *)
 let check_books what machine =
   let caught = ref 0 and hidden = ref 0 and uncaught = ref [] in
-  for i = Cycle.num_faults machine - 1 downto 0 do
-    match Cycle.status machine i with
-    | Cycle.Caught _ -> incr caught
-    | Cycle.Hidden -> incr hidden
-    | Cycle.Uncaught -> uncaught := i :: !uncaught
+  let states = (Cycle.export machine).Cycle.states in
+  for i = Array.length states - 1 downto 0 do
+    match states.(i) with
+    | Cycle.Fs_caught _ -> incr caught
+    | Cycle.Fs_hidden _ -> incr hidden
+    | Cycle.Fs_uncaught -> uncaught := i :: !uncaught
   done;
   Alcotest.(check (triple int int int))
     (what ^ ": counts")
@@ -190,8 +177,8 @@ let test_engine_first_shift_full () =
   (match r.Engine.schedule.Cost.shifts with
   | first :: _ -> Alcotest.(check int) "first load is full" (Circuit.num_flops s27) first
   | [] -> Alcotest.fail "no stitched vectors");
-  Alcotest.(check int) "log matches schedule" r.Engine.stitched_vectors
-    (List.length r.Engine.log)
+  Alcotest.(check int) "stimuli match schedule" r.Engine.stitched_vectors
+    (List.length r.Engine.stimuli)
 
 let test_engine_counts_consistent () =
   let ctx, faults, baseline = prep () in
@@ -268,18 +255,6 @@ let qcheck_cost_oracle =
       let expected_memory = total + observed + (n * (npi + npo)) in
       Cost.time sched = expected_time && Cost.memory sched = expected_memory)
 
-let test_engine_log_consistent () =
-  let ctx, faults, baseline = prep () in
-  let r = Engine.run ~fallback:baseline.Baseline.vectors ~rng:(Rng.of_string "log") ctx ~faults in
-  List.iter2
-    (fun (entry : Engine.cycle_log) s ->
-      Alcotest.(check int) "log shift matches schedule" s entry.Engine.shift)
-    r.Engine.log r.Engine.schedule.Cost.shifts;
-  (* Caught counts across the log plus extras equal the totals. *)
-  let logged_caught = List.fold_left (fun acc (e : Engine.cycle_log) -> acc + e.Engine.caught) 0 r.Engine.log in
-  Alcotest.(check bool) "log catches within stitched total" true
-    (logged_caught <= r.Engine.caught_stitched)
-
 let () =
   Alcotest.run "core"
     [
@@ -299,7 +274,6 @@ let () =
         [
           Alcotest.test_case "partition invariant" `Quick test_cycle_partition_invariant;
           Alcotest.test_case "flush empties hidden" `Quick test_cycle_flush_empties_hidden;
-          Alcotest.test_case "preview is pure" `Quick test_cycle_preview_pure;
           Alcotest.test_case "constraint cube" `Quick test_cycle_constraints;
           Alcotest.test_case "oversized shift rejected" `Quick test_cycle_shift_too_big;
           Alcotest.test_case "incremental counts and f_u list" `Quick test_cycle_incremental_books;
@@ -310,7 +284,6 @@ let () =
           Alcotest.test_case "fault accounting" `Quick test_engine_counts_consistent;
           Alcotest.test_case "max cycles respected" `Quick test_engine_respects_max_cycles;
           Alcotest.test_case "hxor coverage" `Quick test_engine_hxor_taps_more_observable;
-          Alcotest.test_case "log consistency" `Quick test_engine_log_consistent;
           QCheck_alcotest.to_alcotest qcheck_info_ratio_monotone;
           QCheck_alcotest.to_alcotest qcheck_info_ratio_attained_accuracy;
           QCheck_alcotest.to_alcotest qcheck_cost_oracle;

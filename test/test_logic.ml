@@ -1,9 +1,8 @@
-(* Unit and property tests for Tvs_logic: ternary logic, the five-valued
-   D-calculus, and packed bit vectors. *)
+(* Unit and property tests for Tvs_logic: ternary logic and the five-valued
+   D-calculus. *)
 
 module Ternary = Tvs_logic.Ternary
 module Fivev = Tvs_logic.Fivev
-module Bitvec = Tvs_logic.Bitvec
 
 let tern = Alcotest.testable (fun fmt v -> Ternary.pp fmt v) Ternary.equal
 let fv = Alcotest.testable (fun fmt v -> Fivev.pp fmt v) Fivev.equal
@@ -96,70 +95,6 @@ let test_fivev_is_error () =
     [ false; false; true; true; false ]
     (List.map Fivev.is_error all5)
 
-(* --- bitvec --------------------------------------------------------- *)
-
-let test_bitvec_get_set () =
-  let v = Bitvec.create 130 in
-  Alcotest.(check int) "length" 130 (Bitvec.length v);
-  Bitvec.set v 0 true;
-  Bitvec.set v 63 true;
-  Bitvec.set v 129 true;
-  Alcotest.(check bool) "bit 0" true (Bitvec.get v 0);
-  Alcotest.(check bool) "bit 62" false (Bitvec.get v 62);
-  Alcotest.(check bool) "bit 63 (word boundary)" true (Bitvec.get v 63);
-  Alcotest.(check bool) "bit 129" true (Bitvec.get v 129);
-  Alcotest.(check int) "popcount" 3 (Bitvec.popcount v);
-  Bitvec.set v 63 false;
-  Alcotest.(check int) "popcount after clear" 2 (Bitvec.popcount v)
-
-let test_bitvec_bounds () =
-  let v = Bitvec.create 8 in
-  Alcotest.check_raises "get out of bounds" (Invalid_argument "Bitvec: index out of bounds")
-    (fun () -> ignore (Bitvec.get v 8))
-
-let test_bitvec_strings () =
-  let v = Bitvec.of_string "10110" in
-  Alcotest.(check string) "roundtrip" "10110" (Bitvec.to_string v);
-  Alcotest.(check int) "popcount" 3 (Bitvec.popcount v)
-
-let test_bitvec_xor_diff () =
-  let a = Bitvec.of_string "10110" and b = Bitvec.of_string "10011" in
-  Alcotest.(check string) "xor" "00101" (Bitvec.to_string (Bitvec.xor a b));
-  Alcotest.(check (option int)) "first diff" (Some 2) (Bitvec.first_diff a b);
-  Alcotest.(check (option int)) "no diff" None (Bitvec.first_diff a a)
-
-let test_bitvec_fill () =
-  let v = Bitvec.create 70 in
-  Bitvec.fill v true;
-  Alcotest.(check int) "all ones" 70 (Bitvec.popcount v);
-  Bitvec.fill v false;
-  Alcotest.(check int) "all zeros" 0 (Bitvec.popcount v)
-
-let test_bitvec_iteri_set () =
-  let v = Bitvec.of_string "010010001" in
-  let acc = ref [] in
-  Bitvec.iteri_set (fun i -> acc := i :: !acc) v;
-  Alcotest.(check (list int)) "set positions ascending" [ 1; 4; 8 ] (List.rev !acc)
-
-let qcheck_bitvec_roundtrip =
-  QCheck.Test.make ~name:"bool array roundtrip" ~count:200
-    QCheck.(array_of_size Gen.(int_range 0 200) bool)
-    (fun arr -> Bitvec.to_bool_array (Bitvec.of_bool_array arr) = arr)
-
-let qcheck_bitvec_popcount =
-  QCheck.Test.make ~name:"popcount equals number of trues" ~count:200
-    QCheck.(array_of_size Gen.(int_range 0 200) bool)
-    (fun arr ->
-      Bitvec.popcount (Bitvec.of_bool_array arr)
-      = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 arr)
-
-let qcheck_bitvec_xor_involution =
-  QCheck.Test.make ~name:"xor with self is zero" ~count:100
-    QCheck.(array_of_size Gen.(int_range 1 200) bool)
-    (fun arr ->
-      let v = Bitvec.of_bool_array arr in
-      Bitvec.popcount (Bitvec.xor v v) = 0)
-
 let () =
   Alcotest.run "logic"
     [
@@ -180,17 +115,5 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_fivev_and;
           QCheck_alcotest.to_alcotest qcheck_fivev_or;
           QCheck_alcotest.to_alcotest qcheck_fivev_xor;
-        ] );
-      ( "bitvec",
-        [
-          Alcotest.test_case "get/set across words" `Quick test_bitvec_get_set;
-          Alcotest.test_case "bounds checking" `Quick test_bitvec_bounds;
-          Alcotest.test_case "string conversions" `Quick test_bitvec_strings;
-          Alcotest.test_case "xor and first_diff" `Quick test_bitvec_xor_diff;
-          Alcotest.test_case "fill" `Quick test_bitvec_fill;
-          Alcotest.test_case "iteri_set" `Quick test_bitvec_iteri_set;
-          QCheck_alcotest.to_alcotest qcheck_bitvec_roundtrip;
-          QCheck_alcotest.to_alcotest qcheck_bitvec_popcount;
-          QCheck_alcotest.to_alcotest qcheck_bitvec_xor_involution;
         ] );
     ]

@@ -19,30 +19,6 @@ let test_gate_eval_bool () =
   Alcotest.(check bool) "not" false (Gate.eval_bool Gate.Not [| true |]);
   Alcotest.(check bool) "buf" true (Gate.eval_bool Gate.Buf [| true |])
 
-let test_gate_eval_word () =
-  (* Lane 0: AND(1,1)=1; lane 1: AND(1,0)=0. *)
-  let mask = 0b11 in
-  Alcotest.(check int) "word and" 0b01 (Gate.eval_word Gate.And [| 0b11; 0b01 |] mask);
-  Alcotest.(check int) "word nand" 0b10 (Gate.eval_word Gate.Nand [| 0b11; 0b01 |] mask);
-  Alcotest.(check int) "word not" 0b10 (Gate.eval_word Gate.Not [| 0b01 |] mask);
-  Alcotest.(check int) "masked" 0 (Gate.eval_word Gate.Nor [| 0b11 |] 0)
-
-let test_gate_word_matches_bool () =
-  (* Exhaustive 2-input agreement between the scalar and word evaluators. *)
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun (a, b) ->
-          let expected = Gate.eval_bool kind [| a; b |] in
-          let word =
-            Gate.eval_word kind [| (if a then 1 else 0); (if b then 1 else 0) |] 1
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s(%b,%b)" (Gate.to_string kind) a b)
-            expected (word = 1))
-        [ (false, false); (false, true); (true, false); (true, true) ])
-    [ Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor ]
-
 let test_gate_strings () =
   List.iter
     (fun kind ->
@@ -341,8 +317,6 @@ let () =
       ( "gate",
         [
           Alcotest.test_case "bool eval" `Quick test_gate_eval_bool;
-          Alcotest.test_case "word eval" `Quick test_gate_eval_word;
-          Alcotest.test_case "word agrees with bool" `Quick test_gate_word_matches_bool;
           Alcotest.test_case "string conversions" `Quick test_gate_strings;
           Alcotest.test_case "arity" `Quick test_gate_arity;
           Alcotest.test_case "controlling value / inversion" `Quick test_controlling_inversion;

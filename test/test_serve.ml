@@ -338,6 +338,29 @@ let with_server ?state_dir f =
       | Error m -> Alcotest.failf "server run failed: %s" m)
     (fun () -> f sock)
 
+(* A state path that cannot be a directory (a regular file, or a path
+   under one) is a startup error: [run] returns [Error] before it binds, so
+   [on_ready] never fires and no socket file is left behind. *)
+exception Started
+
+let test_server_rejects_bad_state () =
+  let dir = fresh_dir () in
+  let file = Filename.concat dir "plain" in
+  close_out (open_out file);
+  let sock = Filename.concat dir "sock" in
+  List.iter
+    (fun state_dir ->
+      (match
+         Server.run ~state_dir ~on_ready:(fun () -> raise Started) (Server.Unix_socket sock)
+       with
+      | Error m ->
+          Alcotest.(check bool) (state_dir ^ ": error names --state") true
+            (String.starts_with ~prefix:"--state" m)
+      | Ok () -> Alcotest.failf "%s: server ran" state_dir
+      | exception Started -> Alcotest.failf "%s: server started listening" state_dir);
+      Alcotest.(check bool) (state_dir ^ ": no socket file") false (Sys.file_exists sock))
+    [ file; Filename.concat file "sub" ]
+
 let connect sock =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX sock);
@@ -669,6 +692,7 @@ let () =
           Alcotest.test_case "inline netlist jobs" `Quick test_server_inline_bench;
           Alcotest.test_case "inline verilog jobs" `Quick test_server_inline_verilog;
           Alcotest.test_case "checkpoint recovery at startup" `Quick test_server_recovery;
+          Alcotest.test_case "unusable state dir rejected" `Quick test_server_rejects_bad_state;
           Alcotest.test_case "tpi jobs" `Quick test_server_tpi;
           Alcotest.test_case "equiv jobs" `Quick test_server_equiv;
         ] );

@@ -4,8 +4,6 @@
 
 module Circuit = Tvs_netlist.Circuit
 module Bench_format = Tvs_netlist.Bench_format
-module Bitvec = Tvs_logic.Bitvec
-module Fault = Tvs_fault.Fault
 module Fault_gen = Tvs_fault.Fault_gen
 module Podem = Tvs_atpg.Podem
 module Xor_scheme = Tvs_scan.Xor_scheme
@@ -135,21 +133,6 @@ let test_circuit_codec_roundtrip () =
         (Bench_format.to_string c'))
     [ s27; tiny 0; tiny 3; Tvs_circuits.Fig1.circuit () ]
 
-let test_fault_and_bitvec_codec_roundtrip () =
-  let faults = Fault_gen.collapsed s27 in
-  let bytes = encode_to_string (fun w -> Wire.write_array Fault.encode w faults) in
-  (match Wire.decode bytes (Wire.read_array Fault.decode) with
-  | Ok faults' ->
-      Alcotest.(check bool) "fault array round-trips" true (faults = faults')
-  | Error msg -> Alcotest.failf "fault decode failed: %s" msg);
-  let rng = Rng.of_string "store:bitvec" in
-  let bits = Array.init 131 (fun _ -> Rng.bool rng) in
-  let v = Bitvec.of_bool_array bits in
-  let bytes = encode_to_string (fun w -> Bitvec.encode w v) in
-  match Wire.decode bytes Bitvec.decode with
-  | Ok v' -> Alcotest.(check bool) "bitvec round-trips" true (Bitvec.equal v v')
-  | Error msg -> Alcotest.failf "bitvec decode failed: %s" msg
-
 (* --- digests --------------------------------------------------------- *)
 
 let test_digest_circuit () =
@@ -194,7 +177,7 @@ let checkpoint_of snapshot =
 
 (* An interrupted run, resumed from a frame-round-tripped snapshot, must
    reproduce the uninterrupted run's result exactly — including the RNG-
-   dependent parts (candidate selection) and the full per-cycle log. *)
+   dependent parts (candidate selection) and the stitched stimuli. *)
 let test_resume_equals_uninterrupted () =
   let ctx, faults, baseline = prep () in
   let snaps = ref [] in
@@ -274,6 +257,15 @@ let test_checkpoint_file_roundtrip_and_corruption () =
   | Error (Codec.Io _) -> ()
   | Error e -> Alcotest.failf "wrong missing-file error: %s" (Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "missing file accepted"
+
+(* A checkpoint written at store schema 1 (by [tvs stitch s27 --checkpoint F
+   --checkpoint-every 1]; its snapshot still carried a per-cycle log) is
+   refused by its version byte, never decoded against today's layout. *)
+let test_checkpoint_schema1_refused () =
+  match Checkpoint.load "golden/ckpt_s27_schema1.tvs" with
+  | Error (Codec.Bad_version 1) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "schema-1 checkpoint accepted"
 
 (* --- cache ----------------------------------------------------------- *)
 
@@ -457,8 +449,6 @@ let () =
           Alcotest.test_case "every bit flip detected" `Quick test_frame_bit_flips;
           Alcotest.test_case "trailing garbage rejected" `Quick test_frame_trailing_garbage;
           Alcotest.test_case "circuit codec round-trip" `Quick test_circuit_codec_roundtrip;
-          Alcotest.test_case "fault and bitvec round-trip" `Quick
-            test_fault_and_bitvec_codec_roundtrip;
         ] );
       ( "digest",
         [
@@ -470,6 +460,7 @@ let () =
           Alcotest.test_case "resume equals uninterrupted" `Quick test_resume_equals_uninterrupted;
           Alcotest.test_case "file round-trip and corruption" `Quick
             test_checkpoint_file_roundtrip_and_corruption;
+          Alcotest.test_case "schema-1 checkpoint refused" `Quick test_checkpoint_schema1_refused;
         ] );
       ( "cache",
         [
