@@ -94,7 +94,7 @@ let format_arg =
    Reports through stderr so the gated command's own stdout stays
    byte-identical with and without the gate. *)
 let verify_gate ~what left right =
-  match Cec.check ?cache:(Experiments.cache ()) left right with
+  match Cec.check left right with
   | r -> (
       match r.Cec.verdict with
       | Cec.Equivalent ->
@@ -563,14 +563,9 @@ let randtest_cmd =
    replays it; [tag] names the engine's RNG stream. *)
 let stitched_program ~tag ~scheme ~selection ~shift (prep : Prep.t) =
   let c = prep.Prep.circuit in
-  let config =
-    Experiments.config_for ~scheme ?shift:(Option.map (fun s -> Policy.Fixed s) shift) ~selection
-      prep
-  in
   let r =
-    Tvs_core.Engine.run ~config ~fallback:prep.Prep.baseline.Baseline.vectors
-      ~rng:(Tvs_util.Rng.of_string (Circuit.name c ^ ":" ^ tag)) prep.Prep.ctx
-      ~faults:prep.Prep.testable
+    Experiments.run_engine ~scheme ?shift:(Option.map (fun s -> Policy.Fixed s) shift) ~selection
+      ~label:tag prep
   in
   let stitched =
     Tvs_scan.Tester_format.of_stitched ~chain_len:(Circuit.num_flops c)
@@ -729,7 +724,7 @@ let equiv_cmd =
               exit Cmd.Exit.cli_error)
     in
     let options = { Cec.default_options with Cec.budget; vectors; ties } in
-    match Cec.check ~options ?cache:(Experiments.cache ()) left right with
+    match Cec.check ~options left right with
     | r -> (
         (match format with
         | `Ascii -> print_string (Cec.to_ascii r)

@@ -62,8 +62,4 @@ let chars arr = String.init (Array.length arr) (fun i -> Ternary.to_char arr.(i)
 
 let to_string (t : t) = chars t.pi ^ "|" ^ chars t.scan
 
-let bools arr = String.init (Array.length arr) (fun i -> if arr.(i) then '1' else '0')
-
-let vector_to_string (v : vector) = bools v.pi ^ "|" ^ bools v.scan
-
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -36,6 +36,4 @@ val of_vector : vector -> t
 val to_string : t -> string
 (** "pi|scan" with one character per bit, e.g. "1X0|01X". *)
 
-val vector_to_string : vector -> string
-
 val pp : Format.formatter -> t -> unit

@@ -20,9 +20,6 @@ val co_stem : t -> Tvs_netlist.Circuit.net -> int
 (** Stem observability: minimum over the net's branches and any direct
     primary-output observation. [max_int / 4] when unobservable. *)
 
-val co_branch : t -> sink:Tvs_netlist.Circuit.net -> pin:int -> int
-(** Observability of one fanout branch. *)
-
 val fault_hardness : t -> Tvs_fault.Fault.t -> int
 (** Detection-cost estimate: controllability of the activation value at the
     site plus the site's observability. Higher = harder. The paper's

@@ -745,30 +745,25 @@ let compute ~options left right =
     cached = false;
   }
 
-let check ?(options = default_options) ?cache left right =
+let check ?(options = default_options) left right =
   Metrics.incr m_checks;
-  let key = check_key ~options left right in
-  let cached =
-    match cache with None -> None | Some c -> Cache.find c ~kind:cache_kind ~key decode_result
+  let r =
+    Cache.memo ~kind:cache_kind
+      ~key:(fun () -> check_key ~options left right)
+      encode_result decode_result
+      (fun () -> compute ~options left right)
   in
-  match cached with
-  | Some r ->
-      Metrics.incr m_cached;
-      count_verdict r.verdict;
-      r
-  | None ->
-      let r = compute ~options left right in
-      (match cache with
-      | None -> ()
-      | Some c -> Cache.store c ~kind:cache_kind ~key (fun w -> encode_result w r));
-      count_verdict r.verdict;
-      Metrics.add m_points (points r);
-      Metrics.add m_classes r.classes;
-      Metrics.add m_proved r.proved;
-      Metrics.add m_sat_calls r.sat_calls;
-      Metrics.add m_sat_decisions r.decisions;
-      Metrics.add m_sat_propagations r.propagations;
-      r
+  count_verdict r.verdict;
+  if r.cached then Metrics.incr m_cached
+  else begin
+    Metrics.add m_points (points r);
+    Metrics.add m_classes r.classes;
+    Metrics.add m_proved r.proved;
+    Metrics.add m_sat_calls r.sat_calls;
+    Metrics.add m_sat_decisions r.decisions;
+    Metrics.add m_sat_propagations r.propagations
+  end;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                          *)

@@ -58,10 +58,6 @@ type point =
   | Po of string  (** primary output, by name *)
   | Capture of string  (** flip-flop D pseudo-output, by flop name *)
 
-val point_kind : point -> string
-val point_target : point -> string
-val point_label : point -> string
-
 type counterexample = {
   point : point;  (** first differing observation point, in check order *)
   left_pi : bool array;  (** left primary inputs, circuit input order *)
@@ -99,18 +95,15 @@ type result = {
 val points : result -> int
 (** Matched observation points: [matched_pos + matched_flops]. *)
 
-val check :
-  ?options:options ->
-  ?cache:Tvs_store.Cache.t ->
-  Tvs_netlist.Circuit.t ->
-  Tvs_netlist.Circuit.t ->
-  result
+val check : ?options:options -> Tvs_netlist.Circuit.t -> Tvs_netlist.Circuit.t -> result
 (** [check left right] decides whether [right] preserves [left]'s function
     at every matched observation point, under the ties. The per-point
     checks fan out over {!Tvs_util.Pool.default_jobs} domains; the result is
     identical for every value.
-    With [cache], the whole check is memoized under {!cache_kind} keyed by
-    both circuit digests and the options. Raises {!Mismatch}. *)
+    The whole check is memoized in the installed result cache
+    ({!Tvs_store.Cache.memo}) under {!cache_kind}, keyed by both circuit
+    digests and the options; a replayed result has [cached = true].
+    Raises {!Mismatch}. *)
 
 val cache_kind : string
 (** ["CEQV"]. *)
@@ -118,7 +111,7 @@ val cache_kind : string
 val schema_version : int
 
 val check_key : options:options -> Tvs_netlist.Circuit.t -> Tvs_netlist.Circuit.t -> Tvs_store.Digest.t
-(** The cache key [check] uses (exposed for serve-side dedupe). *)
+(** The cache key [check] uses. *)
 
 val encode_result : Tvs_util.Wire.writer -> result -> unit
 val decode_result : Tvs_util.Wire.reader -> result

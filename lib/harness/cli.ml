@@ -183,8 +183,8 @@ let jobs =
         & opt (some (int_conv ~docv:"N" check_jobs)) None
         & info [ "jobs"; "j" ] ~env:(Cmd.Env.info "TVS_JOBS") ~docv:"N" ~doc))
 
-(* The handle is installed process-wide so every [run_flow] a command
-   triggers sees it. *)
+(* The handle is installed process-wide ([Cache.install]) so every cached
+   result a command computes sees it. *)
 let cache =
   let doc =
     "Directory for the content-addressed result cache (created if missing). Experiment results \
@@ -194,7 +194,7 @@ let cache =
   let install = function
     | None -> Ok ()
     | Some dir ->
-        Result.map (fun c -> Experiments.set_cache (Some c)) (Tvs_store.Cache.open_dir dir)
+        Result.map (fun c -> Tvs_store.Cache.install (Some c)) (Tvs_store.Cache.open_dir dir)
   in
   Term.(
     term_result' ~usage:false

@@ -35,21 +35,17 @@ val check_positive : string -> int -> (int, string) result
 val check_shift : int -> (int, string) result
 (** Fixed shift size: at least 1. *)
 
-val inline_name : string -> string
-(** The circuit name given to an inline netlist text: ["inline-<hex>"] of
-    the text's content digest, so identical texts name (and digest)
-    identically, and a copy saved as {!inline_file_name} reparses to the
-    same circuit. *)
-
 val inline_file_name : ?format:Tvs_verilog.Loader.format -> string -> string
-(** {!inline_name} plus the extension of the resolved format
-    ([.bench] / [.v]), the file name serve uses to persist inline text. *)
+(** The circuit name {!inline_circuit} gives the text plus the extension of
+    the resolved format ([.bench] / [.v]): the file name serve uses to
+    persist inline text, which reparses to the same circuit. *)
 
 val inline_circuit :
   ?format:Tvs_verilog.Loader.format -> string -> (Tvs_netlist.Circuit.t, string) result
 (** Parse an inline netlist text (a serve-protocol job with a ["bench"]
-    field), named by {!inline_name}; format auto-detected by content when
-    absent. [Error] carries the source line. *)
+    field), named ["inline-<hex>"] after the text's content digest, so
+    identical texts name (and digest) identically; format auto-detected by
+    content when absent. [Error] carries the source line. *)
 
 val parse_ties : string -> ((string * bool) list, string) result
 (** The [--scan-map] / serve ["scan_map"] vocabulary: comma-separated
@@ -67,12 +63,6 @@ val check_scale : float -> (float, string) result
 (** Profile scale factor: must lie in (0, 1]. Values above 1 would blow up
     synthetic profiles past their reference sizes, and non-positive values
     silently produce empty circuits and degenerate tables. *)
-
-val check_out_file : flag:string -> string -> (string, string) result
-(** An output file path the driver will create or overwrite: non-empty, not
-    an existing directory, and its parent directory must exist (the write
-    happens at exit — failing then would silently lose a whole run).
-    [flag] names the offending option in the error message. *)
 
 val check_checkpoint_every : int -> (int, string) result
 (** Checkpoint period in stitched cycles: at least 1. *)
@@ -95,7 +85,10 @@ val int_conv : docv:string -> (int -> (int, string) result) -> int Cmdliner.Arg.
     non-integer is rejected before [check] runs. *)
 
 val out_file : flag:string -> string Cmdliner.Arg.conv
-(** An output file checked by {!check_out_file}. *)
+(** An output file path the driver will create or overwrite: non-empty, not
+    an existing directory, and its parent directory must exist (the write
+    happens at exit — failing then would silently lose a whole run).
+    [flag] names the offending option in the usage error. *)
 
 val scale : float option Cmdliner.Term.t
 (** [--scale F], checked by {!check_scale}; [None] when absent. *)
@@ -106,5 +99,5 @@ val jobs : unit Cmdliner.Term.t
 
 val cache : unit Cmdliner.Term.t
 (** [--cache DIR]: opens the result cache and installs it with
-    {!Experiments.set_cache}; a directory that cannot be opened is a usage
+    {!Tvs_store.Cache.install}; a directory that cannot be opened is a usage
     error. *)

@@ -34,17 +34,13 @@ type run_summary = {
 
 (* --- content-addressed result cache -------------------------------------
 
-   One process-wide cache handle (set from --cache): every [run_flow] and
-   [baseline_detection] consults it. Keys are content digests of the inputs
+   [lint_report], [run_flow] and [baseline_detection] memoize through the
+   installed cache ([Cache.memo]). Keys are content digests of the inputs
    that determine the result — circuit structure plus engine configuration
    plus the label that seeds the RNG — so a changed netlist or option can
    never replay a stale row, while [--jobs] (results are invariant to it)
    and the host are free to differ between the writing and the reading
    run. *)
-
-let active_cache : Cache.t option ref = ref None
-let set_cache c = active_cache := c
-let cache () = !active_cache
 
 let config_for ?scheme ?shift ?selection ?preflight (prep : Prep.t) =
   let chain_len = Circuit.num_flops prep.circuit in
@@ -146,74 +142,61 @@ let read_summary r =
 let lint_kind = "LINT"
 
 let lint_report ?options ?lines c =
-  let compute () = Tvs_lint.Lint.run ?options ?lines c in
-  match !active_cache with
-  | None -> compute ()
-  | Some cache -> (
-      let opts = Option.value ~default:Tvs_lint.Lint.default_options options in
-      let key =
-        Store_digest.combine (Store_digest.circuit c)
-          (Store_digest.of_encoding (fun w ->
-               Wire.write_varint w Tvs_lint.Lint.schema_version;
-               Tvs_lint.Lint.encode_options w opts;
-               let entries =
-                 match lines with
-                 | None -> []
-                 | Some tbl ->
-                     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-               in
-               Wire.write_list
-                 (fun w (k, v) ->
-                   Wire.write_string w k;
-                   Wire.write_varint w v)
-                 w entries))
-      in
-      match Cache.find cache ~kind:lint_kind ~key Tvs_lint.Lint.decode_report with
-      | Some r -> r
-      | None ->
-          let r = compute () in
-          Cache.store cache ~kind:lint_kind ~key (fun w -> Tvs_lint.Lint.encode_report w r);
-          r)
+  let key () =
+    let opts = Option.value ~default:Tvs_lint.Lint.default_options options in
+    Store_digest.combine (Store_digest.circuit c)
+      (Store_digest.of_encoding (fun w ->
+           Wire.write_varint w Tvs_lint.Lint.schema_version;
+           Tvs_lint.Lint.encode_options w opts;
+           let entries =
+             match lines with
+             | None -> []
+             | Some tbl -> List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+           in
+           Wire.write_list
+             (fun w (k, v) ->
+               Wire.write_string w k;
+               Wire.write_varint w v)
+             w entries))
+  in
+  Cache.memo ~kind:lint_kind ~key Tvs_lint.Lint.encode_report Tvs_lint.Lint.decode_report
+    (fun () -> Tvs_lint.Lint.run ?options ?lines c)
+
+(* The one engine call of a stitched run: [config_for] the options, an RNG
+   seeded by the circuit name and [label], and the baseline vectors as the
+   extra phase's fallback. *)
+let run_engine ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label (prep : Prep.t) =
+  Engine.run
+    ~config:(config_for ?scheme ?shift ?selection ?preflight prep)
+    ~fallback:prep.baseline.Baseline.vectors ?resume ?checkpoint
+    ~rng:(Prep.engine_seed prep label) prep.ctx ~faults:prep.testable
 
 let run_flow ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label (prep : Prep.t) =
   Tvs_obs.Trace.with_span "flow"
     ~args:[ ("circuit", Circuit.name prep.Prep.circuit); ("label", label) ]
   @@ fun () ->
-  let config = config_for ?scheme ?shift ?selection ?preflight prep in
-  let key = Option.map (fun _ -> run_key ?scheme ?shift ?selection ~label prep) !active_cache in
-  let cached =
-    (* A resumed or checkpointing run must actually run the engine: the first
-       exists to continue an interrupted flow, the second to produce
-       snapshots along the way. *)
-    match (!active_cache, key, resume, checkpoint) with
-    | Some c, Some key, None, None -> Cache.find c ~kind:summary_kind ~key read_summary
-    | _ -> None
+  let key () = run_key ?scheme ?shift ?selection ~label prep in
+  let compute () =
+    let r = run_engine ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label prep in
+    let ratios = Cost.ratios r.Engine.schedule ~baseline_nvec:prep.baseline.Baseline.num_vectors in
+    {
+      atv = prep.baseline.Baseline.num_vectors;
+      tv = r.Engine.stitched_vectors;
+      ex = r.Engine.extra_vectors;
+      m = ratios.Cost.m;
+      t = ratios.Cost.t;
+      coverage = Engine.coverage r;
+      peak_hidden = r.Engine.peak_hidden;
+    }
   in
-  match cached with
-  | Some summary -> summary
-  | None ->
-      let rng = Prep.engine_seed prep label in
-      let r =
-        Engine.run ~config ~fallback:prep.baseline.Baseline.vectors ?resume ?checkpoint ~rng
-          prep.ctx ~faults:prep.testable
-      in
-      let ratios =
-        Cost.ratios r.Engine.schedule ~baseline_nvec:prep.baseline.Baseline.num_vectors
-      in
-      let summary =
-        {
-          atv = prep.baseline.Baseline.num_vectors;
-          tv = r.Engine.stitched_vectors;
-          ex = r.Engine.extra_vectors;
-          m = ratios.Cost.m;
-          t = ratios.Cost.t;
-          coverage = Engine.coverage r;
-          peak_hidden = r.Engine.peak_hidden;
-        }
-      in
-      (match (!active_cache, key) with
-      | Some c, Some key -> Cache.store c ~kind:summary_kind ~key (fun w -> write_summary w summary)
-      | _ -> ());
+  match (resume, checkpoint) with
+  | None, None -> Cache.memo ~kind:summary_kind ~key write_summary read_summary compute
+  | _ ->
+      (* A resumed or checkpointing run must actually run the engine: the
+         first exists to continue an interrupted flow, the second to produce
+         snapshots along the way. Its summary is still stored. *)
+      let summary = compute () in
+      Cache.put ~kind:summary_kind ~key write_summary summary;
       summary
 
 (* --- baseline fault-simulation coverage ---------------------------------
@@ -237,36 +220,27 @@ let read_detection r =
   { detected; faults; vectors }
 
 let baseline_detection (prep : Prep.t) =
-  let compute () =
-    Tvs_obs.Trace.with_span "faultsim.baseline"
-      ~args:[ ("circuit", Circuit.name prep.Prep.circuit) ]
-    @@ fun () ->
-    let sim = Fault_sim.create prep.circuit in
-    let hit = Array.make (Array.length prep.faults) false in
-    (* One matrix call over the whole baseline set: one packed sweep and
-       one root flip per fanout-free region per 63 vectors, and the pool
-       axis (when jobs > 1) is those packs. *)
-    let vectors =
-      Array.map (fun (v : Cube.vector) -> (v.Cube.pi, v.Cube.scan)) prep.baseline.Baseline.vectors
-    in
-    let matrix = Fault_sim.detected_matrix sim ~vectors prep.faults in
-    Array.iter (fun flags -> Array.iteri (fun i b -> if b then hit.(i) <- true) flags) matrix;
-    {
-      detected = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 hit;
-      faults = Array.length prep.faults;
-      vectors = prep.baseline.Baseline.num_vectors;
-    }
+  Cache.memo ~kind:detection_kind
+    ~key:(fun () -> Store_digest.circuit prep.circuit)
+    write_detection read_detection
+  @@ fun () ->
+  Tvs_obs.Trace.with_span "faultsim.baseline" ~args:[ ("circuit", Circuit.name prep.Prep.circuit) ]
+  @@ fun () ->
+  let sim = Fault_sim.create prep.circuit in
+  let hit = Array.make (Array.length prep.faults) false in
+  (* One matrix call over the whole baseline set: one packed sweep and one
+     root flip per fanout-free region per 63 vectors, and the pool axis
+     (when jobs > 1) is those packs. *)
+  let vectors =
+    Array.map (fun (v : Cube.vector) -> (v.Cube.pi, v.Cube.scan)) prep.baseline.Baseline.vectors
   in
-  match !active_cache with
-  | None -> compute ()
-  | Some c -> (
-      let key = Store_digest.circuit prep.circuit in
-      match Cache.find c ~kind:detection_kind ~key read_detection with
-      | Some d -> d
-      | None ->
-          let d = compute () in
-          Cache.store c ~kind:detection_kind ~key (fun w -> write_detection w d);
-          d)
+  let matrix = Fault_sim.detected_matrix sim ~vectors prep.faults in
+  Array.iter (fun flags -> Array.iteri (fun i b -> if b then hit.(i) <- true) flags) matrix;
+  {
+    detected = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 hit;
+    faults = Array.length prep.faults;
+    vectors = prep.baseline.Baseline.num_vectors;
+  }
 
 let default_table2_circuits =
   [ "s444"; "s526"; "s641"; "s953"; "s1196"; "s1423"; "s5378"; "s9234" ]

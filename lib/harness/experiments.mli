@@ -19,7 +19,7 @@ type run_summary = {
 
 val summary_kind : string
 (** Cache frame kind of stored run summaries (["EXPR"]); exposed so the
-    serve daemon can probe {!Tvs_store.Cache.entry_path} for dedupe. *)
+    serve daemon can ask {!Tvs_store.Cache.mem} whether a job is cached. *)
 
 val render_summary :
   circuit:string ->
@@ -37,12 +37,6 @@ val read_summary : Tvs_util.Wire.reader -> run_summary
 (** The cache wire form of a summary — shared with [Tvs_tpi], whose study
     entries embed per-point summaries. [read_summary] raises
     [Tvs_util.Wire.Error] on malformed input. *)
-
-val set_cache : Tvs_store.Cache.t option -> unit
-(** Install (or clear) the process-wide result cache that {!run_flow} and
-    {!baseline_detection} consult — set from the drivers' [--cache DIR]. *)
-
-val cache : unit -> Tvs_store.Cache.t option
 
 val config_for :
   ?scheme:Tvs_scan.Xor_scheme.t ->
@@ -88,11 +82,26 @@ val lint_report :
   ?lines:(string, int) Hashtbl.t ->
   Tvs_netlist.Circuit.t ->
   Tvs_lint.Lint.report
-(** {!Tvs_lint.Lint.run} behind the result cache: when one is installed the
-    report is stored under kind ["LINT"], keyed by the circuit digest
-    combined with the lint schema version, the options and the source line
-    table — any change to the netlist, the rule set or the knobs recomputes
-    instead of replaying. *)
+(** {!Tvs_lint.Lint.run} behind the installed result cache
+    ({!Tvs_store.Cache.memo}): the report is stored under kind ["LINT"],
+    keyed by the circuit digest combined with the lint schema version, the
+    options and the source line table — any change to the netlist, the rule
+    set or the knobs recomputes instead of replaying. *)
+
+val run_engine :
+  ?scheme:Tvs_scan.Xor_scheme.t ->
+  ?shift:Tvs_core.Policy.shift_policy ->
+  ?selection:Tvs_core.Policy.selection ->
+  ?preflight:bool ->
+  ?resume:Tvs_core.Engine.snapshot ->
+  ?checkpoint:int * (Tvs_core.Engine.snapshot -> unit) ->
+  label:string ->
+  Prep.t ->
+  Tvs_core.Engine.result
+(** The engine run behind {!run_flow}, uncached: {!config_for} the options,
+    the RNG {!Prep.engine_seed} of [label], the baseline vectors as the
+    fallback. [tvs export]/[tvs xcheck] and the TPI confirmation replay
+    call it for the full stimuli a summary does not keep. *)
 
 val run_flow :
   ?scheme:Tvs_scan.Xor_scheme.t ->
@@ -112,18 +121,19 @@ val run_flow :
     the results of a run that passes, so cache keys and checkpoint digests
     ignore it. Exposed for the examples and the CLI.
 
-    When a cache is installed ({!set_cache}) and neither [resume] nor
-    [checkpoint] is given, a prior identical run's summary is returned
-    without running the engine; computed summaries are stored back. [resume]
-    and [checkpoint] pass through to {!Tvs_core.Engine.run} — a resumed run's
-    summary is identical to the uninterrupted run's. *)
+    When a cache is installed ({!Tvs_store.Cache.install}) and neither
+    [resume] nor [checkpoint] is given, a prior identical run's summary is
+    returned without running the engine; computed summaries are stored
+    back, also by resumed and checkpointing runs. [resume] and [checkpoint]
+    pass through to {!Tvs_core.Engine.run} — a resumed run's summary is
+    identical to the uninterrupted run's. *)
 
 type detection = { detected : int; faults : int; vectors : int }
 
 val baseline_detection : Prep.t -> detection
 (** Fault-simulate the baseline test set over the collapsed fault list (the
-    [tvs faultsim] measurement). Cached under the circuit digest when a
-    cache is installed — the baseline set is a deterministic function of the
+    [tvs faultsim] measurement). Cached under the circuit digest in the
+    installed cache — the baseline set is a deterministic function of the
     circuit. *)
 
 val table1 : unit -> string
@@ -178,9 +188,6 @@ val diagnosis_study : ?scale:float -> ?circuit:string -> unit -> string
 (** Dictionary-based diagnosis with the baseline test set: detected faults,
     distinguishable classes and average resolution — the concrete form of
     the paper's "no loss of information for fault diagnosis". *)
-
-val default_table2_circuits : string list
-val default_table5_circuits : string list
 
 val table5_default_scale : string -> float
 (** Per-circuit default scale used by the benches: 1.0 up to s5378, 0.5 for

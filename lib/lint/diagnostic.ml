@@ -6,12 +6,6 @@ type severity = Error | Warning | Info
 let severity_rank = function Error -> 3 | Warning -> 2 | Info -> 1
 let severity_to_string = function Error -> "error" | Warning -> "warning" | Info -> "info"
 
-let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | "info" -> Some Info
-  | _ -> None
-
 type t = {
   rule : string;
   severity : severity;

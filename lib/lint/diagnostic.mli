@@ -15,8 +15,6 @@ val severity_rank : severity -> int
 val severity_to_string : severity -> string
 (** ["error"] / ["warning"] / ["info"]. *)
 
-val severity_of_string : string -> severity option
-
 type t = {
   rule : string;  (** stable id, e.g. ["TVS-N001"] *)
   severity : severity;  (** the rule's catalog severity *)

@@ -13,11 +13,9 @@ val create : ?seed:int -> width:int -> unit -> t
 (** Taps are the maximal-length defaults of {!Misr.default_taps}. A zero
     [seed] (the lock-up state) is replaced by 1. Default seed 1. *)
 
-val next_bit : t -> bool
-(** Advance one clock; returns the bit leaving the register. *)
-
 val next_vector : t -> int -> bool array
-(** [next_vector t n] collects [n] successive output bits. *)
+(** [next_vector t n] advances [n] clocks and collects the [n] bits leaving
+    the register. *)
 
 val state : t -> bool array
 (** A copy of the register, stage 0 first. *)

@@ -11,7 +11,8 @@
 
    Durability: identical jobs dedupe through the content-addressed result
    cache when one is installed ([tvs serve --cache], the same directory the
-   one-shot CLI uses). With a state directory, jobs at or above the fault
+   one-shot CLI uses); a job is flagged cached only when that cache holds a
+   readable entry for it. With a state directory, jobs at or above the fault
    threshold checkpoint periodically; on restart the server scans the
    directory and finishes interrupted work before accepting traffic, so a
    SIGTERM mid-job costs at most [checkpoint_every] cycles of recompute and
@@ -74,10 +75,8 @@ type t = {
   checkpoint_every : int;
   checkpoint_threshold : int;
   (* Scheduler-thread state: preparation is expensive and deterministic, so
-     it is memoized per circuit digest; [seen] remembers result keys served
-     this process lifetime for the dedupe counter and the [cached] flag. *)
+     it is memoized per circuit digest. *)
   preps : (string, Prep.t) Hashtbl.t;
-  seen : (string, unit) Hashtbl.t;
   wake_r : Unix.file_descr;  (* self-pipe: shutdown verb wakes the accept loop *)
   wake_w : Unix.file_descr;
 }
@@ -138,7 +137,7 @@ let json_of_summary (s : Experiments.run_summary) =
    of short flow runs, each memoized per modified-circuit digest, so a
    restart recomputes at most one evaluation; the whole study dedupes
    through its own cache kind. *)
-let run_tpi_job t (job : Protocol.job) circuit (params : Protocol.tpi_params) =
+let run_tpi_job (job : Protocol.job) circuit (params : Protocol.tpi_params) =
   let module Tpi = Tvs_tpi.Tpi in
   let options =
     {
@@ -149,32 +148,26 @@ let run_tpi_job t (job : Protocol.job) circuit (params : Protocol.tpi_params) =
       controls = params.Protocol.controls;
     }
   in
-  let key = Tpi.study_key ~options circuit in
-  let key_hex = "tpi:" ^ Store_digest.to_hex key in
-  let deduped =
-    Hashtbl.mem t.seen key_hex
-    ||
-    match Experiments.cache () with
-    | Some c -> Sys.file_exists (Cache.entry_path c ~kind:Tpi.study_kind ~key)
-    | None -> false
+  let cached =
+    Cache.mem ~kind:Tpi.study_kind ~key:(fun () -> Tpi.study_key ~options circuit) Tpi.decode_result
   in
   match Tpi.run ~options circuit with
   | exception Circuit.Build_error msg -> Error msg
   | exception Failure msg -> Error msg
   | r ->
-      Hashtbl.replace t.seen key_hex ();
       Ok
-        ( deduped,
+        ( cached,
           [
-            ("cached", Json.Bool deduped);
+            ("cached", Json.Bool cached);
             ("tpi", Tpi.to_json r);
             ("output", Json.Str (Tpi.to_ascii r));
           ] )
 
 (* An equivalence check. No checkpointing — a check is seconds even on the
    biggest bundled profile, and the whole verdict dedupes through the CEQV
-   cache kind, so a restarted client's retry is a cache hit. *)
-let run_equiv_job t (job : Protocol.job) left (params : Protocol.equiv_params) =
+   cache kind, so a restarted client's retry is a cache hit. The result's
+   own [cached] flag says whether the check was replayed. *)
+let run_equiv_job (job : Protocol.job) left (params : Protocol.equiv_params) =
   let module Cec = Tvs_cec.Cec in
   let right =
     match params.Protocol.target with
@@ -200,25 +193,15 @@ let run_equiv_job t (job : Protocol.job) left (params : Protocol.equiv_params) =
           ties;
         }
       in
-      let key = Cec.check_key ~options left right in
-      let key_hex = "cec:" ^ Store_digest.to_hex key in
-      let deduped =
-        Hashtbl.mem t.seen key_hex
-        ||
-        match Experiments.cache () with
-        | Some c -> Sys.file_exists (Cache.entry_path c ~kind:Cec.cache_kind ~key)
-        | None -> false
-      in
-      match Cec.check ~options ?cache:(Experiments.cache ()) left right with
+      match Cec.check ~options left right with
       | exception Cec.Mismatch msg -> Error ("interface mismatch: " ^ msg)
       | exception Circuit.Build_error msg -> Error msg
       | exception Failure msg -> Error msg
       | r ->
-          Hashtbl.replace t.seen key_hex ();
           Ok
-            ( deduped,
+            ( r.Cec.cached,
               [
-                ("cached", Json.Bool deduped);
+                ("cached", Json.Bool r.Cec.cached);
                 ("verdict", Json.Str (Cec.verdict_name r.Cec.verdict));
                 ("equiv", Cec.to_json r);
                 ("output", Json.Str (Cec.to_ascii r));
@@ -249,22 +232,21 @@ let run_job t (p : pending) emit =
       match verified with
       | Error _ as e -> e
       | Ok () -> (
-          let deduped =
-            Hashtbl.mem t.seen key_hex
-            ||
-            match Experiments.cache () with
-            | Some c ->
-                Sys.file_exists (Cache.entry_path c ~kind:Experiments.summary_kind ~key)
-            | None -> false
+          (* Asked before the run, because it decides checkpointing: a job
+             the cache holds skips checkpointing so [run_flow] serves it
+             straight from the cache; fresh big jobs checkpoint into the
+             state directory for crash recovery. A resumed job always
+             recomputes from its snapshot, so it is never cached. *)
+          let cached =
+            p.resume = None
+            && Cache.mem ~kind:Experiments.summary_kind ~key:(fun () -> key)
+                 Experiments.read_summary
           in
-          (* Already-cached jobs skip checkpointing so [run_flow] can serve
-             them straight from the cache; fresh big jobs checkpoint into the
-             state directory for crash recovery. *)
           let ckpt_path =
             match (t.state_dir, p.resume) with
             | _, Some (_, path) -> Some path
             | Some dir, None
-              when (not deduped) && Array.length prep.Prep.faults >= t.checkpoint_threshold ->
+              when (not cached) && Array.length prep.Prep.faults >= t.checkpoint_threshold ->
                 Some (Filename.concat dir ("job-" ^ key_hex ^ ".ckpt"))
             | _ -> None
           in
@@ -289,7 +271,6 @@ let run_job t (p : pending) emit =
           | exception Failure msg -> Error msg
           | exception (Invalid_argument _ as e) -> Error (Printexc.to_string e)
           | summary ->
-              Hashtbl.replace t.seen key_hex ();
               Option.iter
                 (fun path -> try Sys.remove path with Sys_error _ -> ())
                 ckpt_path;
@@ -298,16 +279,16 @@ let run_job t (p : pending) emit =
                   ~selection:job.selection summary
               in
               Ok
-                ( deduped,
+                ( cached,
                   [
-                    ("cached", Json.Bool deduped);
+                    ("cached", Json.Bool cached);
                     ("summary", json_of_summary summary);
                     ("output", Json.Str output);
                   ] )))
   | Ok (circuit, _) -> (
       match p.job.Protocol.kind with
-      | Protocol.Tpi params -> run_tpi_job t p.job circuit params
-      | Protocol.Equiv params -> run_equiv_job t p.job circuit params
+      | Protocol.Tpi params -> run_tpi_job p.job circuit params
+      | Protocol.Equiv params -> run_equiv_job p.job circuit params
       | Protocol.Stitch -> assert false (* handled by the guarded arm above *))
 
 let execute t (p : pending) =
@@ -321,9 +302,9 @@ let execute t (p : pending) =
      must never take the scheduler thread down with it — every client after
      it would hang forever. *)
   match (try run_job t p emit with e -> Error ("job raised: " ^ Printexc.to_string e)) with
-  | Ok (deduped, fields) ->
+  | Ok (cached, fields) ->
       Metrics.incr m_completed;
-      if deduped then Metrics.incr m_deduped;
+      if cached then Metrics.incr m_deduped;
       if p.resume <> None then Metrics.incr m_recovered;
       emit "done" fields
   | Error msg ->
@@ -588,7 +569,6 @@ let run ?state_dir ?(checkpoint_every = 4) ?(checkpoint_threshold = 1000) ?on_re
           checkpoint_every;
           checkpoint_threshold;
           preps = Hashtbl.create 8;
-          seen = Hashtbl.create 64;
           wake_r;
           wake_w;
         }

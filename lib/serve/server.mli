@@ -10,9 +10,12 @@
     ["output"] field carries exactly the bytes [tvs stitch] would print for
     the same job ({!Tvs_harness.Experiments.render_summary}).
 
-    When a result cache is installed ({!Tvs_harness.Experiments.set_cache}),
+    When a result cache is installed ({!Tvs_store.Cache.install}),
     identical jobs dedupe through it: the engine runs once, repeats are
-    served from disk and flagged ["cached": true]. With a state directory,
+    served from disk. A job is flagged ["cached": true], and counts in
+    [serve.jobs.deduped], only when that cache holds a readable entry for
+    it; without a cache, or with a damaged entry, the job recomputes and
+    says so. With a state directory,
     jobs whose collapsed fault list reaches [checkpoint_threshold]
     checkpoint every [checkpoint_every] stitched cycles; at startup the
     server replays any [*.ckpt] files it finds (digest-verified, stale ones

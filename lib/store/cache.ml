@@ -18,32 +18,58 @@ let entry_path t ~kind ~key =
   Filename.concat t.dir
     (Printf.sprintf "%s-v%d-%s.tvsc" kind Codec.schema_version (Digest.to_hex key))
 
-let find t ~kind ~key f =
-  let path = entry_path t ~kind ~key in
-  if not (Sys.file_exists path) then begin
-    Metrics.incr m_misses;
-    None
-  end
+(* Decode the entry at [path]; [None] when it is absent or damaged. Torn
+   write, bit rot, or a schema change that kept the file name: a damaged
+   entry is dropped so the caller recomputes. The eviction counter records
+   files this call actually removed — if a concurrent reader already
+   unlinked the entry (the remove raises), the eviction was theirs. *)
+let read ~kind path decode =
+  if not (Sys.file_exists path) then None
   else
-    match Codec.of_file ~kind path f with
-    | Ok v ->
-        Metrics.incr m_hits;
-        Some v
+    match Codec.of_file ~kind path decode with
+    | Ok v -> Some v
     | Error _ ->
-        (* Torn write, bit rot, or a schema change that kept the file name:
-           drop the entry and recompute. The eviction counter records files
-           this call actually removed — if a concurrent reader already
-           unlinked the entry (the remove raises), the eviction was theirs
-           and this read tallies only its miss. *)
         (match Sys.remove path with
         | () -> Metrics.incr m_evictions
         | exception Sys_error _ -> ());
-        Metrics.incr m_misses;
         None
 
-let store t ~kind ~key f =
-  Codec.to_file ~kind (entry_path t ~kind ~key) f;
+let find t ~kind ~key decode =
+  let v = read ~kind (entry_path t ~kind ~key) decode in
+  Metrics.incr (if Option.is_some v then m_hits else m_misses);
+  v
+
+let store t ~kind ~key encode =
+  Codec.to_file ~kind (entry_path t ~kind ~key) encode;
   Metrics.incr m_stores
+
+(* The process-wide handle, set once from [--cache] before any work starts.
+   Atomic because pool workers read it (TPI evaluates flows on the pool). *)
+let installed : t option Atomic.t = Atomic.make None
+
+let install c = Atomic.set installed c
+
+let put ~kind ~key encode v =
+  Option.iter
+    (fun t -> store t ~kind ~key:(key ()) (fun w -> encode w v))
+    (Atomic.get installed)
+
+let memo ~kind ~key encode decode compute =
+  match Atomic.get installed with
+  | None -> compute ()
+  | Some t -> (
+      let key = key () in
+      match find t ~kind ~key decode with
+      | Some v -> v
+      | None ->
+          let v = compute () in
+          store t ~kind ~key (fun w -> encode w v);
+          v)
+
+let mem ~kind ~key decode =
+  match Atomic.get installed with
+  | None -> false
+  | Some t -> Option.is_some (read ~kind (entry_path t ~kind ~key:(key ())) decode)
 
 let hits () = Metrics.counter_value m_hits
 let misses () = Metrics.counter_value m_misses

@@ -11,7 +11,10 @@
     a miss — damage degrades to recomputation, never to a crash or a wrong
     result. Lookups and stores count on the [tvs_obs] metrics registry
     ([store.cache.hits] / [.misses] / [.evictions] / [.stores], all
-    unstable: cache traffic legitimately varies across runs). *)
+    unstable: cache traffic legitimately varies across runs).
+
+    One handle is installed per process ({!install}, from the drivers'
+    [--cache DIR]); every cached result goes through {!memo} against it. *)
 
 type t
 
@@ -31,6 +34,36 @@ val store : t -> kind:string -> key:Digest.t -> (Tvs_util.Wire.writer -> unit) -
 (** Atomic write (temp + rename); concurrent writers of the same key are
     safe, last one wins with identical bytes. Raises [Sys_error] on I/O
     failure. *)
+
+(** {1 The installed cache} *)
+
+val install : t option -> unit
+(** Install (or, with [None], clear) the process-wide cache that {!memo},
+    {!put} and {!mem} consult. *)
+
+val memo :
+  kind:string ->
+  key:(unit -> Digest.t) ->
+  (Tvs_util.Wire.writer -> 'a -> unit) ->
+  (Tvs_util.Wire.reader -> 'a) ->
+  (unit -> 'a) ->
+  'a
+(** [memo ~kind ~key encode decode compute]: without an installed cache,
+    [compute ()]. With one, the decoded entry under [key ()] ({!find});
+    on a miss, [compute ()] stored back ({!store}). [key] runs only when a
+    cache is installed. Adds no trace span and no metric of its own, and
+    may run on pool workers. *)
+
+val put :
+  kind:string -> key:(unit -> Digest.t) -> (Tvs_util.Wire.writer -> 'a -> unit) -> 'a -> unit
+(** Store a value in the installed cache, if any, without looking it up
+    first: for a result that had to be recomputed even though an entry may
+    exist (a resumed or checkpointing flow). *)
+
+val mem : kind:string -> key:(unit -> Digest.t) -> (Tvs_util.Wire.reader -> 'a) -> bool
+(** Whether the installed cache holds a readable entry under [key ()]:
+    decodes it and evicts a damaged one like {!find}, but counts no hit or
+    miss. [false] without an installed cache. *)
 
 val hits : unit -> int
 val misses : unit -> int

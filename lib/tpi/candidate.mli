@@ -33,12 +33,6 @@ val kind_rank : kind -> int
 val same_target : t -> t -> bool
 (** Equal [(kind, net)] — the identity the greedy loop deduplicates on. *)
 
-val cost_delta : Tvs_netlist.Circuit.t -> kind -> int * int
-(** [(dmem, dtime)] of one point on this circuit: the marginal per-vector
-    cost under {!Tvs_scan.Cost.baseline_memory}/[baseline_time] of one more
-    scan cell (observe cell), primary output (tap) or primary input
-    (control). *)
-
 val mine :
   ?shift:int ->
   ?po_taps:bool ->

@@ -1,7 +1,6 @@
 module Circuit = Tvs_netlist.Circuit
 module Cube = Tvs_atpg.Cube
 module Fault = Tvs_fault.Fault
-module Baseline = Tvs_core.Baseline
 module Cycle = Tvs_core.Cycle
 module Engine = Tvs_core.Engine
 module Scan_lint = Tvs_lint.Scan_lint
@@ -106,11 +105,7 @@ let better (_, conv_a, _, (sa : Experiments.run_summary))
 let dynamic_caught c selected converted =
   let c' = Transform.apply c selected in
   let prep = Prep.of_circuit c' in
-  let config = Experiments.config_for prep in
-  let r =
-    Engine.run ~config ~fallback:prep.Prep.baseline.Baseline.vectors
-      ~rng:(Prep.engine_seed prep label) prep.Prep.ctx ~faults:prep.Prep.testable
-  in
+  let r = Experiments.run_engine ~label prep in
   let faults =
     Array.of_list
       (List.concat_map
@@ -119,7 +114,7 @@ let dynamic_caught c selected converted =
            [ Fault.stem_fault n false; Fault.stem_fault n true ])
          converted)
   in
-  let machine = Cycle.create ~scheme:config.Engine.scheme c' ~faults in
+  let machine = Cycle.create ~scheme:(Experiments.config_for prep).Engine.scheme c' ~faults in
   List.iter (fun (pi, fresh) -> ignore (Cycle.step machine ~pi ~fresh)) r.Engine.stimuli;
   List.iter
     (fun (v : Cube.vector) -> ignore (Cycle.step machine ~pi:v.Cube.pi ~fresh:v.Cube.scan))
@@ -287,17 +282,8 @@ let study_key ?(options = default_options) c =
 let run ?(options = default_options) c =
   Trace.with_span "tpi" ~args:[ ("circuit", Circuit.name c) ] @@ fun () ->
   Metrics.incr m_studies;
-  let compute () = run_study options c in
-  match Experiments.cache () with
-  | None -> compute ()
-  | Some cache -> (
-      let key = study_key ~options c in
-      match Cache.find cache ~kind:study_kind ~key decode_result with
-      | Some r -> r
-      | None ->
-          let r = compute () in
-          Cache.store cache ~kind:study_kind ~key (fun w -> encode_result w r);
-          r)
+  Cache.memo ~kind:study_kind ~key:(fun () -> study_key ~options c) encode_result decode_result
+    (fun () -> run_study options c)
 
 (* ---------- rendering ---------- *)
 

@@ -15,7 +15,7 @@
     Everything is deterministic: candidate order, the chunk-ordered pool
     results, and the jobs-invariant flow summaries make the study
     byte-identical at every [--jobs]. When a result cache is
-    installed ({!Tvs_harness.Experiments.set_cache}) each evaluation's flow
+    installed ({!Tvs_store.Cache.install}) each evaluation's flow
     memoizes per modified-circuit digest under kind ["EXPR"], and the whole
     study memoizes under kind ["TPIS"] keyed by the base circuit digest and
     the options — a re-run loads the study without touching the engine. *)
@@ -74,7 +74,7 @@ val schema_version : int
 
 val study_kind : string
 (** Cache frame kind of stored studies (["TPIS"]); exposed so the serve
-    daemon can probe {!Tvs_store.Cache.entry_path} for dedupe. *)
+    daemon can ask {!Tvs_store.Cache.mem} whether a study is cached. *)
 
 val study_key : ?options:options -> Tvs_netlist.Circuit.t -> Tvs_store.Digest.t
 (** The cache key {!run} stores its study under: the circuit digest

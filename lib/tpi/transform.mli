@@ -10,19 +10,16 @@
     its {!Tvs_store.Digest.circuit} digest is stable and cache keys built
     from it are sound. *)
 
-val reserved_prefix : string
-(** ["tpi_"]. All inserted nets are named under it ([tpi_obs_<net>],
-    [tpi_po_<net>], [tpi_ctl_<net>], [tpi_ctlg_<net>], [tpi_ctln_<net>]),
-    and {!apply} rejects circuits that already use it — mirroring
-    {!Tvs_netlist.Scan_insert}'s reserved scan-pin names. *)
-
 val apply : Tvs_netlist.Circuit.t -> Candidate.t list -> Tvs_netlist.Circuit.t
 (** Insert every candidate, in list order (which fixes the new chain-tail
     order and the new input/output order). Control points splice a gate
     behind the target net: every reader — downstream gates, flop D pins,
     output marks and observe points — sees the controlled value, while the
     control gate reads the original driver. The result is named
-    [<name>_tpi].
+    [<name>_tpi]. Every inserted net is named under the reserved prefix
+    [tpi_] ([tpi_obs_<net>], [tpi_po_<net>], [tpi_ctl_<net>],
+    [tpi_ctlg_<net>], [tpi_ctln_<net>]), mirroring
+    {!Tvs_netlist.Scan_insert}'s reserved scan-pin names.
 
     Raises {!Tvs_netlist.Circuit.Build_error} when the circuit already
     contains a [tpi_]-prefixed net, a candidate's target net does not

@@ -22,9 +22,6 @@ val format_of_name : string -> format option
 val extension : format -> string
 (** [".bench"] / [".v"] — used when persisting inline netlist text. *)
 
-val of_extension : string -> format option
-(** From a file path's extension alone; [None] when unrecognised. *)
-
 val detect : ?path:string -> string -> format
 (** [detect ?path text] resolves the format of netlist [text]: by [path]'s
     extension when given and recognised, else by content. Never fails. *)

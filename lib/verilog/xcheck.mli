@@ -42,9 +42,6 @@ val testbench : Emitter.t -> program -> expected:string list -> string
     trace line, compares against [expected] (the internal trace) and ends
     with [TVS-XCHECK PASS] or [TVS-XCHECK FAIL <n>]. *)
 
-val find_tool : string -> string option
-(** Search PATH for an executable. *)
-
 val run : ?workdir:string -> Tvs_netlist.Circuit.t -> program -> verdict
 (** Emit, compile, execute, compare. Artifacts ([design.v], [cells.v],
     [tb.v], compiled [sim.vvp] and logs) are written to [workdir] (default:

@@ -242,11 +242,13 @@ let test_cache_replay () =
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let cache = Result.get_ok (Cache.open_dir dir) in
+  Cache.install (Some cache);
+  Fun.protect ~finally:(fun () -> Cache.install None) @@ fun () ->
   let left = load "s27" in
   let right = (Scan_insert.insert left).Scan_insert.circuit in
-  let r1 = Cec.check ~cache left right in
+  let r1 = Cec.check left right in
   Alcotest.(check bool) "first run computes" false r1.Cec.cached;
-  let r2 = Cec.check ~cache left right in
+  let r2 = Cec.check left right in
   Alcotest.(check bool) "second run replays" true r2.Cec.cached;
   Alcotest.(check string) "replayed rendering byte-identical" (Cec.to_json_string r1)
     (Cec.to_json_string r2);

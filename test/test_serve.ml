@@ -378,15 +378,19 @@ let event_name j =
 let str_field k j = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
 let bool_field k j = match Json.member k j with Some (Json.Bool b) -> Some b | _ -> None
 
-(* Submit and read this job's lifecycle through to done/error. *)
-let submit_and_wait ic oc job =
+(* Submit and read this job's lifecycle through to done/error, counting
+   its checkpoint events into [checkpoints]. *)
+let submit_and_wait ?(checkpoints = ref 0) ic oc job =
   Protocol.write_frame oc (Protocol.json_of_job job);
   let rec wait () =
     let j = next_event ic in
     match event_name j with
     | "done" -> Ok j
     | "error" -> Error (Option.value ~default:"?" (str_field "message" j))
-    | "queued" | "started" | "checkpoint" -> wait ()
+    | "checkpoint" ->
+        incr checkpoints;
+        wait ()
+    | "queued" | "started" -> wait ()
     | other -> Alcotest.failf "unexpected event %S" other
   in
   wait ()
@@ -402,9 +406,9 @@ let expected_fig1 =
 
 let test_server_end_to_end () =
   let cache_dir = fresh_dir () in
-  Experiments.set_cache (Some (Result.get_ok (Cache.open_dir cache_dir)));
+  Cache.install (Some (Result.get_ok (Cache.open_dir cache_dir)));
   Fun.protect
-    ~finally:(fun () -> Experiments.set_cache None)
+    ~finally:(fun () -> Cache.install None)
     (fun () ->
       with_server (fun sock ->
           let ic, oc = connect sock in
@@ -449,6 +453,66 @@ let test_server_end_to_end () =
           Alcotest.(check bool) "metrics carries the registry" true
             (match Json.member "metrics" m with Some (Json.Arr (_ :: _)) -> true | _ -> false);
           close_out_noerr oc))
+
+let deduped_count ic oc =
+  Protocol.write_frame oc (Protocol.json_of_request Protocol.Status);
+  match Json.member "deduped" (next_event ic) with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.fail "status without a deduped count"
+
+(* Without a cache nothing can be replayed: a repeated job runs the engine
+   again, so it must not be flagged cached or counted as deduped. *)
+let test_server_no_cache_repeat () =
+  with_server (fun sock ->
+      let ic, oc = connect sock in
+      let d0 = deduped_count ic oc in
+      for i = 1 to 2 do
+        match submit_and_wait ic oc (Protocol.default_job (Protocol.Spec "fig1")) with
+        | Error m -> Alcotest.failf "job %d failed: %s" i m
+        | Ok j ->
+            Alcotest.(check (option bool)) (Printf.sprintf "job %d not cached" i) (Some false)
+              (bool_field "cached" j);
+            Alcotest.(check string) "output matches tvs stitch" (Lazy.force expected_fig1)
+              (Option.value ~default:"" (str_field "output" j))
+      done;
+      Alcotest.(check int) "serve.jobs.deduped unchanged" d0 (deduped_count ic oc);
+      close_out_noerr oc)
+
+(* A damaged entry for the job is evicted and recomputed: the job is not
+   flagged cached, checkpoints like any fresh job, prints the one-shot bytes
+   and leaves a readable entry behind. *)
+let test_server_damaged_entry () =
+  let cache_dir = fresh_dir () and state_dir = fresh_dir () in
+  let cache = Result.get_ok (Cache.open_dir cache_dir) in
+  let prep = Prep.of_circuit (Result.get_ok (Cli.load_circuit "fig1")) in
+  let key = Experiments.run_key ~label:"cli" prep in
+  let path = Cache.entry_path cache ~kind:Experiments.summary_kind ~key in
+  let oc = open_out_bin path in
+  output_string oc "damaged entry";
+  close_out oc;
+  Cache.install (Some cache);
+  Fun.protect
+    ~finally:(fun () -> Cache.install None)
+    (fun () ->
+      with_server ~state_dir (fun sock ->
+          let ic, oc = connect sock in
+          let d0 = deduped_count ic oc in
+          let checkpoints = ref 0 in
+          (match
+             submit_and_wait ~checkpoints ic oc (Protocol.default_job (Protocol.Spec "fig1"))
+           with
+          | Error m -> Alcotest.failf "job failed: %s" m
+          | Ok j ->
+              Alcotest.(check (option bool)) "not flagged cached" (Some false)
+                (bool_field "cached" j);
+              Alcotest.(check string) "output matches tvs stitch" (Lazy.force expected_fig1)
+                (Option.value ~default:"" (str_field "output" j)));
+          Alcotest.(check bool) "recomputed job checkpointed" true (!checkpoints > 0);
+          Alcotest.(check int) "serve.jobs.deduped unchanged" d0 (deduped_count ic oc);
+          close_out_noerr oc));
+  Alcotest.(check bool) "entry rewritten" true
+    (Cache.find cache ~kind:Experiments.summary_kind ~key Experiments.read_summary
+    = Some (Experiments.run_flow ~label:"cli" prep))
 
 let test_server_inline_bench () =
   (* A self-contained sequential netlist: inline jobs must work without any
@@ -544,9 +608,9 @@ let test_server_recovery () =
   let oc = open_out_bin (Filename.concat state_dir "job-damaged.ckpt") in
   output_string oc "not a checkpoint";
   close_out oc;
-  Experiments.set_cache (Some (Result.get_ok (Cache.open_dir cache_dir)));
+  Cache.install (Some (Result.get_ok (Cache.open_dir cache_dir)));
   Fun.protect
-    ~finally:(fun () -> Experiments.set_cache None)
+    ~finally:(fun () -> Cache.install None)
     (fun () ->
       with_server ~state_dir (fun sock ->
           let ic, oc = connect sock in
@@ -582,9 +646,9 @@ let test_server_recovery () =
    through the TPIS cache kind. *)
 let test_server_tpi () =
   let cache_dir = fresh_dir () in
-  Experiments.set_cache (Some (Result.get_ok (Cache.open_dir cache_dir)));
+  Cache.install (Some (Result.get_ok (Cache.open_dir cache_dir)));
   Fun.protect
-    ~finally:(fun () -> Experiments.set_cache None)
+    ~finally:(fun () -> Cache.install None)
     (fun () ->
       with_server (fun sock ->
           let ic, oc = connect sock in
@@ -621,9 +685,9 @@ let test_server_tpi () =
 let test_server_equiv () =
   let module Cec = Tvs_cec.Cec in
   let cache_dir = fresh_dir () in
-  Experiments.set_cache (Some (Result.get_ok (Cache.open_dir cache_dir)));
+  Cache.install (Some (Result.get_ok (Cache.open_dir cache_dir)));
   Fun.protect
-    ~finally:(fun () -> Experiments.set_cache None)
+    ~finally:(fun () -> Cache.install None)
     (fun () ->
       with_server (fun sock ->
           let ic, oc = connect sock in
@@ -689,6 +753,9 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end to end over a Unix socket" `Quick test_server_end_to_end;
+          Alcotest.test_case "repeat without a cache not cached" `Quick
+            test_server_no_cache_repeat;
+          Alcotest.test_case "damaged cache entry recomputed" `Quick test_server_damaged_entry;
           Alcotest.test_case "inline netlist jobs" `Quick test_server_inline_bench;
           Alcotest.test_case "inline verilog jobs" `Quick test_server_inline_verilog;
           Alcotest.test_case "checkpoint recovery at startup" `Quick test_server_recovery;

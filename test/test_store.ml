@@ -291,7 +291,38 @@ let test_cache_hit_miss_and_key_sensitivity () =
   Alcotest.(check bool) "other key misses" true
     (Cache.find c ~kind:"TEST" ~key:(Digest.of_string "other-key") Wire.read_varint = None);
   Alcotest.(check bool) "other kind misses" true
-    (Cache.find c ~kind:"OTHR" ~key Wire.read_varint = None)
+    (Cache.find c ~kind:"OTHR" ~key Wire.read_varint = None);
+  (* [memo] against the installed cache: absent, every call computes and no
+     key is asked for; installed, the value is computed once, then decoded. *)
+  let computed = ref 0 and keyed = ref 0 in
+  let memo () =
+    Cache.memo ~kind:"MEMO"
+      ~key:(fun () ->
+        incr keyed;
+        Digest.of_string "memo-key")
+      Wire.write_varint Wire.read_varint
+      (fun () ->
+        incr computed;
+        5)
+  in
+  Cache.install None;
+  Alcotest.(check (list int)) "no cache: values" [ 5; 5 ] [ memo (); memo () ];
+  Alcotest.(check (pair int int)) "no cache: computed twice, never keyed" (2, 0)
+    (!computed, !keyed);
+  Cache.install (Some c);
+  Fun.protect ~finally:(fun () -> Cache.install None) @@ fun () ->
+  computed := 0;
+  Alcotest.(check (list int)) "cache: values" [ 5; 5 ] [ memo (); memo () ];
+  Alcotest.(check int) "cache: computed once" 1 !computed;
+  Alcotest.(check bool) "cache: stored under its kind" true
+    (Cache.find c ~kind:"MEMO" ~key:(Digest.of_string "memo-key") Wire.read_varint = Some 5);
+  (* [mem] answers from the same entries but counts no hit or miss. *)
+  let h1 = Cache.hits () and m1 = Cache.misses () in
+  Alcotest.(check (pair bool bool)) "mem: stored key held, other key not" (true, false)
+    ( Cache.mem ~kind:"MEMO" ~key:(fun () -> Digest.of_string "memo-key") Wire.read_varint,
+      Cache.mem ~kind:"MEMO" ~key:(fun () -> Digest.of_string "other-key") Wire.read_varint );
+  Alcotest.(check (pair int int)) "mem: no hit or miss counted" (h1, m1)
+    (Cache.hits (), Cache.misses ())
 
 let test_cache_corrupt_entry_evicted () =
   let c = fresh_cache_dir () in
@@ -309,7 +340,33 @@ let test_cache_corrupt_entry_evicted () =
   (* The slot is usable again after eviction. *)
   Cache.store c ~kind:"TEST" ~key (fun w -> Wire.write_varint w 8);
   Alcotest.(check bool) "restored entry hits" true
-    (Cache.find c ~kind:"TEST" ~key Wire.read_varint = Some 8)
+    (Cache.find c ~kind:"TEST" ~key Wire.read_varint = Some 8);
+  (* Through [memo], a damaged entry is evicted, recomputed and stored. *)
+  let oc = open_out_bin path in
+  output_string oc "garbage again";
+  close_out oc;
+  Cache.install (Some c);
+  Fun.protect ~finally:(fun () -> Cache.install None) @@ fun () ->
+  let e0 = Cache.evictions () and computed = ref 0 in
+  let v =
+    Cache.memo ~kind:"TEST" ~key:(fun () -> key) Wire.write_varint Wire.read_varint (fun () ->
+        incr computed;
+        9)
+  in
+  Alcotest.(check (pair int int)) "memo recomputes the damaged entry" (9, 1) (v, !computed);
+  Alcotest.(check int) "memo evicted it" (e0 + 1) (Cache.evictions ());
+  Alcotest.(check bool) "memo stored the recomputed value" true
+    (Cache.find c ~kind:"TEST" ~key Wire.read_varint = Some 9);
+  (* [mem] evicts a damaged entry like [find], without counting a miss. *)
+  let oc = open_out_bin path in
+  output_string oc "garbage once more";
+  close_out oc;
+  let e1 = Cache.evictions () and m1 = Cache.misses () in
+  Alcotest.(check bool) "mem: damaged entry not held" false
+    (Cache.mem ~kind:"TEST" ~key:(fun () -> key) Wire.read_varint);
+  Alcotest.(check (pair int int)) "mem: evicted, no miss counted" (e1 + 1, m1)
+    (Cache.evictions (), Cache.misses ());
+  Alcotest.(check bool) "mem: entry file deleted" false (Sys.file_exists path)
 
 (* Regression: a corrupt entry read twice evicts exactly once — the second
    read takes the missing-file path (one more miss, no double eviction),

@@ -247,13 +247,13 @@ let test_study_deterministic () =
 
 let test_study_cached () =
   let dir = fresh_dir () in
-  Experiments.set_cache (Some (Result.get_ok (Cache.open_dir dir)));
+  let cache = Result.get_ok (Cache.open_dir dir) in
+  Cache.install (Some cache);
   Fun.protect
-    ~finally:(fun () -> Experiments.set_cache None)
+    ~finally:(fun () -> Cache.install None)
     (fun () ->
       let c = s27 () in
       let r1 = Tpi.run c in
-      let cache = Option.get (Experiments.cache ()) in
       Alcotest.(check bool) "study stored under TPIS" true
         (Sys.file_exists
            (Cache.entry_path cache ~kind:Tpi.study_kind ~key:(Tpi.study_key c)));
