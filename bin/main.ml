@@ -569,7 +569,7 @@ let stitched_program ~tag ~scheme ~selection ~shift (prep : Prep.t) =
   in
   let stitched =
     Tvs_scan.Tester_format.of_stitched ~chain_len:(Circuit.num_flops c)
-      ~npi:(Circuit.num_inputs c) ~vectors:r.Tvs_core.Engine.stimuli ()
+      ~npi:(Circuit.num_inputs c) ~vectors:r.Tvs_core.Engine.stimuli
   in
   let extra_ops =
     List.concat_map
@@ -723,7 +723,7 @@ let equiv_cmd =
               prerr_endline ("tvs: " ^ msg);
               exit Cmd.Exit.cli_error)
     in
-    let options = { Cec.default_options with Cec.budget; vectors; ties } in
+    let options = { Cec.budget; vectors; ties } in
     match Cec.check ~options left right with
     | r -> (
         (match format with

@@ -25,7 +25,6 @@ let num_vectors t = Array.length t.vectors
 type options = {
   podem : Podem.config;
   random_patterns : int;
-  random_giveup : int;
   compaction : bool;
   fault_dropping : bool;
 }
@@ -34,10 +33,12 @@ let default_options =
   {
     podem = Podem.default_config;
     random_patterns = 64;
-    random_giveup = 5;
     compaction = true;
     fault_dropping = true;
   }
+
+(* The random phase stops after this many consecutive useless patterns. *)
+let random_giveup = 5
 
 let random_vector rng c =
   {
@@ -45,37 +46,14 @@ let random_vector rng c =
     scan = Array.init (Circuit.num_flops c) (fun _ -> Rng.bool rng);
   }
 
-(* Simulate [vec] against the not-yet-detected faults; flip their [detected]
-   flags. Returns how many new faults the vector catches. *)
-let drop_detected sim faults detected (vec : Cube.vector) =
-  let idxs = Array.make (Array.length faults) 0 and live = ref 0 in
-  Array.iteri
-    (fun i d ->
-      if not d then begin
-        idxs.(!live) <- i;
-        incr live
-      end)
-    detected;
-  if !live = 0 then 0
-  else begin
-    let subset = Array.init !live (fun k -> faults.(idxs.(k))) in
-    let flags = Fault_sim.detected_faults sim ~pi:vec.Cube.pi ~state:vec.Cube.scan subset in
-    let news = ref 0 in
-    Array.iteri
-      (fun k hit ->
-        if hit then begin
-          detected.(idxs.(k)) <- true;
-          incr news
-        end)
-      flags;
-    !news
-  end
-
 let generate ?(options = default_options) ~rng ctx faults =
   let c = Podem.circuit ctx in
   let sim = Fault_sim.create c in
   let n = Array.length faults in
   let detected = Array.make n false in
+  let drop (vec : Cube.vector) =
+    Fault_sim.drop_detected sim ~pi:vec.Cube.pi ~state:vec.Cube.scan faults detected
+  in
   let cubes = ref [] in
   let vectors = ref [] in
   let redundant = ref [] in
@@ -93,10 +71,10 @@ let generate ?(options = default_options) ~rng ctx faults =
   (* Phase 1: random patterns knock out the easy faults cheaply. *)
   let useless = ref 0 in
   let tried = ref 0 in
-  while !tried < options.random_patterns && !useless < options.random_giveup do
+  while !tried < options.random_patterns && !useless < random_giveup do
     incr tried;
     let vec = random_vector rng c in
-    let news = drop_detected sim faults detected vec in
+    let news = drop vec in
     if news > 0 then begin
       useless := 0;
       keep_vector (Cube.of_vector vec) vec
@@ -110,7 +88,7 @@ let generate ?(options = default_options) ~rng ctx faults =
       | Podem.Detected cube ->
           let vec = Cube.fill_random rng cube in
           detected.(i) <- true;
-          if options.fault_dropping then ignore (drop_detected sim faults detected vec);
+          if options.fault_dropping then ignore (drop vec);
           keep_vector cube vec
       | Podem.Untestable -> give_up redundant faults.(i)
       | Podem.Aborted -> give_up aborted faults.(i)
@@ -127,7 +105,7 @@ let generate ?(options = default_options) ~rng ctx faults =
       let vecs = List.map refill merged in
       (* Re-check coverage with the compacted fill; top up where needed. *)
       Array.fill detected 0 n false;
-      List.iter (fun v -> ignore (drop_detected sim faults detected v)) vecs;
+      List.iter (fun v -> ignore (drop v)) vecs;
       let extra_cubes = ref [] in
       let extra_vecs = ref [] in
       for i = 0 to n - 1 do
@@ -136,7 +114,7 @@ let generate ?(options = default_options) ~rng ctx faults =
           | Podem.Detected cube ->
               let vec = Cube.fill_random rng cube in
               detected.(i) <- true;
-              ignore (drop_detected sim faults detected vec);
+              ignore (drop vec);
               extra_cubes := cube :: !extra_cubes;
               extra_vecs := vec :: !extra_vecs
           | Podem.Untestable -> give_up redundant faults.(i)

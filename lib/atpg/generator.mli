@@ -22,8 +22,9 @@ val num_vectors : t -> int
 
 type options = {
   podem : Podem.config;
-  random_patterns : int;  (** max vectors in the random phase; 0 disables *)
-  random_giveup : int;  (** stop after this many consecutive useless patterns *)
+  random_patterns : int;
+      (** max vectors in the random phase, which also stops after 5
+          consecutive useless patterns; 0 disables *)
   compaction : bool;
   fault_dropping : bool;
       (** simulate each new vector against the whole undetected set (the

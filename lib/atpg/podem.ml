@@ -78,8 +78,8 @@ type ctx = {
   mutable implications : int;  (* nets evaluated by [propagate], this call *)
 }
 
-let create ?scoap c =
-  let guide = match scoap with Some s -> s | None -> Scoap.compute c in
+let create c =
+  let guide = Scoap.compute c in
   let soa = Soa.create c in
   let n = Circuit.num_nets c in
   let npi = Circuit.num_inputs c and nflops = Circuit.num_flops c in

@@ -30,9 +30,9 @@ val default_config : config
 
 type ctx
 
-val create : ?scoap:Scoap.t -> Tvs_netlist.Circuit.t -> ctx
-(** Pre-computes SCOAP guidance (unless supplied) and allocates simulation
-    state reused across calls. *)
+val create : Tvs_netlist.Circuit.t -> ctx
+(** Pre-computes SCOAP guidance and allocates simulation state reused across
+    calls. *)
 
 val circuit : ctx -> Tvs_netlist.Circuit.t
 val scoap : ctx -> Scoap.t

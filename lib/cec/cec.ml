@@ -16,9 +16,9 @@ let err fmt = Printf.ksprintf (fun m -> raise (Mismatch m)) fmt
 
 type tie = { name : string; value : bool }
 
-type options = { vectors : int; budget : int; ties : tie list; conventions : bool }
+type options = { vectors : int; budget : int; ties : tie list }
 
-let default_options = { vectors = 8; budget = 200_000; ties = []; conventions = true }
+let default_options = { vectors = 8; budget = 200_000; ties = [] }
 
 type point = Po of string | Capture of string
 
@@ -181,7 +181,7 @@ let build_matching ~(options : options) left right =
       if source_map.(r) < 0 then begin
         let nm = Circuit.net_name right r in
         if Hashtbl.mem user_tied nm then ()
-        else if options.conventions && convention_tie nm then begin
+        else if convention_tie nm then begin
           tie_right := (r, false) :: !tie_right;
           applied := { name = nm; value = false } :: !applied
         end
@@ -564,7 +564,9 @@ let options_digest o =
       Wire.write_varint w schema_version;
       Wire.write_varint w o.vectors;
       Wire.write_varint w o.budget;
-      Wire.write_bool w o.conventions;
+      (* Convention pins are always recognised; the byte keeps the keys of
+         entries written while that was an option. *)
+      Wire.write_bool w true;
       let ties = List.sort (fun a b -> compare a.name b.name) o.ties in
       Wire.write_list
         (fun w t ->

@@ -46,13 +46,12 @@ type options = {
   vectors : int;  (** random-simulation rounds (each 63 lane-packed patterns) *)
   budget : int;  (** SAT decision budget per observation-point miter *)
   ties : tie list;
-  conventions : bool;
-      (** recognize the repo's own transform pins on unmatched right inputs:
-          [scan_en] and [tpi_ctl_*] tie to 0 automatically *)
+      (** besides these, the repo's own transform pins on unmatched right
+          inputs, [scan_en] and [tpi_ctl_*], always tie to 0 *)
 }
 
 val default_options : options
-(** 8 vectors, 200_000 decisions, no ties, conventions on. *)
+(** 8 vectors, 200_000 decisions, no ties. *)
 
 type point =
   | Po of string  (** primary output, by name *)

@@ -22,7 +22,11 @@ type result = {
 let replicate ~chain_len ~seg pattern =
   Array.init chain_len (fun i -> pattern.(i mod seg))
 
-let run c ~rng ~partitions ~faults ~fallback ?(max_parallel = 512) ?(giveup = 10) () =
+(* The broadcast phase applies at most [max_parallel] patterns. *)
+let max_parallel = 512
+let giveup = 10
+
+let run c ~rng ~partitions ~faults ~fallback =
   if partitions <= 0 then invalid_arg "Broadcast_scan.run: partitions must be positive";
   let chain_len = Circuit.num_flops c in
   let seg = max 1 (chain_len / partitions) in
@@ -30,17 +34,7 @@ let run c ~rng ~partitions ~faults ~fallback ?(max_parallel = 512) ?(giveup = 10
   let sim = Fault_sim.create c in
   let n_faults = Array.length faults in
   let detected = Array.make n_faults false in
-  let drop vec_pi vec_scan =
-    let news = ref 0 in
-    Array.iteri
-      (fun i hit ->
-        if hit && not detected.(i) then begin
-          detected.(i) <- true;
-          incr news
-        end)
-      (Fault_sim.detected_faults sim ~pi:vec_pi ~state:vec_scan faults);
-    !news
-  in
+  let drop pi scan = Fault_sim.drop_detected sim ~pi ~state:scan faults detected in
   (* Phase 1: random broadcast patterns, as the scheme's parallel mode
      applies; stop after [giveup] consecutive useless patterns. *)
   let parallel = ref 0 in
@@ -58,11 +52,7 @@ let run c ~rng ~partitions ~faults ~fallback ?(max_parallel = 512) ?(giveup = 10
   (* Phase 2: serial full-shift vectors from the known-good set cover the
      remaining faults (greedy in order). *)
   let serial = ref 0 in
-  Array.iter
-    (fun (v : Cube.vector) ->
-      let remaining = Array.exists (fun d -> not d) detected in
-      if remaining && drop v.Cube.pi v.Cube.scan > 0 then incr serial)
-    fallback;
+  Array.iter (fun (v : Cube.vector) -> if drop v.Cube.pi v.Cube.scan > 0 then incr serial) fallback;
   let covered = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 detected in
   let n = !parallel + !serial in
   (* Parallel loads cost one partition length; their responses drain through

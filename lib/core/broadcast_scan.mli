@@ -31,10 +31,7 @@ val run :
   partitions:int ->
   faults:Tvs_fault.Fault.t array ->
   fallback:Tvs_atpg.Cube.vector array ->
-  ?max_parallel:int ->
-  ?giveup:int ->
-  unit ->
   result
 (** [fallback] is a test set known to cover the faults (typically the
-    baseline's); [max_parallel] caps the broadcast phase, which also stops
-    after [giveup] consecutive useless patterns. *)
+    baseline's). The broadcast phase applies at most 512 random patterns and
+    stops after 10 consecutive useless ones. *)

@@ -24,10 +24,11 @@ type config = {
   selection : Policy.selection;
   podem : Podem.config;
   max_cycles : int;
-  stagnation_limit : int;
-  max_targets_per_cycle : int;
   preflight : bool;
 }
+
+let stagnation_limit = 25
+let max_targets_per_cycle = 25
 
 let default_config ~chain_len =
   {
@@ -36,8 +37,6 @@ let default_config ~chain_len =
     selection = Policy.Most_faults 5;
     podem = { Podem.default_config with backtrack_limit = 32 };
     max_cycles = 4000;
-    stagnation_limit = 25;
-    max_targets_per_cycle = 25;
     preflight = false;
   }
 
@@ -205,8 +204,8 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
     let wanted = wanted_candidates cfg.selection in
     let max_tries =
       match cfg.shift with
-      | Policy.Fixed _ -> 4 * cfg.max_targets_per_cycle
-      | Policy.Variable _ -> cfg.max_targets_per_cycle
+      | Policy.Fixed _ -> 4 * max_targets_per_cycle
+      | Policy.Variable _ -> max_targets_per_cycle
     in
     let rec gather acc found tries = function
       | [] -> acc
@@ -239,7 +238,7 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
       finished ()
       || Cycle.num_uncaught machine = 0
       || Cycle.cycle_count machine >= cfg.max_cycles
-      || !stagnant >= cfg.stagnation_limit
+      || !stagnant >= stagnation_limit
     then ()
     else
       let s = if Cycle.cycle_count machine = 0 then chain_len else !current_s in
@@ -310,32 +309,25 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
          append any fallback vector that detects a still-missing fault. *)
       let aborted = ref gen.Generator.aborted in
       if !aborted <> [] && Array.length fallback > 0 then begin
-        let sim = Tvs_fault.Fault_sim.create c in
-        let missing = ref !aborted in
+        let missing = Array.of_list !aborted in
+        let detected = Array.make (Array.length missing) false in
         (* Accumulate appended vectors in reverse and splice once at the end:
            list append inside the loop is quadratic in the fallback count. *)
         let appended_rev = ref [] in
         Array.iter
           (fun (vec : Cube.vector) ->
-            if !missing <> [] then begin
-              let subset = Array.of_list !missing in
-              let flags =
-                Tvs_fault.Fault_sim.detected_faults sim ~pi:vec.Cube.pi ~state:vec.Cube.scan subset
-              in
-              let hit = Array.exists (fun b -> b) flags in
-              if hit then begin
-                incr nvec;
-                appended_rev := vec :: !appended_rev;
-                let survivors = ref [] in
-                Array.iteri
-                  (fun k f -> if flags.(k) then incr caught else survivors := f :: !survivors)
-                  subset;
-                missing := List.rev !survivors
-              end
+            let news =
+              Tvs_fault.Fault_sim.drop_detected sim ~pi:vec.Cube.pi ~state:vec.Cube.scan missing
+                detected
+            in
+            if news > 0 then begin
+              incr nvec;
+              caught := !caught + news;
+              appended_rev := vec :: !appended_rev
             end)
           fallback;
         extra_stimuli := !extra_stimuli @ List.rev !appended_rev;
-        aborted := !missing
+        aborted := List.filteri (fun k _ -> not detected.(k)) !aborted
       end;
       (!nvec, !caught, gen.Generator.redundant, !aborted)
     end

@@ -17,11 +17,6 @@ type config = {
   selection : Policy.selection;
   podem : Tvs_atpg.Podem.config;
   max_cycles : int;  (** hard cap on stitched cycles *)
-  stagnation_limit : int;
-      (** stop stitching after this many consecutive cycles catching nothing
-          (newly hidden faults do not count: they can churn between hidden
-          and uncaught without ever being observed) *)
-  max_targets_per_cycle : int;  (** PODEM attempts before declaring the cycle stuck *)
   preflight : bool;
       (** run the cheap lint gate ({!Tvs_lint.Lint.preflight}: structural +
           constant propagation, no SAT) before the first cycle and raise
@@ -33,6 +28,15 @@ type config = {
 val default_config : chain_len:int -> config
 (** Variable shift (paper's winner), most-faults selection over 5 candidates,
     no XOR hardware. *)
+
+val stagnation_limit : int
+(** Stitching stops after this many (25) consecutive cycles catching
+    nothing. Newly hidden faults do not count: they can churn between hidden
+    and uncaught without ever being observed. *)
+
+val max_targets_per_cycle : int
+(** PODEM attempts (25, four times that under a fixed shift) before a cycle
+    is declared stuck. *)
 
 type result = {
   schedule : Tvs_scan.Cost.schedule;

@@ -20,7 +20,7 @@ type fanout = { pool : Pool.t; slots : Event.t Lazy.t array }
 
 (* A fault array's chunk order and the per-chunk injection plans compiled
    under it (see [prepare]). *)
-type prepared = { faults : Fault.t array; order : int array; plans : Tvs_sim.Inject.plan array }
+type prepared = { order : int array; plans : Tvs_sim.Inject.plan array }
 
 (* Counting-sort tables for [chunk_order]: every net's position in
    [(Circuit.cone_rep net, net)] order, and a zeroed scratch of one bucket
@@ -31,7 +31,6 @@ type t = {
   ev : Event.t;
   jobs : int;
   mutable fanout : fanout option;
-  mutable memo : prepared option;  (* the last fault array screened *)
   ranks : ranks Lazy.t;  (* forced on the submitter by the first large [prepare] *)
 }
 
@@ -47,13 +46,7 @@ let cone_ranks c =
 
 let create ?jobs circuit =
   let jobs = max 1 (match jobs with Some j -> j | None -> Pool.default_jobs ()) in
-  {
-    ev = Event.create circuit;
-    jobs;
-    fanout = None;
-    memo = None;
-    ranks = lazy (cone_ranks circuit);
-  }
+  { ev = Event.create circuit; jobs; fanout = None; ranks = lazy (cone_ranks circuit) }
 
 let circuit t = Event.circuit t.ev
 
@@ -159,29 +152,22 @@ let chunk_order t (faults : Fault.t array) =
    Replaying a plan costs a few dozen array writes where reinstalling the
    injections costs a validated walk per chunk per vector. A call pays
    O(n + nets) for the order and O(n) for the plans, so a fresh subset —
-   [Generator.drop_detected]'s live faults, a stitching cycle's f_u, the
+   [drop_detected]'s live faults, a stitching cycle's f_u, the
    candidate-scoring sample — costs about as much to prepare as one
-   fault-free pass. The last array's preparation is kept by physical
-   identity for callers that screen one array against many vectors one
-   call at a time ([Broadcast_scan.run], the random-pattern study, the
-   bench micros). Built on the submitter before any fan-out; pool workers
+   fault-free pass. Every call prepares its own array: no caller screens
+   one array twice. Built on the submitter before any fan-out; pool workers
    only read it. *)
 let prepare t (faults : Fault.t array) =
-  match t.memo with
-  | Some p when p.faults == faults -> p
-  | Some _ | None ->
-      let n = Array.length faults in
-      let order = chunk_order t faults in
-      let plans =
-        Array.init (num_chunks n) (fun ci ->
-            let pos = ci * chunk_size in
-            let len = min chunk_size (n - pos) in
-            Event.compile t.ev
-              (Array.init len (fun i -> Fault.to_injection faults.(order.(pos + i)) ~lane:(i + 1))))
-      in
-      let p = { faults; order; plans } in
-      t.memo <- Some p;
-      p
+  let n = Array.length faults in
+  let order = chunk_order t faults in
+  let plans =
+    Array.init (num_chunks n) (fun ci ->
+        let pos = ci * chunk_size in
+        let len = min chunk_size (n - pos) in
+        Event.compile t.ev
+          (Array.init len (fun i -> Fault.to_injection faults.(order.(pos + i)) ~lane:(i + 1))))
+  in
+  { order; plans }
 
 (* --- pool fan-out ----------------------------------------------------- *)
 
@@ -338,7 +324,7 @@ let detect t ~pi ~state faults =
   Array.iteri (scatter_diff p ~n flags)
     (run_chunks t ~nchunks:(num_chunks n) (fun ev ci ->
          let len = min chunk_size (n - (ci * chunk_size)) in
-         Event.run_diff ev ~plan:p.plans.(ci) ~used:(Lanes.mask (len + 1)) ()));
+         Event.run_diff ev ~plan:p.plans.(ci) ~used:(Lanes.mask (len + 1))));
   flags
 
 let detected_faults t ~pi ~state faults =
@@ -346,6 +332,31 @@ let detected_faults t ~pi ~state faults =
   Trace.with_span "faultsim.detected_faults"
     ~args:[ ("faults", string_of_int (Array.length faults)) ]
   @@ fun () -> detect t ~pi ~state faults
+
+let drop_detected t ~pi ~state faults detected =
+  if Array.length detected <> Array.length faults then
+    invalid_arg "Fault_sim.drop_detected: detected length mismatch";
+  let live = Array.make (Array.length faults) 0 and n = ref 0 in
+  Array.iteri
+    (fun i d ->
+      if not d then begin
+        live.(!n) <- i;
+        incr n
+      end)
+    detected;
+  if !n = 0 then 0
+  else begin
+    let flags = detected_faults t ~pi ~state (Array.init !n (fun k -> faults.(live.(k)))) in
+    let news = ref 0 in
+    Array.iteri
+      (fun k hit ->
+        if hit then begin
+          detected.(live.(k)) <- true;
+          incr news
+        end)
+      flags;
+    !news
+  end
 
 (* --- multi-vector screening -------------------------------------------- *)
 

@@ -401,12 +401,13 @@ let table2 ?scale ?(circuits = default_table2_circuits) () =
   "Table 2: varying the size and type of shifting\n" ^ Table.render tbl
 
 (* ------------------------------------------------------------------ *)
-(* Table 3: hidden fault observability (XOR schemes).                  *)
+(* Tables 3 and 4: one stitched run per variant and circuit.           *)
 
-let table3 ?scale ?(circuits = default_table2_circuits) () =
-  let schemes = [ ("NXOR", Xor_scheme.Nxor); ("VXOR", Xor_scheme.Vxor); ("HXOR", Xor_scheme.Hxor 3) ] in
+(* One row of m/t ratio pairs per circuit, one pair per [(tag, v)]
+   variant run as [run v] under the label [prefix ^ tag], and their means. *)
+let variant_sweep ~title ~prefix ~run ?scale ~circuits variants =
   let tbl =
-    Table.create ([ "circ" ] @ List.concat_map (fun (n, _) -> [ n ^ " m"; n ^ " t" ]) schemes)
+    Table.create ([ "circ" ] @ List.concat_map (fun (n, _) -> [ n ^ " m"; n ^ " t" ]) variants)
   in
   let sums = Hashtbl.create 8 in
   let note key v = Hashtbl.replace sums key (v :: Option.value ~default:[] (Hashtbl.find_opt sums key)) in
@@ -416,12 +417,12 @@ let table3 ?scale ?(circuits = default_table2_circuits) () =
       let prep = Prep.get ~scale:sc name in
       let cells =
         List.concat_map
-          (fun (tag, scheme) ->
-            let r = run_flow ~scheme ~label:("t3:" ^ tag) prep in
+          (fun (tag, v) ->
+            let r = run v ~label:(prefix ^ tag) prep in
             note (tag ^ ":m") r.m;
             note (tag ^ ":t") r.t;
             [ Table.fmt_ratio r.m; Table.fmt_ratio r.t ])
-          schemes
+          variants
       in
       Table.add_row tbl (name :: cells))
     circuits;
@@ -434,73 +435,31 @@ let table3 ?scale ?(circuits = default_table2_circuits) () =
              Table.fmt_ratio (mean (Hashtbl.find sums (tag ^ ":m")));
              Table.fmt_ratio (mean (Hashtbl.find sums (tag ^ ":t")));
            ])
-         schemes);
-  "Table 3: hidden fault observability (variable shift, most-faults)\n" ^ Table.render tbl
+         variants);
+  title ^ "\n" ^ Table.render tbl
 
-(* ------------------------------------------------------------------ *)
-(* Table 4: selection of test vectors.                                 *)
+(* Table 3: hidden fault observability (XOR schemes). *)
+let table3 ?scale ?(circuits = default_table2_circuits) () =
+  variant_sweep ~title:"Table 3: hidden fault observability (variable shift, most-faults)"
+    ~prefix:"t3:" ~run:(fun scheme ~label prep -> run_flow ~scheme ~label prep) ?scale ~circuits
+    [ ("NXOR", Xor_scheme.Nxor); ("VXOR", Xor_scheme.Vxor); ("HXOR", Xor_scheme.Hxor 3) ]
 
+(* Table 4: selection of test vectors. *)
 let table4 ?scale ?(circuits = default_table2_circuits) () =
-  let strategies =
+  variant_sweep ~title:"Table 4: selection of test vectors (variable shift, NXOR)" ~prefix:"t4:"
+    ~run:(fun selection ~label prep -> run_flow ~selection ~label prep) ?scale ~circuits
     [
       ("Random", Policy.Random_order);
       ("Hardness", Policy.Hardness_order);
       ("Most-faults", Policy.Most_faults 5);
     ]
-  in
-  let tbl =
-    Table.create ([ "circ" ] @ List.concat_map (fun (n, _) -> [ n ^ " m"; n ^ " t" ]) strategies)
-  in
-  let sums = Hashtbl.create 8 in
-  let note key v = Hashtbl.replace sums key (v :: Option.value ~default:[] (Hashtbl.find_opt sums key)) in
-  List.iter
-    (fun name ->
-      let sc = match scale with Some s -> s | None -> table24_default_scale name in
-      let prep = Prep.get ~scale:sc name in
-      let cells =
-        List.concat_map
-          (fun (tag, selection) ->
-            let r = run_flow ~selection ~label:("t4:" ^ tag) prep in
-            note (tag ^ ":m") r.m;
-            note (tag ^ ":t") r.t;
-            [ Table.fmt_ratio r.m; Table.fmt_ratio r.t ])
-          strategies
-      in
-      Table.add_row tbl (name :: cells))
-    circuits;
-  Table.add_rule tbl;
-  Table.add_row tbl
-    ("Ave"
-    :: List.concat_map
-         (fun (tag, _) ->
-           [
-             Table.fmt_ratio (mean (Hashtbl.find sums (tag ^ ":m")));
-             Table.fmt_ratio (mean (Hashtbl.find sums (tag ^ ":t")));
-           ])
-         strategies);
-  "Table 4: selection of test vectors (variable shift, NXOR)\n" ^ Table.render tbl
 
 (* ------------------------------------------------------------------ *)
 (* Table 5: large circuits under the best scheme.                      *)
 
-let faultsim_work ~(since : Fault_sim.counters) =
-  let now = Fault_sim.counters () in
-  let evals = now.gate_evals - since.gate_evals
-  and skipped = now.gates_skipped - since.gates_skipped in
-  let skip_pct =
-    if evals + skipped = 0 then 0.0
-    else 100.0 *. float_of_int skipped /. float_of_int (evals + skipped)
-  in
-  Printf.sprintf "%d event runs, %d events fired, %d gate evals (%.1f%% skipped), %d faults dropped"
-    (now.event_runs - since.event_runs)
-    (now.events_fired - since.events_fired)
-    evals skip_pct
-    (now.faults_dropped - since.faults_dropped)
-
 let table5 ?scale ?(circuits = default_table5_circuits) () =
   let tbl = Table.create [ "circ"; "I/O"; "scan#"; "TV"; "ex"; "m"; "t"; "cov" ] in
   let ms = ref [] and ts = ref [] in
-  let since = Fault_sim.counters () in
   List.iter
     (fun name ->
       let sc = match scale with Some s -> s | None -> table5_default_scale name in
@@ -525,7 +484,6 @@ let table5 ?scale ?(circuits = default_table5_circuits) () =
   Table.add_row tbl
     [ "Ave"; ""; ""; ""; ""; Table.fmt_ratio (mean !ms); Table.fmt_ratio (mean !ts); "" ];
   "Table 5: large circuits (variable shift, most-faults, NXOR)\n" ^ Table.render tbl
-  ^ "simulator: " ^ faultsim_work ~since ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md §6).                                           *)
@@ -584,8 +542,7 @@ let ablations ?(scale = 1.0) ?(circuit = "s953") () =
   let gen_with ~guided ~dropping label =
     let options =
       {
-        Generator.default_options with
-        random_patterns = 0;
+        Generator.random_patterns = 0;
         compaction = false;
         fault_dropping = dropping;
         podem = { Podem.default_config with guided };
@@ -621,34 +578,14 @@ let misr_study ?(scale = 1.0) ?(circuit = "s953") () =
   let prep = Prep.get ~scale circuit in
   let c = prep.Prep.circuit in
   let sim = Parallel.create c in
-  let vectors = prep.Prep.baseline.Baseline.vectors in
+  let tests =
+    Array.map (fun (v : Cube.vector) -> (v.Cube.pi, v.Cube.scan)) prep.Prep.baseline.Baseline.vectors
+  in
   let faults = prep.Prep.faults in
-  (* Full per-cycle response stream (POs then captured cells) of a machine
-     under the whole test set. *)
-  let stream_of outcomes_for =
-    Array.to_list vectors
-    |> List.concat_map (fun (v : Cube.vector) -> outcomes_for v)
-  in
-  let good_stream =
-    stream_of (fun v ->
-        let po, capture = Parallel.run_single sim ~pi:v.Cube.pi ~state:v.Cube.scan in
-        [ Array.append po capture ])
-  in
-  (* Faulty streams, one fault at a time: lane 1 of a two-lane run gives the
-     faulty machine's POs and capture directly. *)
-  let widen arr = Array.map (fun b -> if b then Tvs_sim.Lanes.all_mask else 0) arr in
-  let lane1 words = Array.map (fun w -> Tvs_sim.Lanes.get w 1) words in
-  let faulty_streams =
-    Array.map
-      (fun f ->
-        stream_of (fun v ->
-            let r =
-              Parallel.run sim ~pi:(widen v.Cube.pi) ~state:(widen v.Cube.scan)
-                ~injections:[ Fault.to_injection f ~lane:1 ]
-            in
-            [ Array.append (lane1 r.Parallel.po) (lane1 r.Parallel.capture) ]))
-      faults
-  in
+  (* Full per-cycle response streams (POs then captured cells) under the
+     whole test set: the fault-free machine's, then one per fault. *)
+  let good_stream = Tvs_fault.Diagnosis.respond sim ~tests () in
+  let faulty_streams = Array.map (fun f -> Tvs_fault.Diagnosis.respond sim ~tests ~fault:f ()) faults in
   let exact_detected = Array.map (fun stream -> stream <> good_stream) faulty_streams in
   let detected_count = Array.fold_left (fun n d -> if d then n + 1 else n) 0 exact_detected in
   let buf = Buffer.create 512 in
@@ -714,7 +651,7 @@ let comparison_study ?(scale = 1.0) ?(circuits = [ "s444"; "s953"; "s1196" ]) ()
       let bcast =
         Tvs_core.Broadcast_scan.run c
           ~rng:(Prep.engine_seed prep "bcast")
-          ~partitions:4 ~faults:prep.Prep.faults ~fallback:prep.Prep.baseline.Baseline.vectors ()
+          ~partitions:4 ~faults:prep.Prep.faults ~fallback:prep.Prep.baseline.Baseline.vectors
       in
       let stitched = run_flow ~label:"cmp" prep in
       Table.add_row tbl
@@ -756,17 +693,14 @@ let random_testability ?(patterns = 256) ?(circuits = [ "s444"; "s953"; "s1423";
       let sim = Fault_sim.create c in
       let lfsr = Tvs_scan.Lfsr.create ~seed:0x5eed ~width:24 () in
       let detected = Array.make (Array.length faults) false in
+      let hits = ref 0 in
       let coverage_at = Hashtbl.create 4 in
       for p = 1 to patterns do
         let pi = Tvs_scan.Lfsr.next_vector lfsr (Circuit.num_inputs c) in
         let scan = Tvs_scan.Lfsr.next_vector lfsr (Circuit.num_flops c) in
-        Array.iteri
-          (fun i hit -> if hit then detected.(i) <- true)
-          (Fault_sim.detected_faults sim ~pi ~state:scan faults);
-        if List.mem p checkpoints then begin
-          let hits = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 detected in
-          Hashtbl.replace coverage_at p (float_of_int hits /. float_of_int (Array.length faults))
-        end
+        hits := !hits + Fault_sim.drop_detected sim ~pi ~state:scan faults detected;
+        if List.mem p checkpoints then
+          Hashtbl.replace coverage_at p (float_of_int !hits /. float_of_int (Array.length faults))
       done;
       Table.add_row tbl
         ([ Circuit.name c; string_of_int (Array.length faults) ]

@@ -2,9 +2,8 @@ type program = { chain_len : int; npi : int; ops : Protocol.op list }
 
 exception Parse_error of int * string
 
-let of_stitched ~chain_len ~npi ~vectors ?final_unload () =
-  let unload = Option.value ~default:chain_len final_unload in
-  let ops = Protocol.stitched_ops ~vectors @ Protocol.full_unload_ops ~chain_len:unload in
+let of_stitched ~chain_len ~npi ~vectors =
+  let ops = Protocol.stitched_ops ~vectors @ Protocol.full_unload_ops ~chain_len in
   { chain_len; npi; ops }
 
 let bits_to_string arr = String.init (Array.length arr) (fun i -> if arr.(i) then '1' else '0')

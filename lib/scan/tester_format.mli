@@ -25,11 +25,9 @@ val of_stitched :
   chain_len:int ->
   npi:int ->
   vectors:(bool array * bool array) list ->
-  ?final_unload:int ->
-  unit ->
   program
 (** Build the op sequence for [(pi, fresh)] stitched vectors plus a trailing
-    unload ([final_unload] shifts, default the whole chain). *)
+    unload of the whole chain. *)
 
 val to_string : program -> string
 val of_string : string -> program

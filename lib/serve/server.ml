@@ -77,7 +77,9 @@ type t = {
   (* Scheduler-thread state: preparation is expensive and deterministic, so
      it is memoized per circuit digest. *)
   preps : (string, Prep.t) Hashtbl.t;
-  wake_r : Unix.file_descr;  (* self-pipe: shutdown verb wakes the accept loop *)
+  wake_r : Unix.file_descr;
+      (* self-pipe: the shutdown verb, a signal and the drained scheduler
+         wake the accept loop *)
   wake_w : Unix.file_descr;
 }
 
@@ -186,12 +188,7 @@ let run_equiv_job (job : Protocol.job) left (params : Protocol.equiv_params) =
         List.map (fun (name, value) -> { Cec.name; value }) params.Protocol.ties
       in
       let options =
-        {
-          Cec.default_options with
-          Cec.budget = params.Protocol.budget;
-          vectors = params.Protocol.vectors;
-          ties;
-        }
+        { Cec.budget = params.Protocol.budget; vectors = params.Protocol.vectors; ties }
       in
       match Cec.check ~options left right with
       | exception Cec.Mismatch msg -> Error ("interface mismatch: " ^ msg)
@@ -541,9 +538,26 @@ let run ?state_dir ?(checkpoint_every = 4) ?(checkpoint_threshold = 1000) ?on_re
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* SIGTERM/SIGINT exit immediately: periodic checkpoints are already on
      disk (atomic temp+rename, so a kill mid-save is harmless) and the
-     at_exit below removes the socket file. Restarting resumes the work. *)
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> Stdlib.exit 0));
-  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> Stdlib.exit 130));
+     at_exit below removes the socket file. Restarting resumes the work.
+     A handler can run on any thread, and one that exits there would close
+     the socket under the accept loop's select; so it only records the exit
+     code and wakes the accept loop, whose thread exits. *)
+  let wake_r, wake_w = Unix.pipe () in
+  let signalled = Atomic.make None in
+  let on_signal code =
+    Sys.Signal_handle
+      (fun _ ->
+        Atomic.set signalled (Some code);
+        try ignore (Unix.write wake_w (Bytes.of_string "x") 0 1) with Unix.Unix_error _ -> ())
+  in
+  let old_term = Sys.signal Sys.sigterm (on_signal 0) in
+  let old_int = Sys.signal Sys.sigint (on_signal 130) in
+  Fun.protect ~finally:(fun () ->
+      Sys.set_signal Sys.sigterm old_term;
+      Sys.set_signal Sys.sigint old_int;
+      (try Unix.close wake_r with Unix.Unix_error _ -> ());
+      try Unix.close wake_w with Unix.Unix_error _ -> ())
+  @@ fun () ->
   Tvs_obs.Instrument.install_pool_probe ();
   (* An unusable state directory is a startup error, found before the
      socket exists: every checkpoint and inline netlist would fail later. *)
@@ -555,7 +569,6 @@ let run ?state_dir ?(checkpoint_every = 4) ?(checkpoint_threshold = 1000) ?on_re
   | Error _ as e -> e
   | Ok (fd, cleanup) ->
       at_exit cleanup;
-      let wake_r, wake_w = Unix.pipe () in
       let t =
         {
           mutex = Mutex.create ();
@@ -574,27 +587,40 @@ let run ?state_dir ?(checkpoint_every = 4) ?(checkpoint_threshold = 1000) ?on_re
         }
       in
       Option.iter (scan_recovery t) state_dir;
-      let scheduler = Thread.create scheduler_loop t in
+      let drained = Atomic.make false in
+      let scheduler =
+        Thread.create
+          (fun t ->
+            Fun.protect ~finally:(fun () ->
+                Atomic.set drained true;
+                wake_accept_loop t)
+            @@ fun () -> scheduler_loop t)
+          t
+      in
       Option.iter (fun f -> f ()) on_ready;
+      (* Until the shutdown verb, accept connections; then keep waking on
+         the pipe alone until the scheduler has drained the queue, so a
+         signal during the drain still exits at once. *)
+      let buf = Bytes.create 64 in
       let rec accept_loop () =
         let stopping = Mutex.protect t.mutex (fun () -> t.stopping) in
-        if not stopping then begin
-          match Unix.select [ fd; t.wake_r ] [] [] (-1.0) with
+        if not (stopping && Atomic.get drained) then begin
+          match Unix.select (if stopping then [ t.wake_r ] else [ fd; t.wake_r ]) [] [] (-1.0) with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
           | readable, _, _ ->
-              if List.mem t.wake_r readable then () (* shutdown verb *)
-              else begin
-                (match Unix.accept fd with
-                | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
-                | cfd, _ -> ignore (Thread.create (handle_conn t) cfd));
-                accept_loop ()
+              if List.mem t.wake_r readable then begin
+                ignore (Unix.read t.wake_r buf 0 (Bytes.length buf));
+                Option.iter exit (Atomic.get signalled)
               end
+              else begin
+                match Unix.accept fd with
+                | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
+                | cfd, _ -> ignore (Thread.create (handle_conn t) cfd)
+              end;
+              accept_loop ()
         end
       in
       accept_loop ();
-      (* Graceful drain: no new connections, scheduler finishes the queue. *)
       Thread.join scheduler;
       cleanup ();
-      (try Unix.close wake_r with Unix.Unix_error _ -> ());
-      (try Unix.close wake_w with Unix.Unix_error _ -> ());
       Ok ()

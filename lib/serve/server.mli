@@ -49,5 +49,7 @@ val run :
     (default 1000) the minimum collapsed-fault count for a job to
     checkpoint at all. [on_ready] fires once the socket is listening and
     recovery jobs are queued — tests use it to connect without racing.
-    Installs SIGTERM/SIGINT handlers (immediate exit — on-disk checkpoints
-    carry the state) and ignores SIGPIPE. *)
+    While it runs, SIGTERM and SIGINT make the thread that called [run]
+    exit the process at once, with status 0 and 130 (on-disk checkpoints
+    carry the state); the previous handlers are restored when it returns.
+    Ignores SIGPIPE. *)

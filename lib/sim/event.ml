@@ -257,8 +257,8 @@ let observed t ~used =
   done;
   !diff
 
-let run_diff t ?states ~(plan : Inject.plan) ~used () =
-  propagate t ?states ~plan ();
+let run_diff t ~(plan : Inject.plan) ~used =
+  propagate t ~plan ();
   let soa = t.soa in
   let diff = ref (observed t ~used) in
   let bsinks = plan.Inject.branch_sinks in

@@ -76,8 +76,8 @@ val run : t -> ?states:int array -> plan:Inject.plan -> unit -> Parallel.result
     Raises [Invalid_argument] if no stimulus is set or on dimension
     mismatches. *)
 
-val run_diff : t -> ?states:int array -> plan:Inject.plan -> used:int -> unit -> int
-(** [run_diff t ~plan ~used ()] simulates exactly like {!run} but
+val run_diff : t -> plan:Inject.plan -> used:int -> int
+(** [run_diff t ~plan ~used] simulates exactly like {!run} but
     returns only the lane-difference mask: the OR, over every primary output
     and every captured next-state bit, of [(word lxor good) land used],
     where [good] is that lane's own fault-free word. A set bit at lane [l]

@@ -49,8 +49,11 @@ let config ~(config : Tvs_core.Engine.config) ~label =
       Wire.write_varint w config.podem.backtrack_limit;
       Wire.write_bool w config.podem.guided;
       Wire.write_varint w config.max_cycles;
-      Wire.write_varint w config.stagnation_limit;
-      Wire.write_varint w config.max_targets_per_cycle;
+      (* The engine's fixed stall limits stay in the digest, so cache
+         entries and checkpoints written while they were configurable still
+         match. *)
+      Wire.write_varint w Tvs_core.Engine.stagnation_limit;
+      Wire.write_varint w Tvs_core.Engine.max_targets_per_cycle;
       (* config.preflight is NOT digested: it never changes the result of
          a run that passes it, so checkpoints and cache entries written at
          one setting replay at the other. *)

@@ -18,7 +18,7 @@ let sample_program () =
   let vectors =
     [ ([| true; false |], [| true; true; false |]); ([| false; false |], [| false; true |]) ]
   in
-  Tester_format.of_stitched ~chain_len:3 ~npi:2 ~vectors ()
+  Tester_format.of_stitched ~chain_len:3 ~npi:2 ~vectors
 
 let test_roundtrip () =
   let p = sample_program () in
@@ -73,7 +73,7 @@ let test_exported_program_drives_hardware () =
   let chain_len = Circuit.num_flops c in
   let program =
     Tester_format.of_stitched ~chain_len ~npi:(Circuit.num_inputs c)
-      ~vectors:r.Engine.stimuli ()
+      ~vectors:r.Engine.stimuli
   in
   let program' = Tester_format.of_string (Tester_format.to_string program) in
   let inserted = Scan_insert.insert c in

@@ -323,7 +323,7 @@ let test_broadcast_two_modes () =
   let c, faults, baseline = prep_s27 () in
   let r =
     Broadcast_scan.run c ~rng:(Rng.of_string "bc") ~partitions:3 ~faults
-      ~fallback:baseline.Baseline.vectors ()
+      ~fallback:baseline.Baseline.vectors
   in
   Alcotest.(check int) "partition count echoed" 3 r.Broadcast_scan.partitions;
   Alcotest.(check bool) "some parallel vectors" true (r.Broadcast_scan.parallel_vectors > 0);
@@ -334,7 +334,7 @@ let test_broadcast_full_coverage_via_fallback () =
   let c, faults, baseline = prep_s27 () in
   let r =
     Broadcast_scan.run c ~rng:(Rng.of_string "bc2") ~partitions:3 ~faults
-      ~fallback:baseline.Baseline.vectors ()
+      ~fallback:baseline.Baseline.vectors
   in
   (* The fallback set covers everything it can; broadcast must not lose it. *)
   let reachable =
@@ -358,7 +358,7 @@ let test_broadcast_one_partition_degenerates () =
   let c, faults, baseline = prep_s27 () in
   let r =
     Broadcast_scan.run c ~rng:(Rng.of_string "bc3") ~partitions:1 ~faults
-      ~fallback:baseline.Baseline.vectors ()
+      ~fallback:baseline.Baseline.vectors
   in
   Alcotest.(check bool) "runs" true (r.Broadcast_scan.parallel_vectors >= 0)
 
@@ -368,7 +368,7 @@ let test_broadcast_rejects_bad_partitions () =
     (try
        ignore
          (Broadcast_scan.run c ~rng:(Rng.of_string "bc4") ~partitions:0 ~faults
-            ~fallback:baseline.Baseline.vectors ());
+            ~fallback:baseline.Baseline.vectors);
        false
      with Invalid_argument _ -> true)
 

@@ -231,6 +231,40 @@ let qcheck_same_means_same =
           | Fault_sim.Po_detected | Fault_sim.Capture_differs _ -> serial)
         (Array.init (Array.length faults) (fun i -> i)))
 
+(* Fault dropping against a fold of whole-list screens: after each vector
+   the flags are the union of every screen so far and the return value
+   counts the new ones. A list with every flag set is not screened at all,
+   and a flag array of the wrong length is rejected. *)
+let test_drop_detected () =
+  let c = Tvs_circuits.Synth.generate_named "s444" in
+  let faults = Fault_gen.collapsed c in
+  let n = Array.length faults in
+  let sim = Fault_sim.create c and oracle = Fault_sim.create c in
+  let rng = Rng.of_string "drop-detected" in
+  let detected = Array.make n false and expect = Array.make n false in
+  let count a = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a in
+  for _ = 1 to 30 do
+    let pi = Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng) in
+    let state = Array.init (Circuit.num_flops c) (fun _ -> Rng.bool rng) in
+    let before = count expect in
+    Array.iteri
+      (fun i hit -> if hit then expect.(i) <- true)
+      (Fault_sim.detected_faults oracle ~pi ~state faults);
+    let news = Fault_sim.drop_detected sim ~pi ~state faults detected in
+    Alcotest.(check (array bool)) "flags are the union of the screens" expect detected;
+    Alcotest.(check int) "returns the new detections" (count expect - before) news
+  done;
+  Alcotest.(check bool) "some faults left undetected" true (count detected < n);
+  let pi = Array.make (Circuit.num_inputs c) false and state = Array.make (Circuit.num_flops c) true in
+  let batches () = Tvs_obs.Metrics.(counter_value (counter "faultsim.batches")) in
+  let b0 = batches () in
+  Alcotest.(check int) "nothing left to drop" 0
+    (Fault_sim.drop_detected sim ~pi ~state faults (Array.make n true));
+  Alcotest.(check int) "nothing screened" b0 (batches ());
+  Alcotest.check_raises "flag count checked"
+    (Invalid_argument "Fault_sim.drop_detected: detected length mismatch") (fun () ->
+      ignore (Fault_sim.drop_detected sim ~pi ~state faults (Array.make (n - 1) false)))
+
 let () =
   Alcotest.run "fault"
     [
@@ -258,5 +292,6 @@ let () =
           Alcotest.test_case "per-state inner length check" `Quick
             test_per_state_inner_length_check;
           QCheck_alcotest.to_alcotest qcheck_same_means_same;
+          Alcotest.test_case "drop_detected screens live faults" `Quick test_drop_detected;
         ] );
     ]

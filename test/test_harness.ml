@@ -133,8 +133,9 @@ let test_comparison_renders () =
   Alcotest.(check bool) "static columns present" true (contains ~needle:"static m" out);
   Alcotest.(check bool) "row present" true (contains ~needle:"s444" out)
 
-(* Table 5's footer reports its own call's work without wiping the
-   process-wide [faultsim.*] counters: a second call adds to them. *)
+(* Table 5 never wipes the process-wide [faultsim.*] counters: a second
+   call adds to them. It prints no work of its own, so both calls print the
+   same table. *)
 let test_table5_footer_keeps_counters () =
   let gate_evals () = (Tvs_fault.Fault_sim.counters ()).Tvs_fault.Fault_sim.gate_evals in
   let table5 () = Experiments.table5 ~scale:0.25 ~circuits:[ "s444" ] () in
@@ -145,10 +146,7 @@ let test_table5_footer_keeps_counters () =
   let g2 = gate_evals () in
   Alcotest.(check bool) "first call counted" true (g1 > g0);
   Alcotest.(check bool) "second call adds to the first" true (g2 > g1);
-  let footer_says out delta = contains ~needle:(Printf.sprintf " %d gate evals " delta) out in
-  Alcotest.(check bool) "first footer is the first call's work" true (footer_says first (g1 - g0));
-  Alcotest.(check bool) "second footer is the second call's work" true
-    (footer_says second (g2 - g1))
+  Alcotest.(check string) "both calls print the same table" first second
 
 (* A checkpoint saved on s27 resumes only into the run it was taken from:
    another circuit or another engine configuration is refused. *)
