@@ -308,8 +308,20 @@ let selection_arg =
   Arg.(value & opt sel_conv (Policy.Most_faults 5) & info [ "selection" ] ~docv:"SEL" ~doc)
 
 let shift_arg =
-  let doc = "Fixed shift size per cycle; omit for the variable policy." in
-  Arg.(value & opt (some int) None & info [ "shift" ] ~docv:"S" ~doc)
+  let doc =
+    "Fixed shift size per cycle, from 1 to the scan chain length; omit for the variable policy."
+  in
+  Arg.(value & opt (some (Cli.int_conv ~docv:"S" Cli.check_shift)) None
+       & info [ "shift" ] ~docv:"S" ~doc)
+
+(* The engine refuses a configuration it cannot run (a failed preflight, a
+   fixed shift past the scan chain) with [Failure] before its first cycle:
+   a message and exit 123, not an internal error. *)
+let or_die f =
+  try f ()
+  with Failure msg ->
+    prerr_endline ("tvs: " ^ msg);
+    exit Cmd.Exit.some_error
 
 (* Shared by [stitch], [resume] and the serve daemon's done events: all must
    produce byte-identical summaries for the same run (CI diffs a resumed run
@@ -357,12 +369,9 @@ let stitch_cmd =
         ckpt
     in
     let r =
-      try
-        Experiments.run_flow ~scheme ?shift:shift_policy ~selection ~preflight ?checkpoint
-          ~label:"cli" prep
-      with Failure msg when preflight ->
-        prerr_endline ("tvs: " ^ msg);
-        exit Cmd.Exit.some_error
+      or_die (fun () ->
+          Experiments.run_flow ~scheme ?shift:shift_policy ~selection ~preflight ?checkpoint
+            ~label:"cli" prep)
     in
     print_stitch_summary prep scheme selection r
   in
@@ -405,10 +414,11 @@ let resume_cmd =
             ckpt
         in
         let r =
-          Experiments.run_flow ~scheme:ck.Checkpoint.scheme
-            ?shift:(Option.map (fun s -> Policy.Fixed s) ck.Checkpoint.shift)
-            ~selection:ck.Checkpoint.selection ~resume:ck.Checkpoint.snapshot ?checkpoint
-            ~label:ck.Checkpoint.label prep
+          or_die (fun () ->
+              Experiments.run_flow ~scheme:ck.Checkpoint.scheme
+                ?shift:(Option.map (fun s -> Policy.Fixed s) ck.Checkpoint.shift)
+                ~selection:ck.Checkpoint.selection ~resume:ck.Checkpoint.snapshot ?checkpoint
+                ~label:ck.Checkpoint.label prep)
         in
         print_stitch_summary prep ck.Checkpoint.scheme ck.Checkpoint.selection r
   in
@@ -492,11 +502,10 @@ let table_cmd =
          & info [] ~docv:"N" ~doc)
   in
   let circuits_arg =
-    let doc = "Restrict to these circuits (comma-separated)." in
-    Arg.(value & opt (some string) None & info [ "circuits" ] ~docv:"LIST" ~doc)
+    let doc = "Restrict to these profile circuits (comma-separated)." in
+    Arg.(value & opt (some Cli.profiles) None & info [ "circuits" ] ~docv:"LIST" ~doc)
   in
   let run () () () n scale circuits =
-    let circuits = Option.map (String.split_on_char ',') circuits in
     let text =
       match n with
       | 1 -> Experiments.table1 ()
@@ -513,7 +522,7 @@ let table_cmd =
 let ablation_cmd =
   let circuit_arg =
     let doc = "Profile circuit for the ablations." in
-    Arg.(value & opt string "s953" & info [ "circuit" ] ~docv:"NAME" ~doc)
+    Arg.(value & opt Cli.profile "s953" & info [ "circuit" ] ~docv:"NAME" ~doc)
   in
   let run () () scale circuit = print_string (Experiments.ablations ?scale ~circuit ()) in
   Cmd.v (Cmd.info "ablation" ~doc:"Run the design-choice ablations")
@@ -522,7 +531,7 @@ let ablation_cmd =
 let misr_cmd =
   let circuit_arg =
     let doc = "Profile circuit for the study." in
-    Arg.(value & opt string "s953" & info [ "circuit" ] ~docv:"NAME" ~doc)
+    Arg.(value & opt Cli.profile "s953" & info [ "circuit" ] ~docv:"NAME" ~doc)
   in
   let run () () scale circuit = print_string (Experiments.misr_study ?scale ~circuit ()) in
   Cmd.v (Cmd.info "misr" ~doc:"MISR aliasing and diagnosis-resolution study")
@@ -530,11 +539,10 @@ let misr_cmd =
 
 let comparison_cmd =
   let circuits_arg =
-    let doc = "Circuits (comma-separated)." in
-    Arg.(value & opt (some string) None & info [ "circuits" ] ~docv:"LIST" ~doc)
+    let doc = "Profile circuits (comma-separated)." in
+    Arg.(value & opt (some Cli.profiles) None & info [ "circuits" ] ~docv:"LIST" ~doc)
   in
   let run () () scale circuits =
-    let circuits = Option.map (String.split_on_char ',') circuits in
     print_string (Experiments.comparison_study ?scale ?circuits ())
   in
   Cmd.v (Cmd.info "comparison" ~doc:"Static reordering vs stitched generation")
@@ -543,7 +551,7 @@ let comparison_cmd =
 let diagnosis_cmd =
   let circuit_arg =
     let doc = "Profile circuit for the study." in
-    Arg.(value & opt string "s444" & info [ "circuit" ] ~docv:"NAME" ~doc)
+    Arg.(value & opt Cli.profile "s444" & info [ "circuit" ] ~docv:"NAME" ~doc)
   in
   let run () () scale circuit = print_string (Experiments.diagnosis_study ?scale ~circuit ()) in
   Cmd.v (Cmd.info "diagnosis" ~doc:"Fault-dictionary diagnosis resolution study")
@@ -552,7 +560,8 @@ let diagnosis_cmd =
 let randtest_cmd =
   let patterns_arg =
     let doc = "Number of LFSR patterns." in
-    Arg.(value & opt int 256 & info [ "patterns" ] ~docv:"N" ~doc)
+    Arg.(value & opt (Cli.int_conv ~docv:"N" (Cli.check_positive "--patterns")) 256
+         & info [ "patterns" ] ~docv:"N" ~doc)
   in
   let run () () patterns = print_string (Experiments.random_testability ~patterns ()) in
   Cmd.v (Cmd.info "randtest" ~doc:"LFSR random-pattern testability sweep")
@@ -564,8 +573,9 @@ let randtest_cmd =
 let stitched_program ~tag ~scheme ~selection ~shift (prep : Prep.t) =
   let c = prep.Prep.circuit in
   let r =
-    Experiments.run_engine ~scheme ?shift:(Option.map (fun s -> Policy.Fixed s) shift) ~selection
-      ~label:tag prep
+    or_die (fun () ->
+        Experiments.run_engine ~scheme ?shift:(Option.map (fun s -> Policy.Fixed s) shift)
+          ~selection ~label:tag prep)
   in
   let stitched =
     Tvs_scan.Tester_format.of_stitched ~chain_len:(Circuit.num_flops c)

@@ -62,9 +62,8 @@ let () =
      else "fails, but which fault? The signature cannot say.");
   (* How many faults share that signature? *)
   let sharing =
-    Array.to_list faults
-    |> List.filter (fun f ->
-           bad_sig = Misr.signature_of ~width (Diagnosis.respond sim ~tests ~fault:f ()))
+    Array.to_list (snd (Diagnosis.responses sim ~tests faults))
+    |> List.filter (fun r -> bad_sig = Misr.signature_of ~width r)
   in
   Format.printf "  %d modelled faults produce this very signature.@." (List.length sharing);
   Format.printf

@@ -51,8 +51,10 @@ let generate ?(options = default_options) ~rng ctx faults =
   let sim = Fault_sim.create c in
   let n = Array.length faults in
   let detected = Array.make n false in
-  let drop (vec : Cube.vector) =
-    Fault_sim.drop_detected sim ~pi:vec.Cube.pi ~state:vec.Cube.scan faults detected
+  let drop (vecs : Cube.vector array) =
+    Fault_sim.drop_detected sim
+      ~vectors:(Array.map (fun (v : Cube.vector) -> (v.Cube.pi, v.Cube.scan)) vecs)
+      faults detected
   in
   let cubes = ref [] in
   let vectors = ref [] in
@@ -74,8 +76,7 @@ let generate ?(options = default_options) ~rng ctx faults =
   while !tried < options.random_patterns && !useless < random_giveup do
     incr tried;
     let vec = random_vector rng c in
-    let news = drop vec in
-    if news > 0 then begin
+    if (drop [| vec |]).(0) > 0 then begin
       useless := 0;
       keep_vector (Cube.of_vector vec) vec
     end
@@ -88,7 +89,7 @@ let generate ?(options = default_options) ~rng ctx faults =
       | Podem.Detected cube ->
           let vec = Cube.fill_random rng cube in
           detected.(i) <- true;
-          if options.fault_dropping then ignore (drop vec);
+          if options.fault_dropping then ignore (drop [| vec |]);
           keep_vector cube vec
       | Podem.Untestable -> give_up redundant faults.(i)
       | Podem.Aborted -> give_up aborted faults.(i)
@@ -105,7 +106,7 @@ let generate ?(options = default_options) ~rng ctx faults =
       let vecs = List.map refill merged in
       (* Re-check coverage with the compacted fill; top up where needed. *)
       Array.fill detected 0 n false;
-      List.iter (fun v -> ignore (drop v)) vecs;
+      ignore (drop (Array.of_list vecs));
       let extra_cubes = ref [] in
       let extra_vecs = ref [] in
       for i = 0 to n - 1 do
@@ -114,7 +115,7 @@ let generate ?(options = default_options) ~rng ctx faults =
           | Podem.Detected cube ->
               let vec = Cube.fill_random rng cube in
               detected.(i) <- true;
-              ignore (drop vec);
+              ignore (drop [| vec |]);
               extra_cubes := cube :: !extra_cubes;
               extra_vecs := vec :: !extra_vecs
           | Podem.Untestable -> give_up redundant faults.(i)

@@ -34,7 +34,7 @@ let run c ~rng ~partitions ~faults ~fallback =
   let sim = Fault_sim.create c in
   let n_faults = Array.length faults in
   let detected = Array.make n_faults false in
-  let drop pi scan = Fault_sim.drop_detected sim ~pi ~state:scan faults detected in
+  let drop vectors = Fault_sim.drop_detected sim ~vectors faults detected in
   (* Phase 1: random broadcast patterns, as the scheme's parallel mode
      applies; stop after [giveup] consecutive useless patterns. *)
   let parallel = ref 0 in
@@ -43,7 +43,7 @@ let run c ~rng ~partitions ~faults ~fallback =
     let pattern = Array.init seg (fun _ -> Rng.bool rng) in
     let scan = replicate ~chain_len ~seg pattern in
     let pi = Array.init npi (fun _ -> Rng.bool rng) in
-    if drop pi scan > 0 then begin
+    if (drop [| (pi, scan) |]).(0) > 0 then begin
       incr parallel;
       useless := 0
     end
@@ -51,22 +51,22 @@ let run c ~rng ~partitions ~faults ~fallback =
   done;
   (* Phase 2: serial full-shift vectors from the known-good set cover the
      remaining faults (greedy in order). *)
-  let serial = ref 0 in
-  Array.iter (fun (v : Cube.vector) -> if drop v.Cube.pi v.Cube.scan > 0 then incr serial) fallback;
+  let news = drop (Array.map (fun (v : Cube.vector) -> (v.Cube.pi, v.Cube.scan)) fallback) in
+  let serial = Array.fold_left (fun acc k -> if k > 0 then acc + 1 else acc) 0 news in
   let covered = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 detected in
-  let n = !parallel + !serial in
+  let n = !parallel + serial in
   (* Parallel loads cost one partition length; their responses drain through
      per-partition outputs into a MISR (hardware this scheme needs and the
      stitched flow does not), so unloads overlap loads. Serial vectors cost
      a full chain length each. *)
-  let time = (!parallel * seg) + (!serial * chain_len) + chain_len in
-  let memory = (!parallel * (seg + npi + npo)) + (!serial * ((2 * chain_len) + npi + npo)) in
+  let time = (!parallel * seg) + (serial * chain_len) + chain_len in
+  let memory = (!parallel * (seg + npi + npo)) + (serial * ((2 * chain_len) + npi + npo)) in
   let base_time = Cost.baseline_time ~chain_len ~nvec:n in
   let base_memory = Cost.baseline_memory ~chain_len ~npi ~npo ~nvec:n in
   {
     partitions;
     parallel_vectors = !parallel;
-    serial_vectors = !serial;
+    serial_vectors = serial;
     time;
     memory;
     time_ratio = (if base_time = 0 then 1.0 else float_of_int time /. float_of_int base_time);

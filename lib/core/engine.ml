@@ -144,6 +144,12 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
   let c = Podem.circuit ctx in
   let chain_len = Circuit.num_flops c in
   let cfg = match config with Some cfg -> cfg | None -> default_config ~chain_len in
+  (match cfg.shift with
+  | Policy.Fixed s when s < 1 || s > chain_len ->
+      failwith
+        (Printf.sprintf "fixed shift %d is outside 1..%d, the scan chain length of %s" s chain_len
+           (Circuit.name c))
+  | Policy.Fixed _ | Policy.Variable _ -> ());
   if cfg.preflight then begin
     (* Cheap gate only (structural + constant propagation): an error-severity
        finding means the netlist cannot produce a meaningful run, so fail
@@ -300,36 +306,23 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
       let extra_podem = { cfg.podem with Podem.backtrack_limit = max 100 cfg.podem.Podem.backtrack_limit } in
       let options = { Generator.default_options with random_patterns = 0; podem = extra_podem } in
       let gen = Generator.generate ~options ~rng ctx leftover in
-      extra_stimuli := Array.to_list gen.Generator.vectors;
-      let nvec = ref (Array.length gen.Generator.vectors) in
-      let caught =
-        ref (Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 gen.Generator.detected)
-      in
       (* Aborted leftovers are topped up from the known-good fallback set:
-         append any fallback vector that detects a still-missing fault. *)
-      let aborted = ref gen.Generator.aborted in
-      if !aborted <> [] && Array.length fallback > 0 then begin
-        let missing = Array.of_list !aborted in
-        let detected = Array.make (Array.length missing) false in
-        (* Accumulate appended vectors in reverse and splice once at the end:
-           list append inside the loop is quadratic in the fallback count. *)
-        let appended_rev = ref [] in
-        Array.iter
-          (fun (vec : Cube.vector) ->
-            let news =
-              Tvs_fault.Fault_sim.drop_detected sim ~pi:vec.Cube.pi ~state:vec.Cube.scan missing
-                detected
-            in
-            if news > 0 then begin
-              incr nvec;
-              caught := !caught + news;
-              appended_rev := vec :: !appended_rev
-            end)
-          fallback;
-        extra_stimuli := !extra_stimuli @ List.rev !appended_rev;
-        aborted := List.filteri (fun k _ -> not detected.(k)) !aborted
-      end;
-      (!nvec, !caught, gen.Generator.redundant, !aborted)
+         append every fallback vector that is first to detect one. *)
+      let missing = Array.of_list gen.Generator.aborted in
+      let detected = Array.make (Array.length missing) false in
+      let news =
+        Tvs_fault.Fault_sim.drop_detected sim
+          ~vectors:(Array.map (fun (v : Cube.vector) -> (v.Cube.pi, v.Cube.scan)) fallback)
+          missing detected
+      in
+      extra_stimuli :=
+        Array.to_list gen.Generator.vectors
+        @ List.filteri (fun k _ -> news.(k) > 0) (Array.to_list fallback);
+      let count = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 in
+      ( List.length !extra_stimuli,
+        count gen.Generator.detected + count detected,
+        gen.Generator.redundant,
+        List.filteri (fun k _ -> not detected.(k)) gen.Generator.aborted )
     end
   in
   Metrics.add m_stitched_vectors (List.length !shifts);

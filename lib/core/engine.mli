@@ -96,5 +96,6 @@ val run :
     the ones the original run was created with — enforced by digest checks
     at the {!Tvs_store.Checkpoint} layer). [checkpoint] is [(every, save)]:
     [save] receives a fresh snapshot after every [every]-th stitched cycle.
-    Raises [Invalid_argument] when a resumed snapshot's shape does not match
-    the circuit or fault list. *)
+    Raises [Failure] before the first cycle when a fixed shift lies outside
+    1 to the scan chain length, and [Invalid_argument] when a resumed
+    snapshot's shape does not match the circuit or fault list. *)

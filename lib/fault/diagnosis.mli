@@ -13,14 +13,27 @@ type response = bool array list
 (** One frame per applied test: primary outputs concatenated with the
     captured scan cells, in application order. *)
 
+val responses :
+  Tvs_sim.Parallel.t ->
+  tests:(bool array * bool array) array ->
+  Fault.t array ->
+  response * response array
+(** The fault-free machine's full response to [(pi, scan)] tests, each
+    applied independently (full-shift observation), and every fault's, in
+    order. Up to 62 faults share one pass of {!Tvs_sim.Parallel.run}. *)
+
 val respond :
   Tvs_sim.Parallel.t ->
   tests:(bool array * bool array) array ->
   ?fault:Fault.t ->
   unit ->
   response
-(** The (possibly faulty) machine's full response to [(pi, scan)] tests,
-    each applied independently (full-shift observation). *)
+(** One machine's response from {!responses}: the fault-free one, or
+    [fault]'s. *)
+
+val key_of : response -> string
+(** The response as one string of ['0'] and ['1'], frame after frame: equal
+    keys are equal responses. *)
 
 type dictionary
 

@@ -333,37 +333,7 @@ let detected_faults t ~pi ~state faults =
     ~args:[ ("faults", string_of_int (Array.length faults)) ]
   @@ fun () -> detect t ~pi ~state faults
 
-let drop_detected t ~pi ~state faults detected =
-  if Array.length detected <> Array.length faults then
-    invalid_arg "Fault_sim.drop_detected: detected length mismatch";
-  let live = Array.make (Array.length faults) 0 and n = ref 0 in
-  Array.iteri
-    (fun i d ->
-      if not d then begin
-        live.(!n) <- i;
-        incr n
-      end)
-    detected;
-  if !n = 0 then 0
-  else begin
-    let flags = detected_faults t ~pi ~state (Array.init !n (fun k -> faults.(live.(k)))) in
-    let news = ref 0 in
-    Array.iteri
-      (fun k hit ->
-        if hit then begin
-          detected.(live.(k)) <- true;
-          incr news
-        end)
-      flags;
-    !news
-  end
-
 (* --- multi-vector screening -------------------------------------------- *)
-
-(* Below this many vectors a matrix call screens vector by vector, fault-
-   parallel like [detected_faults]: with one live lane a root flip buys no
-   lane parallelism, and nearly every root hosting a fault flips. *)
-let packed_min_vectors = 2
 
 (* Where each fault of a call meets the fanout-free-region table of
    {!Tvs_sim.Soa}: the net whose fault-free value it overrides ([src]), its
@@ -432,8 +402,9 @@ let scratch ~nets ~faults =
       lanes.
    A fault inside a region changes nothing outside it but its root, so its
    faulty machine in such a lane is the root-flipped one, and it is
-   detected where its own mask meets its root's observed mask. *)
-let screen_pack ev sc s ~vectors ~pos ~len =
+   detected where its own mask meets its root's observed mask: [found i m]
+   gets the nonzero mask [m] of fault [i]'s detecting lanes. *)
+let screen_pack ev sc s ~vectors ~pos ~len found =
   let soa = Event.soa ev in
   let pack field width =
     Array.init width (fun j ->
@@ -477,18 +448,10 @@ let screen_pack ev sc s ~vectors ~pos ~len =
     events := !events + Event.last_events ev;
     evals := !evals + Event.last_evals ev
   done;
-  let rows = Array.init len (fun _ -> Array.make n false) in
   for i = 0 to n - 1 do
-    let m = sc.fmask.(i) in
-    if m <> 0 then begin
-      let r = s.root.(i) in
-      let hit = ref (if r < 0 then m else m land sc.flip.(r)) and k = ref 0 in
-      while !hit <> 0 do
-        if !hit land 1 = 1 then rows.(!k).(i) <- true;
-        hit := !hit lsr 1;
-        incr k
-      done
-    end
+    let m = sc.fmask.(i) and r = s.root.(i) in
+    let hit = if r < 0 then m else m land sc.flip.(r) in
+    if hit <> 0 then found i hit
   done;
   for k = 0 to !nroots - 1 do
     sc.flip.(sc.roots.(k)) <- 0
@@ -496,24 +459,16 @@ let screen_pack ev sc s ~vectors ~pos ~len =
   Metrics.add m_events_fired !events;
   Metrics.add m_gate_evals !evals;
   Metrics.add m_gates_skipped ((!nroots * Event.full_evals ev) - !evals);
-  Metrics.add m_chunks !nroots;
-  rows
+  Metrics.add m_chunks !nroots
 
-(* Multi-vector screening. Few vectors go one by one through [detect],
-   without a span or batch of their own. Otherwise the pool axis is packs of
-   [Lanes.width] vectors: the fault sites are mapped once on the submitter
-   and shared read-only, and each pack's sweep, trace and root flips are
-   private to the slot that screens it (no baseline adoption traffic).
-   Results are keyed by pack index and every pack's work is identical no
-   matter which slot runs it, so the matrix — and the merged stable
-   counters — are byte-identical for every [jobs] setting. *)
-let detected_matrix t ~vectors faults =
+(* A multi-vector screen: one batch and span, vectors checked first. *)
+let matrix_call t ~vectors ~nfaults f =
   Metrics.incr m_batches;
   Trace.with_span "faultsim.detected_matrix"
     ~args:
       [
         ("vectors", string_of_int (Array.length vectors));
-        ("faults", string_of_int (Array.length faults));
+        ("faults", string_of_int nfaults);
       ]
   @@ fun () ->
   let c = circuit t in
@@ -522,16 +477,36 @@ let detected_matrix t ~vectors faults =
       if Array.length pi <> Circuit.num_inputs c || Array.length state <> Circuit.num_flops c then
         invalid_arg "Fault_sim.detected_matrix: vector length mismatch")
     vectors;
-  let nvec = Array.length vectors in
-  if nvec < packed_min_vectors then Array.map (fun (pi, state) -> detect t ~pi ~state faults) vectors
+  f ()
+
+(* Multi-vector screening. A lone vector goes through [detect], without a
+   span or batch of its own: one live lane gains nothing from root flips.
+   Otherwise the pool axis is packs of [Lanes.width] vectors: the fault
+   sites are mapped once on the submitter and shared read-only, and each
+   pack's sweep, trace and root flips are private to the slot that screens
+   it. Every pack's work is the same on any slot, so the matrix and the
+   merged counters are byte-identical for every [jobs] setting. *)
+let detected_matrix t ~vectors faults =
+  let nvec = Array.length vectors and n = Array.length faults in
+  matrix_call t ~vectors ~nfaults:n @@ fun () ->
+  if nvec < 2 then Array.map (fun (pi, state) -> detect t ~pi ~state faults) vectors
   else begin
     let s = sites (Event.soa t.ev) faults in
     let npacks = (nvec + Lanes.width - 1) / Lanes.width in
     let screen ev sc pk =
       let pos = pk * Lanes.width in
-      screen_pack ev (Lazy.force sc) s ~vectors ~pos ~len:(min Lanes.width (nvec - pos))
+      let len = min Lanes.width (nvec - pos) in
+      let rows = Array.init len (fun _ -> Array.make n false) in
+      screen_pack ev (Lazy.force sc) s ~vectors ~pos ~len (fun i m ->
+          let hit = ref m and k = ref 0 in
+          while !hit <> 0 do
+            if !hit land 1 = 1 then rows.(!k).(i) <- true;
+            hit := !hit lsr 1;
+            incr k
+          done);
+      rows
     in
-    let scratch () = lazy (scratch ~nets:(Circuit.num_nets c) ~faults:(Array.length faults)) in
+    let scratch () = lazy (scratch ~nets:(Circuit.num_nets (circuit t)) ~faults:n) in
     let out =
       if t.jobs = 1 || npacks <= 1 then Array.init npacks (screen t.ev (scratch ()))
       else begin
@@ -545,3 +520,43 @@ let detected_matrix t ~vectors faults =
     in
     Array.concat (Array.to_list out)
   end
+
+(* Fault dropping. A screen credits each live fault it detects to the
+   vector of its lowest detecting lane, the first in order, and sets its
+   flag, so no later pack screens it. Packs run in order on the submitter. *)
+let drop_detected t ~vectors faults detected =
+  if Array.length detected <> Array.length faults then
+    invalid_arg "Fault_sim.drop_detected: detected length mismatch";
+  let nvec = Array.length vectors in
+  let news = Array.make nvec 0 in
+  (* [live.(0 .. !n - 1)]: the faults whose flag is clear. *)
+  let live = Array.make (Array.length faults) 0 and n = ref 0 in
+  let refresh () =
+    n := 0;
+    Array.iteri (fun i d -> if not d then begin live.(!n) <- i; incr n end) detected
+  in
+  refresh ();
+  let live_faults () = Array.init !n (fun k -> faults.(live.(k))) in
+  let credit v k =
+    news.(v) <- news.(v) + 1;
+    detected.(live.(k)) <- true
+  in
+  if !n > 0 && nvec = 1 then begin
+    let pi, state = vectors.(0) in
+    let flags = detected_faults t ~pi ~state (live_faults ()) in
+    Array.iteri (fun k hit -> if hit then credit 0 k) flags
+  end
+  else if !n > 0 && nvec > 1 then begin
+    matrix_call t ~vectors ~nfaults:!n @@ fun () ->
+    let sc = scratch ~nets:(Circuit.num_nets (circuit t)) ~faults:!n in
+    let rec lowest m k = if m land (1 lsl k) <> 0 then k else lowest m (k + 1) in
+    let pos = ref 0 in
+    while !n > 0 && !pos < nvec do
+      let len = min Lanes.width (nvec - !pos) in
+      screen_pack t.ev sc (sites (Event.soa t.ev) (live_faults ())) ~vectors ~pos:!pos ~len
+        (fun k m -> credit (!pos + lowest m 0) k);
+      refresh ();
+      pos := !pos + len
+    done
+  end;
+  news

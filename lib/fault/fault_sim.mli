@@ -16,8 +16,8 @@
       hidden-fault case, where a fault's retained response bits mutate the
       vector it actually receives);
     - {!detected_faults}: detection flags only;
-    - {!drop_detected}: fault dropping — screen only the faults not yet
-      detected and mark the ones the vector catches.
+    - {!drop_detected}: fault dropping — screen vectors in order, each
+      against the faults not yet detected, and mark the ones it catches.
 
     {b Pattern-parallel, over fanout-free regions.} {!detected_matrix} packs
     up to {!Tvs_sim.Lanes.width} vectors into one word per net, lane [k]
@@ -106,13 +106,14 @@ val detected_faults : t -> pi:bool array -> state:bool array -> Fault.t array ->
 (** Full-observability detection flags for a whole fault list. *)
 
 val drop_detected :
-  t -> pi:bool array -> state:bool array -> Fault.t array -> bool array -> int
-(** [drop_detected t ~pi ~state faults detected] screens one vector, as
-    {!detected_faults} does, against the faults whose [detected] flag is
-    clear, sets the flags of those it detects and returns how many it
-    detected. With every flag set it screens nothing. [faults_dropped] is
-    left alone: it counts the stitching cycle's drops ({!note_dropped}).
-    Raises [Invalid_argument] unless [detected] has one flag per fault. *)
+  t -> vectors:(bool array * bool array) array -> Fault.t array -> bool array -> int array
+(** [drop_detected t ~vectors faults detected] screens the vectors in order
+    against the faults whose [detected] flag is clear, sets the flags of
+    those they detect and returns how many each vector detected first. One
+    vector is screened as by {!detected_faults}, more in packs on the
+    {!detected_matrix} kernel; no pack screens a fault an earlier one caught,
+    and with every flag set nothing is screened. [faults_dropped] is left
+    alone. Raises [Invalid_argument] unless [detected] has one flag per fault. *)
 
 val detected_matrix :
   t -> vectors:(bool array * bool array) array -> Fault.t array -> bool array array

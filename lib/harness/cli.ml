@@ -19,6 +19,13 @@ let check_spec spec =
            "unknown circuit %S: not a profile (%s), not s27 or fig1, and no such file" spec
            (String.concat ", " profile_names))
 
+let check_profile name =
+  if List.mem name profile_names then Ok name
+  else
+    Error
+      (Printf.sprintf "unknown profile %S (known profiles: %s)" name
+         (String.concat ", " profile_names))
+
 let load_circuit ?(scale = 1.0) ?format spec =
   match check_spec spec with
   | Error _ as e -> e
@@ -150,6 +157,19 @@ let int_conv ~docv check =
       Format.pp_print_int )
 
 let out_file ~flag = conv ~docv:"FILE" (check_out_file ~flag)
+
+let profile = conv ~docv:"NAME" check_profile
+
+(* Unlike [Arg.list], which skips empty entries, every entry must name a
+   profile: "s444,,s526" and "" are errors. *)
+let profiles =
+  let rec check acc = function
+    | [] -> Ok (List.rev acc)
+    | name :: rest -> Result.bind (check_profile name) (fun n -> check (n :: acc) rest)
+  in
+  Arg.conv' ~docv:"LIST"
+    ( (fun s -> check [] (String.split_on_char ',' s)),
+      fun fmt l -> Format.pp_print_string fmt (String.concat "," l) )
 
 let scale =
   let doc =

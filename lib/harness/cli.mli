@@ -8,6 +8,11 @@ val check_spec : string -> (string, string) result
 (** A circuit spec is a benchmark profile name, ["s27"], ["fig1"], or a path
     to an existing netlist file ([.bench] or structural Verilog). *)
 
+val check_profile : string -> (string, string) result
+(** A benchmark profile name (s444 ... s38584); the error names the known
+    profiles. The study commands take only these: s27 and fig1 have no
+    profile. *)
+
 val load_circuit :
   ?scale:float -> ?format:Tvs_verilog.Loader.format -> string -> (Tvs_netlist.Circuit.t, string) result
 (** Validate [spec] and build the circuit. [scale] (default 1.0) applies to
@@ -89,6 +94,13 @@ val out_file : flag:string -> string Cmdliner.Arg.conv
     an existing directory, and its parent directory must exist (the write
     happens at exit — failing then would silently lose a whole run).
     [flag] names the offending option in the usage error. *)
+
+val profile : string Cmdliner.Arg.conv
+(** A profile name, checked by {!check_profile}. *)
+
+val profiles : string list Cmdliner.Arg.conv
+(** A comma-separated list of profile names, each checked by
+    {!check_profile}: an empty entry, or an empty list, is an error. *)
 
 val scale : float option Cmdliner.Term.t
 (** [--scale F], checked by {!check_scale}; [None] when absent. *)

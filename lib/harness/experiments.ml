@@ -227,17 +227,14 @@ let baseline_detection (prep : Prep.t) =
   Tvs_obs.Trace.with_span "faultsim.baseline" ~args:[ ("circuit", Circuit.name prep.Prep.circuit) ]
   @@ fun () ->
   let sim = Fault_sim.create prep.circuit in
-  let hit = Array.make (Array.length prep.faults) false in
-  (* One matrix call over the whole baseline set: one packed sweep and one
-     root flip per fanout-free region per 63 vectors, and the pool axis
-     (when jobs > 1) is those packs. *)
+  (* One drop over the whole baseline set, 63 vectors to a pack: no pack
+     screens a fault an earlier one caught. *)
   let vectors =
     Array.map (fun (v : Cube.vector) -> (v.Cube.pi, v.Cube.scan)) prep.baseline.Baseline.vectors
   in
-  let matrix = Fault_sim.detected_matrix sim ~vectors prep.faults in
-  Array.iter (fun flags -> Array.iteri (fun i b -> if b then hit.(i) <- true) flags) matrix;
+  let hit = Array.make (Array.length prep.faults) false in
   {
-    detected = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 hit;
+    detected = Array.fold_left ( + ) 0 (Fault_sim.drop_detected sim ~vectors prep.faults hit);
     faults = Array.length prep.faults;
     vectors = prep.baseline.Baseline.num_vectors;
   }
@@ -584,8 +581,7 @@ let misr_study ?(scale = 1.0) ?(circuit = "s953") () =
   let faults = prep.Prep.faults in
   (* Full per-cycle response streams (POs then captured cells) under the
      whole test set: the fault-free machine's, then one per fault. *)
-  let good_stream = Tvs_fault.Diagnosis.respond sim ~tests () in
-  let faulty_streams = Array.map (fun f -> Tvs_fault.Diagnosis.respond sim ~tests ~fault:f ()) faults in
+  let good_stream, faulty_streams = Tvs_fault.Diagnosis.responses sim ~tests faults in
   let exact_detected = Array.map (fun stream -> stream <> good_stream) faulty_streams in
   let detected_count = Array.fold_left (fun n d -> if d then n + 1 else n) 0 exact_detected in
   let buf = Buffer.create 512 in
@@ -617,7 +613,7 @@ let misr_study ?(scale = 1.0) ?(circuit = "s953") () =
   Array.iteri
     (fun i stream ->
       if exact_detected.(i) then begin
-        let key = String.concat "" (List.map (fun a -> String.concat "" (List.map (fun b -> if b then "1" else "0") (Array.to_list a))) stream) in
+        let key = Tvs_fault.Diagnosis.key_of stream in
         Hashtbl.replace exact_classes key (1 + Option.value ~default:0 (Hashtbl.find_opt exact_classes key))
       end)
     faulty_streams;
@@ -692,21 +688,19 @@ let random_testability ?(patterns = 256) ?(circuits = [ "s444"; "s953"; "s1423";
       let faults = Fault_gen.collapsed c in
       let sim = Fault_sim.create c in
       let lfsr = Tvs_scan.Lfsr.create ~seed:0x5eed ~width:24 () in
-      let detected = Array.make (Array.length faults) false in
-      let hits = ref 0 in
-      let coverage_at = Hashtbl.create 4 in
-      for p = 1 to patterns do
-        let pi = Tvs_scan.Lfsr.next_vector lfsr (Circuit.num_inputs c) in
-        let scan = Tvs_scan.Lfsr.next_vector lfsr (Circuit.num_flops c) in
-        hits := !hits + Fault_sim.drop_detected sim ~pi ~state:scan faults detected;
-        if List.mem p checkpoints then
-          Hashtbl.replace coverage_at p (float_of_int !hits /. float_of_int (Array.length faults))
-      done;
+      let vectors =
+        Array.init patterns (fun _ ->
+            let pi = Tvs_scan.Lfsr.next_vector lfsr (Circuit.num_inputs c) in
+            (pi, Tvs_scan.Lfsr.next_vector lfsr (Circuit.num_flops c)))
+      in
+      let news = Fault_sim.drop_detected sim ~vectors faults (Array.map (fun _ -> false) faults) in
+      let coverage_at k =
+        float_of_int (Array.fold_left ( + ) 0 (Array.sub news 0 k))
+        /. float_of_int (Array.length faults)
+      in
       Table.add_row tbl
         ([ Circuit.name c; string_of_int (Array.length faults) ]
-        @ List.map
-            (fun k -> Printf.sprintf "%.1f%%" (100.0 *. Hashtbl.find coverage_at k))
-            checkpoints))
+        @ List.map (fun k -> Printf.sprintf "%.1f%%" (100.0 *. coverage_at k)) checkpoints))
     circuits;
   "Random-pattern (LFSR) testability: easy circuits saturate fast\n" ^ Table.render tbl
 
@@ -734,18 +728,19 @@ let diagnosis_study ?(scale = 1.0) ?(circuit = "s444") () =
     (Printf.sprintf "  resolution           : %.2f faults/class (1.00 = perfect)\n"
        (Tvs_fault.Diagnosis.resolution dict));
   (* Round-trip demonstration: diagnosing each fault's own response finds it. *)
-  let hits = ref 0 and total = ref 0 in
-  Array.iteri
-    (fun i f ->
-      if i mod 7 = 0 then begin
-        incr total;
-        let observed = Tvs_fault.Diagnosis.respond sim ~tests ~fault:f () in
-        match Tvs_fault.Diagnosis.diagnose dict ~observed with
-        | Tvs_fault.Diagnosis.Candidates cands when List.exists (Fault.equal f) cands -> incr hits
-        | Tvs_fault.Diagnosis.No_defect -> incr hits (* undetected fault: looks clean *)
-        | Tvs_fault.Diagnosis.Candidates _ | Tvs_fault.Diagnosis.Unknown_defect -> ()
-      end)
-    prep.Prep.faults;
+  let sample =
+    Array.of_list (List.filteri (fun i _ -> i mod 7 = 0) (Array.to_list prep.Prep.faults))
+  in
+  let hits = ref 0 in
+  Array.iter2
+    (fun f observed ->
+      match Tvs_fault.Diagnosis.diagnose dict ~observed with
+      | Tvs_fault.Diagnosis.Candidates cands when List.exists (Fault.equal f) cands -> incr hits
+      | Tvs_fault.Diagnosis.No_defect -> incr hits (* undetected fault: looks clean *)
+      | Tvs_fault.Diagnosis.Candidates _ | Tvs_fault.Diagnosis.Unknown_defect -> ())
+    sample
+    (snd (Tvs_fault.Diagnosis.responses sim ~tests sample));
   Buffer.add_string buf
-    (Printf.sprintf "  round-trip sample    : %d/%d responses correctly diagnosed\n" !hits !total);
+    (Printf.sprintf "  round-trip sample    : %d/%d responses correctly diagnosed\n" !hits
+       (Array.length sample));
   Buffer.contents buf

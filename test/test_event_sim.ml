@@ -291,6 +291,42 @@ let qcheck_matrix_jobs_invariance =
       let base = screen 1 in
       List.for_all (fun jobs -> screen jobs = base) [ 2; 4 ])
 
+(* 7b. Fault dropping over a sequence equals a fold of one-vector screens of
+   the whole list, from random starting flags: the same flags, and each
+   vector counts the faults it detected first. Up to 150 vectors span
+   three packs, at jobs 1 and 2. *)
+let qcheck_drop_equals_fold =
+  QCheck.Test.make ~name:"drop_detected equals a fold of detected_faults" ~count:25
+    QCheck.(pair (int_range 0 32) small_int)
+    (fun (i, seed) ->
+      let c = tiny_circuit i in
+      let rng = Rng.create (Int64.of_int seed) in
+      let faults = random_faults rng c in
+      let vectors = random_vectors rng c (1 + Rng.int rng 150) in
+      let start = Array.map (fun _ -> Rng.int rng 4 = 0) faults in
+      let oracle = Fault_sim.create ~jobs:1 c in
+      let expect = Array.copy start in
+      let news =
+        Array.map
+          (fun (pi, state) ->
+            let fresh = ref 0 in
+            Array.iteri
+              (fun k hit ->
+                if hit && not expect.(k) then begin
+                  expect.(k) <- true;
+                  incr fresh
+                end)
+              (Fault_sim.detected_faults oracle ~pi ~state faults);
+            !fresh)
+          vectors
+      in
+      List.for_all
+        (fun jobs ->
+          let flags = Array.copy start in
+          let got = Fault_sim.drop_detected (Fault_sim.create ~jobs c) ~vectors faults flags in
+          got = news && flags = expect)
+        [ 1; 2 ])
+
 let test_matrix_empty_vectors () =
   let c = tiny_circuit 3 in
   let faults = Fault_gen.collapsed c in
@@ -639,6 +675,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_matrix_equals_per_vector;
           QCheck_alcotest.to_alcotest qcheck_matrix_jobs_invariance;
+          QCheck_alcotest.to_alcotest qcheck_drop_equals_fold;
           Alcotest.test_case "empty vector set" `Quick test_matrix_empty_vectors;
           Alcotest.test_case "counters merge identically across batches" `Quick
             test_counters_merge_across_batches;

@@ -315,6 +315,49 @@ let test_diagnosis_unknown_defect () =
   | Diagnosis.No_defect | Diagnosis.Candidates _ ->
       Alcotest.fail "all-bits-flipped should match no single stuck-at fault")
 
+(* Every collapsed s444 fault's response under its baseline vectors, 62
+   faults to a pass, against the frame [Fault_sim.run_batch] reports for
+   each vector: [Same] is the fault-free frame, [Capture_differs] the
+   fault-free POs plus that capture, and [Po_detected] differs at the POs. *)
+let test_diagnosis_responses_match_run_batch () =
+  let prep = Tvs_harness.Prep.get "s444" in
+  let c = prep.Tvs_harness.Prep.circuit and faults = prep.Tvs_harness.Prep.faults in
+  let tests =
+    Array.map
+      (fun (v : Cube.vector) -> (v.Cube.pi, v.Cube.scan))
+      prep.Tvs_harness.Prep.baseline.Baseline.vectors
+  in
+  let good, each = Diagnosis.responses (Parallel.create c) ~tests faults in
+  let good = Array.of_list good and each = Array.map Array.of_list each in
+  let sim = Fault_sim.create c in
+  let npo = Circuit.num_outputs c in
+  let bad = ref 0 and seen = Array.make 3 0 in
+  let expect ok = if not ok then incr bad in
+  Array.iteri
+    (fun v (pi, state) ->
+      let r = Fault_sim.run_batch sim ~pi ~state ~faults in
+      let po = r.Fault_sim.good.Fault_sim.po in
+      let good_frame = Array.append po r.Fault_sim.good.Fault_sim.capture in
+      expect (good.(v) = good_frame);
+      Array.iteri
+        (fun i o ->
+          let frame = each.(i).(v) in
+          match o with
+          | Fault_sim.Same ->
+              seen.(0) <- seen.(0) + 1;
+              expect (frame = good_frame)
+          | Fault_sim.Capture_differs capture ->
+              seen.(1) <- seen.(1) + 1;
+              expect (frame = Array.append po capture)
+          | Fault_sim.Po_detected ->
+              seen.(2) <- seen.(2) + 1;
+              expect (Array.sub frame 0 npo <> po))
+        r.Fault_sim.outcomes)
+    tests;
+  Alcotest.(check int) "one response per fault" (Array.length faults) (Array.length each);
+  Alcotest.(check int) "frames that disagree with run_batch" 0 !bad;
+  Alcotest.(check bool) "every outcome kind occurs" true (Array.for_all (fun k -> k > 0) seen)
+
 (* --- broadcast scan ----------------------------------------------------- *)
 
 module Broadcast_scan = Tvs_core.Broadcast_scan
@@ -422,6 +465,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_diagnosis_roundtrip;
           Alcotest.test_case "good machine" `Quick test_diagnosis_good_machine;
           Alcotest.test_case "unknown defect" `Quick test_diagnosis_unknown_defect;
+          Alcotest.test_case "responses match run_batch frames" `Quick
+            test_diagnosis_responses_match_run_batch;
         ] );
       ( "broadcast-scan",
         [

@@ -232,8 +232,11 @@ let qcheck_same_means_same =
         (Array.init (Array.length faults) (fun i -> i)))
 
 (* Fault dropping against a fold of whole-list screens: after each vector
-   the flags are the union of every screen so far and the return value
-   counts the new ones. A list with every flag set is not screened at all,
+   the flags are the union of every screen so far, and each vector counts
+   the faults it detected first. The 30 vectors are dropped one call each,
+   then from clear flags as one sequence; sequences of 1, 2, 63, 64 and 130
+   vectors cover a lone vector, a short pack, a full pack, a full pack plus
+   one and three packs. A list with every flag set is not screened at all,
    and a flag array of the wrong length is rejected. *)
 let test_drop_detected () =
   let c = Tvs_circuits.Synth.generate_named "s444" in
@@ -241,29 +244,60 @@ let test_drop_detected () =
   let n = Array.length faults in
   let sim = Fault_sim.create c and oracle = Fault_sim.create c in
   let rng = Rng.of_string "drop-detected" in
-  let detected = Array.make n false and expect = Array.make n false in
+  let vectors =
+    Array.init 130 (fun _ ->
+        let pi = Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng) in
+        (pi, Array.init (Circuit.num_flops c) (fun _ -> Rng.bool rng)))
+  in
+  (* [flags_after.(v)] and [news.(v)]: the fold after vector [v]. *)
+  let expect = Array.make n false in
+  let news = Array.make 130 0 in
+  let flags_after =
+    Array.mapi
+      (fun v (pi, state) ->
+        Array.iteri
+          (fun i hit ->
+            if hit && not expect.(i) then begin
+              expect.(i) <- true;
+              news.(v) <- news.(v) + 1
+            end)
+          (Fault_sim.detected_faults oracle ~pi ~state faults);
+        Array.copy expect)
+      vectors
+  in
   let count a = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a in
-  for _ = 1 to 30 do
-    let pi = Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng) in
-    let state = Array.init (Circuit.num_flops c) (fun _ -> Rng.bool rng) in
-    let before = count expect in
-    Array.iteri
-      (fun i hit -> if hit then expect.(i) <- true)
-      (Fault_sim.detected_faults oracle ~pi ~state faults);
-    let news = Fault_sim.drop_detected sim ~pi ~state faults detected in
-    Alcotest.(check (array bool)) "flags are the union of the screens" expect detected;
-    Alcotest.(check int) "returns the new detections" (count expect - before) news
+  let detected = Array.make n false in
+  for v = 0 to 29 do
+    let got = Fault_sim.drop_detected sim ~vectors:[| vectors.(v) |] faults detected in
+    Alcotest.(check (array bool)) "flags are the union of the screens" flags_after.(v) detected;
+    Alcotest.(check (array int)) "returns the new detections" [| news.(v) |] got
   done;
   Alcotest.(check bool) "some faults left undetected" true (count detected < n);
-  let pi = Array.make (Circuit.num_inputs c) false and state = Array.make (Circuit.num_flops c) true in
+  List.iter
+    (fun len ->
+      let detected = Array.make n false in
+      let got = Fault_sim.drop_detected sim ~vectors:(Array.sub vectors 0 len) faults detected in
+      Alcotest.(check (array bool))
+        (Printf.sprintf "flags after a %d-vector sequence" len)
+        flags_after.(len - 1) detected;
+      Alcotest.(check (array int))
+        (Printf.sprintf "counts of a %d-vector sequence" len)
+        (Array.sub news 0 len) got)
+    [ 30; 1; 2; 63; 64; 130 ];
   let batches () = Tvs_obs.Metrics.(counter_value (counter "faultsim.batches")) in
   let b0 = batches () in
-  Alcotest.(check int) "nothing left to drop" 0
-    (Fault_sim.drop_detected sim ~pi ~state faults (Array.make n true));
+  List.iter
+    (fun len ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "nothing left to drop over %d vectors" len)
+        (Array.make len 0)
+        (Fault_sim.drop_detected sim ~vectors:(Array.sub vectors 0 len) faults
+           (Array.make n true)))
+    [ 1; 64 ];
   Alcotest.(check int) "nothing screened" b0 (batches ());
   Alcotest.check_raises "flag count checked"
     (Invalid_argument "Fault_sim.drop_detected: detected length mismatch") (fun () ->
-      ignore (Fault_sim.drop_detected sim ~pi ~state faults (Array.make (n - 1) false)))
+      ignore (Fault_sim.drop_detected sim ~vectors faults (Array.make (n - 1) false)))
 
 let () =
   Alcotest.run "fault"

@@ -253,6 +253,47 @@ let test_cli_scale_term () =
     (eval [ "--scale"; "0.25" ] = Ok (`Ok (Some 0.25)));
   Alcotest.(check bool) "absent reads None" true (eval [] = Ok (`Ok None))
 
+(* The profile converters the study commands share: one name, or a comma
+   list in which every entry must name a profile. s27 and fig1 are circuits
+   but have no profile. [--patterns] goes through [check_positive]. *)
+let test_cli_profile_terms () =
+  let open Cmdliner in
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let eval term args =
+    Cmd.eval_value ~err:quiet ~help:quiet
+      ~argv:(Array.of_list ("t" :: args))
+      (Cmd.v (Cmd.info "t") term)
+  in
+  let rejected what r = Alcotest.(check bool) (what ^ " rejected") true (Result.is_error r) in
+  let one = Arg.(value & opt Cli.profile "s953" & info [ "circuit" ]) in
+  let many = Arg.(value & opt (some Cli.profiles) None & info [ "circuits" ]) in
+  let patterns =
+    Arg.(value & opt (Cli.int_conv ~docv:"N" (Cli.check_positive "--patterns")) 256
+         & info [ "patterns" ])
+  in
+  List.iter
+    (fun v -> rejected ("--circuit " ^ v) (eval one [ "--circuit=" ^ v ]))
+    [ "nope"; "s27"; "fig1"; "" ];
+  Alcotest.(check bool) "--circuit s444" true (eval one [ "--circuit"; "s444" ] = Ok (`Ok "s444"));
+  Alcotest.(check bool) "--circuit default" true (eval one [] = Ok (`Ok "s953"));
+  List.iter
+    (fun v -> rejected ("--circuits " ^ v) (eval many [ "--circuits=" ^ v ]))
+    [ "nope"; "s444,,s27"; "s444,,"; ","; ""; "s444,s27" ];
+  Alcotest.(check bool) "--circuits s444,s526" true
+    (eval many [ "--circuits"; "s444,s526" ] = Ok (`Ok (Some [ "s444"; "s526" ])));
+  List.iter
+    (fun v -> rejected ("--patterns " ^ v) (eval patterns [ "--patterns=" ^ v ]))
+    [ "0"; "-5"; "x" ];
+  Alcotest.(check bool) "--patterns 32" true (eval patterns [ "--patterns"; "32" ] = Ok (`Ok 32));
+  match Cli.check_profile "nope" with
+  | Ok _ -> Alcotest.fail "nope accepted"
+  | Error msg ->
+      Alcotest.(check bool) "names the input" true (contains ~needle:"\"nope\"" msg);
+      Alcotest.(check bool) "names the known profiles" true
+        (List.for_all
+           (fun p -> contains ~needle:p.Tvs_circuits.Profiles.name msg)
+           Tvs_circuits.Profiles.all)
+
 let () =
   Alcotest.run "harness"
     [
@@ -283,5 +324,6 @@ let () =
           Alcotest.test_case "loads a profile" `Quick test_cli_loads_circuit;
           Alcotest.test_case "table and jobs bounds" `Quick test_cli_table_and_jobs_bounds;
           Alcotest.test_case "scale term" `Quick test_cli_scale_term;
+          Alcotest.test_case "profile terms" `Quick test_cli_profile_terms;
         ] );
     ]

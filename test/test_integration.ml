@@ -76,6 +76,28 @@ let test_fixed_shift_engine () =
       Alcotest.(check int) (Printf.sprintf "shift %d honours policy" i) expected s)
     r.Engine.schedule.Cost.shifts
 
+(* A fixed shift outside 1..chain length is refused before the first cycle,
+   by a message that names both numbers: no checkpoint is ever taken. *)
+let test_fixed_shift_out_of_range () =
+  let c = Tvs_circuits.Synth.generate_named "s444" in
+  let ctx, faults, _ = prep c in
+  let chain_len = Circuit.num_flops c in
+  List.iter
+    (fun s ->
+      let config = { (Engine.default_config ~chain_len) with shift = Policy.Fixed s } in
+      let saved = ref 0 in
+      Alcotest.check_raises
+        (Printf.sprintf "shift %d refused" s)
+        (Failure
+           (Printf.sprintf "fixed shift %d is outside 1..%d, the scan chain length of %s" s
+              chain_len (Circuit.name c)))
+        (fun () ->
+          ignore
+            (Engine.run ~config ~checkpoint:(1, fun _ -> incr saved) ~rng:(Rng.of_string "s444")
+               ctx ~faults));
+      Alcotest.(check int) (Printf.sprintf "shift %d ran no cycle" s) 0 !saved)
+    [ chain_len + 1; 0 ]
+
 let test_vxor_engine () =
   let c = Tvs_circuits.Synth.generate_named "s444" in
   let ctx, faults, baseline = prep c in
@@ -119,6 +141,7 @@ let () =
         [
           Alcotest.test_case "s444 compresses" `Quick test_synth_s444_compresses;
           Alcotest.test_case "fixed shift policy" `Quick test_fixed_shift_engine;
+          Alcotest.test_case "fixed shift out of range" `Quick test_fixed_shift_out_of_range;
           Alcotest.test_case "vxor scheme" `Quick test_vxor_engine;
           Alcotest.test_case "hxor scheme" `Quick test_hxor_engine;
         ] );

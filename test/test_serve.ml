@@ -436,6 +436,16 @@ let test_server_end_to_end () =
            with
           | Error _ -> ()
           | Ok _ -> Alcotest.fail "nonexistent spec served");
+          (* so does a fixed shift past the scan chain, with the engine's
+             message *)
+          (match
+             submit_and_wait ic oc
+               { (Protocol.default_job (Protocol.Spec "fig1")) with Protocol.shift = Some 4 }
+           with
+          | Error m ->
+              Alcotest.(check string) "shift error names both numbers"
+                "fixed shift 4 is outside 1..3, the scan chain length of fig1" m
+          | Ok _ -> Alcotest.fail "overlong shift served");
           (* a submit-level parse error keeps the connection alive too *)
           Protocol.write_frame oc
             (Json.Obj [ ("verb", Json.Str "submit"); ("spec", Json.Int 3) ]);
