@@ -166,13 +166,17 @@ let lint_cmd =
   let sat_faults_arg =
     let doc = "Attempt SAT untestability proofs on at most $(docv) hardest faults (0 disables)." in
     Arg.(
-      value & opt int Lint.default_options.Lint.sat_faults & info [ "sat-faults" ] ~docv:"N" ~doc)
+      value
+      & opt (Cli.int_conv ~docv:"N" (Cli.check_non_negative "--sat-faults"))
+          Lint.default_options.Lint.sat_faults
+      & info [ "sat-faults" ] ~docv:"N" ~doc)
   in
   let sat_budget_arg =
     let doc = "Per-fault SAT decision budget; exhausted proofs report TVS-D005 (undecided)." in
     Arg.(
       value
-      & opt int Lint.default_options.Lint.sat_decisions
+      & opt (Cli.int_conv ~docv:"N" (Cli.check_positive "--sat-budget"))
+          Lint.default_options.Lint.sat_decisions
       & info [ "sat-budget" ] ~docv:"N" ~doc)
   in
   let list_rules_arg =
@@ -314,14 +318,15 @@ let shift_arg =
   Arg.(value & opt (some (Cli.int_conv ~docv:"S" Cli.check_shift)) None
        & info [ "shift" ] ~docv:"S" ~doc)
 
+let die msg =
+  prerr_endline ("tvs: " ^ msg);
+  exit Cmd.Exit.some_error
+
 (* The engine refuses a configuration it cannot run (a failed preflight, a
-   fixed shift past the scan chain) with [Failure] before its first cycle:
-   a message and exit 123, not an internal error. *)
-let or_die f =
-  try f ()
-  with Failure msg ->
-    prerr_endline ("tvs: " ^ msg);
-    exit Cmd.Exit.some_error
+   fixed shift past the scan chain, a circuit with no flip-flops) with
+   [Failure] before its first cycle: a message and exit 123, not an
+   internal error. *)
+let or_die f = try f () with Failure msg -> die msg
 
 (* Shared by [stitch], [resume] and the serve daemon's done events: all must
    produce byte-identical summaries for the same run (CI diffs a resumed run
@@ -332,7 +337,10 @@ let print_stitch_summary prep scheme selection (r : Experiments.run_summary) =
     (Experiments.render_summary ~circuit:(Circuit.name prep.Prep.circuit) ~scheme ~selection r)
 
 let checkpoint_file_arg =
-  let doc = "Save an engine checkpoint to $(docv) periodically (atomic temp+rename writes)." in
+  let doc =
+    "Save an engine checkpoint to $(docv) periodically (atomic temp+rename writes). A run the \
+     $(b,--cache) answers runs no engine and writes no $(docv)."
+  in
   Arg.(
     value
     & opt (some (Cli.out_file ~flag:"--checkpoint")) None
@@ -355,25 +363,14 @@ let preflight_arg =
 let stitch_cmd =
   let run () () () spec scale scheme selection shift preflight ckpt every =
     let prep = prep_of ?scale spec in
-    let shift_policy = Option.map (fun s -> Policy.Fixed s) shift in
-    let checkpoint =
-      Option.map
-        (fun file ->
-          (* Each snapshot carries the run's identity so [resume] can
-             rebuild and digest-verify the same run. *)
-          let record =
-            Experiments.checkpoint_record ~spec ~scale:(Option.value scale ~default:1.0) ~scheme
-              ~selection ~shift ~label:"cli" prep
-          in
-          (every, fun snapshot -> Checkpoint.save file (record snapshot)))
-        ckpt
-    in
-    let r =
+    let save = Option.map (fun file -> (every, Checkpoint.save file)) ckpt in
+    match
       or_die (fun () ->
-          Experiments.run_flow ~scheme ?shift:shift_policy ~selection ~preflight ?checkpoint
-            ~label:"cli" prep)
-    in
-    print_stitch_summary prep scheme selection r
+          Experiments.stitch ~spec ~scale:(Option.value scale ~default:1.0) ~scheme ~selection
+            ~shift ~label:"cli" ~preflight ?save prep)
+    with
+    | Ok (r, _) -> print_stitch_summary prep scheme selection r
+    | Error msg -> die msg
   in
   Cmd.v (Cmd.info "stitch" ~doc:"Run the stitched compression flow")
     Term.(
@@ -387,40 +384,26 @@ let resume_cmd =
     let resume_conv = Cli.conv ~docv:"FILE" Cli.check_resume_file in
     Arg.(required & pos 0 (some resume_conv) None & info [] ~docv:"FILE" ~doc)
   in
-  let die msg =
-    prerr_endline ("tvs: " ^ msg);
-    exit Cmd.Exit.some_error
-  in
   let run () () () file ckpt every =
     match Checkpoint.load file with
     | Error e ->
         die (Printf.sprintf "cannot resume from %S: %s" file (Codec.error_to_string e))
-    | Ok ck ->
+    | Ok ck -> (
         let spec =
           match Cli.check_spec ck.Checkpoint.spec with
           | Ok s -> s
           | Error msg -> die (Printf.sprintf "checkpoint circuit unavailable: %s" msg)
         in
         let prep = prep_of ~scale:ck.Checkpoint.scale spec in
-        (match Experiments.verify_checkpoint ck prep with
-        | Ok () -> ()
-        | Error msg -> die (Printf.sprintf "cannot resume from %S: %s" file msg));
-        (* The verified identity carries over to the continued run's own
-           snapshots. *)
-        let checkpoint =
-          Option.map
-            (fun file ->
-              (every, fun snapshot -> Checkpoint.save file { ck with Checkpoint.snapshot }))
-            ckpt
-        in
-        let r =
+        let save = Option.map (fun file -> (every, Checkpoint.save file)) ckpt in
+        match
           or_die (fun () ->
-              Experiments.run_flow ~scheme:ck.Checkpoint.scheme
-                ?shift:(Option.map (fun s -> Policy.Fixed s) ck.Checkpoint.shift)
-                ~selection:ck.Checkpoint.selection ~resume:ck.Checkpoint.snapshot ?checkpoint
-                ~label:ck.Checkpoint.label prep)
-        in
-        print_stitch_summary prep ck.Checkpoint.scheme ck.Checkpoint.selection r
+              Experiments.stitch ~spec ~scale:ck.Checkpoint.scale ~scheme:ck.Checkpoint.scheme
+                ~selection:ck.Checkpoint.selection ~shift:ck.Checkpoint.shift
+                ~label:ck.Checkpoint.label ~resume:ck ?save prep)
+        with
+        | Ok (r, _) -> print_stitch_summary prep ck.Checkpoint.scheme ck.Checkpoint.selection r
+        | Error msg -> die (Printf.sprintf "cannot resume from %S: %s" file msg))
   in
   Cmd.v
     (Cmd.info "resume"

@@ -677,7 +677,7 @@ let decode_result r =
     sat_calls;
     decisions;
     propagations;
-    cached = true;
+    cached = false;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -749,12 +749,13 @@ let compute ~options left right =
 
 let check ?(options = default_options) left right =
   Metrics.incr m_checks;
-  let r =
+  let r, cached =
     Cache.memo ~kind:cache_kind
       ~key:(fun () -> check_key ~options left right)
       encode_result decode_result
       (fun () -> compute ~options left right)
   in
+  let r = { r with cached } in
   count_verdict r.verdict;
   if r.cached then Metrics.incr m_cached
   else begin

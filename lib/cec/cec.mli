@@ -88,7 +88,9 @@ type result = {
   sat_calls : int;
   decisions : int;
   propagations : int;
-  cached : bool;  (** replayed from the result cache *)
+  cached : bool;
+      (** the installed cache's answer ({!Tvs_store.Cache.memo}): [true]
+          only when {!check} read the result from it *)
 }
 
 val points : result -> int
@@ -114,7 +116,8 @@ val check_key : options:options -> Tvs_netlist.Circuit.t -> Tvs_netlist.Circuit.
 
 val encode_result : Tvs_util.Wire.writer -> result -> unit
 val decode_result : Tvs_util.Wire.reader -> result
-(** Wire codec for the cache entry; decoded results carry [cached = true]. *)
+(** Wire codec for the cache entry. [cached] is not encoded and decodes as
+    [false]: only {!check} knows whether the cache answered. *)
 
 val verdict_name : verdict -> string
 (** ["equivalent"], ["inequivalent"] or ["unknown"]. *)

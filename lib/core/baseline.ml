@@ -15,9 +15,9 @@ type t = {
   memory : int;
 }
 
-let run ?options ~rng ctx ~faults =
+let run ~rng ctx ~faults =
   let c = Podem.circuit ctx in
-  let gen = Generator.generate ?options ~rng ctx faults in
+  let gen = Generator.generate ~rng ctx faults in
   let nvec = Generator.num_vectors gen in
   let chain_len = Circuit.num_flops c in
   {

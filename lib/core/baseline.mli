@@ -14,12 +14,7 @@ type t = {
   memory : int;  (** stored stimulus + response bits *)
 }
 
-val run :
-  ?options:Tvs_atpg.Generator.options ->
-  rng:Tvs_util.Rng.t ->
-  Tvs_atpg.Podem.ctx ->
-  faults:Tvs_fault.Fault.t array ->
-  t
+val run : rng:Tvs_util.Rng.t -> Tvs_atpg.Podem.ctx -> faults:Tvs_fault.Fault.t array -> t
 
 val testable_faults : t -> Tvs_fault.Fault.t array -> Tvs_fault.Fault.t array
 (** The fault list minus the redundant and aborted faults — the universe the

@@ -167,6 +167,9 @@ let run ?config ?(fallback = [||]) ?resume ?checkpoint ~rng ctx ~faults =
           (Printf.sprintf "preflight lint failed on %s: %d error(s), first: [%s] %s"
              (Circuit.name c) (List.length errs) first.rule first.message)
   end;
+  if chain_len = 0 then
+    failwith
+      (Printf.sprintf "%s has no flip-flops: the stitched flow needs a scan chain" (Circuit.name c));
   let machine = Cycle.create ~scheme:cfg.scheme c ~faults in
   let sim = Tvs_fault.Fault_sim.create c in
   let hardness =

@@ -97,5 +97,7 @@ val run :
     at the {!Tvs_store.Checkpoint} layer). [checkpoint] is [(every, save)]:
     [save] receives a fresh snapshot after every [every]-th stitched cycle.
     Raises [Failure] before the first cycle when a fixed shift lies outside
-    1 to the scan chain length, and [Invalid_argument] when a resumed
-    snapshot's shape does not match the circuit or fault list. *)
+    1 to the scan chain length, when the preflight gate fails, and when the
+    circuit has no flip-flops (after the preflight gate); [Invalid_argument]
+    when a resumed snapshot's shape does not match the circuit or fault
+    list. *)

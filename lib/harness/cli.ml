@@ -62,6 +62,9 @@ let parse_selection = function
 let check_positive name n =
   if n >= 1 then Ok n else Error (Printf.sprintf "%s must be at least 1 (got %d)" name n)
 
+let check_non_negative name n =
+  if n >= 0 then Ok n else Error (Printf.sprintf "%s must be at least 0 (got %d)" name n)
+
 let check_shift = check_positive "shift"
 
 let parse_format = function

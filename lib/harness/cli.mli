@@ -37,6 +37,10 @@ val check_positive : string -> int -> (int, string) result
 (** [check_positive name n]: [n] must be at least 1; the error names
     [name]. *)
 
+val check_non_negative : string -> int -> (int, string) result
+(** [check_non_negative name n]: [n] must be at least 0; the error names
+    [name]. *)
+
 val check_shift : int -> (int, string) result
 (** Fixed shift size: at least 1. *)
 

@@ -57,46 +57,6 @@ let run_key ?scheme ?shift ?selection ~label (prep : Prep.t) =
   Store_digest.combine (Store_digest.circuit prep.circuit)
     (Store_digest.config ~config:(config_for ?scheme ?shift ?selection prep) ~label)
 
-(* --- checkpoint identity ------------------------------------------------
-
-   A checkpoint carries the run's spec and options plus the digests of the
-   circuit and engine configuration they rebuild. [tvs stitch] and serve
-   build checkpoints with [checkpoint_record]; [tvs resume] and serve
-   recovery check them with [verify_checkpoint]. *)
-
-let checkpoint_record ~spec ~scale ~scheme ~selection ~shift ~label (prep : Prep.t) =
-  let config =
-    config_for ~scheme ?shift:(Option.map (fun s -> Policy.Fixed s) shift) ~selection prep
-  in
-  let circuit_digest = Store_digest.circuit prep.circuit in
-  let config_digest = Store_digest.config ~config ~label in
-  fun snapshot ->
-    {
-      Checkpoint.spec;
-      scale;
-      scheme;
-      selection;
-      shift;
-      label;
-      circuit_digest;
-      config_digest;
-      snapshot;
-    }
-
-let verify_checkpoint (ck : Checkpoint.t) prep =
-  let fresh =
-    checkpoint_record ~spec:ck.spec ~scale:ck.scale ~scheme:ck.scheme ~selection:ck.selection
-      ~shift:ck.shift ~label:ck.label prep ck.snapshot
-  in
-  if not (Store_digest.equal fresh.circuit_digest ck.circuit_digest) then
-    Error
-      (Printf.sprintf "circuit digest mismatch: %S no longer builds the circuit it was \
-                       checkpointed on"
-         ck.spec)
-  else if not (Store_digest.equal fresh.config_digest ck.config_digest) then
-    Error "configuration digest mismatch: written by a build with different engine options"
-  else Ok ()
-
 let summary_kind = "EXPR"
 
 (* The one-shot CLI's [stitch]/[resume] summary block, built here so the
@@ -159,8 +119,9 @@ let lint_report ?options ?lines c =
                Wire.write_varint w v)
              w entries))
   in
-  Cache.memo ~kind:lint_kind ~key Tvs_lint.Lint.encode_report Tvs_lint.Lint.decode_report
-    (fun () -> Tvs_lint.Lint.run ?options ?lines c)
+  fst
+    (Cache.memo ~kind:lint_kind ~key Tvs_lint.Lint.encode_report Tvs_lint.Lint.decode_report
+       (fun () -> Tvs_lint.Lint.run ?options ?lines c))
 
 (* The one engine call of a stitched run: [config_for] the options, an RNG
    seeded by the circuit name and [label], and the baseline vectors as the
@@ -171,33 +132,76 @@ let run_engine ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label (
     ~fallback:prep.baseline.Baseline.vectors ?resume ?checkpoint
     ~rng:(Prep.engine_seed prep label) prep.ctx ~faults:prep.testable
 
-let run_flow ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label (prep : Prep.t) =
+(* The one cached stitched run behind [run_flow] and [stitch]: one
+   [Cache.memo] call whether the run starts fresh, checkpoints or resumes.
+   A resumed run's summary equals the uninterrupted run's, and a run the
+   cache answers has nothing left to snapshot. *)
+let memo_flow ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label (prep : Prep.t) =
   Tvs_obs.Trace.with_span "flow"
     ~args:[ ("circuit", Circuit.name prep.Prep.circuit); ("label", label) ]
   @@ fun () ->
-  let key () = run_key ?scheme ?shift ?selection ~label prep in
-  let compute () =
-    let r = run_engine ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label prep in
-    let ratios = Cost.ratios r.Engine.schedule ~baseline_nvec:prep.baseline.Baseline.num_vectors in
+  Cache.memo ~kind:summary_kind
+    ~key:(fun () -> run_key ?scheme ?shift ?selection ~label prep)
+    write_summary read_summary
+  @@ fun () ->
+  let r = run_engine ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label prep in
+  let ratios = Cost.ratios r.Engine.schedule ~baseline_nvec:prep.baseline.Baseline.num_vectors in
+  {
+    atv = prep.baseline.Baseline.num_vectors;
+    tv = r.Engine.stitched_vectors;
+    ex = r.Engine.extra_vectors;
+    m = ratios.Cost.m;
+    t = ratios.Cost.t;
+    coverage = Engine.coverage r;
+    peak_hidden = r.Engine.peak_hidden;
+  }
+
+let run_flow ?scheme ?shift ?selection ?preflight ?checkpoint ~label prep =
+  fst (memo_flow ?scheme ?shift ?selection ?preflight ?checkpoint ~label prep)
+
+(* A checkpoint carries the run's identity plus the digests of the circuit
+   and engine configuration it rebuilds. They are computed once, and only
+   when a snapshot is saved or a checkpoint is checked. *)
+let stitch ~spec ~scale ~scheme ~selection ~shift ~label ?preflight ?resume ?save (prep : Prep.t) =
+  let shift_policy = Option.map (fun s -> Policy.Fixed s) shift in
+  let digests =
+    lazy
+      (let config = config_for ~scheme ?shift:shift_policy ~selection prep in
+       (Store_digest.circuit prep.circuit, Store_digest.config ~config ~label))
+  in
+  let record snapshot =
+    let circuit_digest, config_digest = Lazy.force digests in
     {
-      atv = prep.baseline.Baseline.num_vectors;
-      tv = r.Engine.stitched_vectors;
-      ex = r.Engine.extra_vectors;
-      m = ratios.Cost.m;
-      t = ratios.Cost.t;
-      coverage = Engine.coverage r;
-      peak_hidden = r.Engine.peak_hidden;
+      Checkpoint.spec;
+      scale;
+      scheme;
+      selection;
+      shift;
+      label;
+      circuit_digest;
+      config_digest;
+      snapshot;
     }
   in
-  match (resume, checkpoint) with
-  | None, None -> Cache.memo ~kind:summary_kind ~key write_summary read_summary compute
-  | _ ->
-      (* A resumed or checkpointing run must actually run the engine: the
-         first exists to continue an interrupted flow, the second to produce
-         snapshots along the way. Its summary is still stored. *)
-      let summary = compute () in
-      Cache.put ~kind:summary_kind ~key write_summary summary;
-      summary
+  let mismatch (ck : Checkpoint.t) =
+    let circuit_digest, config_digest = Lazy.force digests in
+    if not (Store_digest.equal circuit_digest ck.circuit_digest) then
+      Some
+        (Printf.sprintf
+           "circuit digest mismatch: %S no longer builds the circuit it was checkpointed on"
+           ck.spec)
+    else if not (Store_digest.equal config_digest ck.config_digest) then
+      Some "configuration digest mismatch: written by a build with different engine options"
+    else None
+  in
+  match Option.bind resume mismatch with
+  | Some msg -> Error msg
+  | None ->
+      Ok
+        (memo_flow ~scheme ?shift:shift_policy ~selection ?preflight
+           ?resume:(Option.map (fun (ck : Checkpoint.t) -> ck.snapshot) resume)
+           ?checkpoint:(Option.map (fun (every, write) -> (every, fun s -> write (record s))) save)
+           ~label prep)
 
 (* --- baseline fault-simulation coverage ---------------------------------
 
@@ -220,9 +224,10 @@ let read_detection r =
   { detected; faults; vectors }
 
 let baseline_detection (prep : Prep.t) =
-  Cache.memo ~kind:detection_kind
-    ~key:(fun () -> Store_digest.circuit prep.circuit)
-    write_detection read_detection
+  fst
+  @@ Cache.memo ~kind:detection_kind
+       ~key:(fun () -> Store_digest.circuit prep.circuit)
+       write_detection read_detection
   @@ fun () ->
   Tvs_obs.Trace.with_span "faultsim.baseline" ~args:[ ("circuit", Circuit.name prep.Prep.circuit) ]
   @@ fun () ->

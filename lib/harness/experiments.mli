@@ -18,8 +18,7 @@ type run_summary = {
 }
 
 val summary_kind : string
-(** Cache frame kind of stored run summaries (["EXPR"]); exposed so the
-    serve daemon can ask {!Tvs_store.Cache.mem} whether a job is cached. *)
+(** Cache frame kind of stored run summaries (["EXPR"]). *)
 
 val render_summary :
   circuit:string ->
@@ -57,26 +56,6 @@ val run_key :
 (** The result-cache key of the {!run_flow} call with the same arguments:
     the circuit digest combined with the configuration digest. *)
 
-val checkpoint_record :
-  spec:string ->
-  scale:float ->
-  scheme:Tvs_scan.Xor_scheme.t ->
-  selection:Tvs_core.Policy.selection ->
-  shift:int option ->
-  label:string ->
-  Prep.t ->
-  Tvs_core.Engine.snapshot ->
-  Tvs_store.Checkpoint.t
-(** The checkpoint of a run, identified by its spec, options and the
-    digests of the circuit and engine configuration. Apply it up to the
-    [Prep.t] once per run: the digests are computed then, and each snapshot
-    only fills in the record. *)
-
-val verify_checkpoint : Tvs_store.Checkpoint.t -> Prep.t -> (unit, string) result
-(** [Ok ()] when [prep] and the checkpoint's own options rebuild both
-    digests it carries. Resuming into another circuit or configuration would
-    continue into silently wrong results, so callers refuse on [Error]. *)
-
 val lint_report :
   ?options:Tvs_lint.Lint.options ->
   ?lines:(string, int) Hashtbl.t ->
@@ -108,7 +87,6 @@ val run_flow :
   ?shift:Tvs_core.Policy.shift_policy ->
   ?selection:Tvs_core.Policy.selection ->
   ?preflight:bool ->
-  ?resume:Tvs_core.Engine.snapshot ->
   ?checkpoint:int * (Tvs_core.Engine.snapshot -> unit) ->
   label:string ->
   Prep.t ->
@@ -121,12 +99,41 @@ val run_flow :
     the results of a run that passes, so cache keys and checkpoint digests
     ignore it. Exposed for the examples and the CLI.
 
-    When a cache is installed ({!Tvs_store.Cache.install}) and neither
-    [resume] nor [checkpoint] is given, a prior identical run's summary is
-    returned without running the engine; computed summaries are stored
-    back, also by resumed and checkpointing runs. [resume] and [checkpoint]
-    pass through to {!Tvs_core.Engine.run} — a resumed run's summary is
-    identical to the uninterrupted run's. *)
+    The run makes one {!Tvs_store.Cache.memo} call: with a cache installed
+    ({!Tvs_store.Cache.install}), a prior identical run's summary is
+    returned without running the engine, and a computed one is stored.
+    [checkpoint] passes through to {!Tvs_core.Engine.run}, so a run the
+    cache answers takes no snapshot. *)
+
+val stitch :
+  spec:string ->
+  scale:float ->
+  scheme:Tvs_scan.Xor_scheme.t ->
+  selection:Tvs_core.Policy.selection ->
+  shift:int option ->
+  label:string ->
+  ?preflight:bool ->
+  ?resume:Tvs_store.Checkpoint.t ->
+  ?save:int * (Tvs_store.Checkpoint.t -> unit) ->
+  Prep.t ->
+  (run_summary * bool, string) result
+(** The stitched run behind [tvs stitch], [tvs resume] and serve's stitch
+    jobs: {!run_flow} on [prep] under the run's identity ([spec] and
+    [scale] name the circuit [prep] was built from, [shift] is a fixed
+    shift or [None] for the variable policy, [label] seeds the engine).
+    Returns the summary and the cache's answer ({!Tvs_store.Cache.memo}):
+    [true] only when the summary was read from the installed cache.
+
+    [resume] continues from a checkpoint's snapshot once the identity
+    rebuilds both digests it carries; otherwise [Error] says which differs
+    (resuming into another circuit or configuration would continue into
+    silently wrong results). A resumed run's summary equals the
+    uninterrupted run's, so the cache may answer it too. [save] is
+    [(every, write)]: every [every] stitched cycles, [write] gets the full
+    checkpoint of the run so far. The digests are computed once, and only
+    for a save or a resume check. A run the cache answers runs no engine
+    and saves nothing. Raises [Failure] when the engine refuses the
+    configuration ({!Tvs_core.Engine.run}). *)
 
 type detection = { detected : int; faults : int; vectors : int }
 

@@ -11,9 +11,10 @@
 
    Durability: identical jobs dedupe through the content-addressed result
    cache when one is installed ([tvs serve --cache], the same directory the
-   one-shot CLI uses); a job is flagged cached only when that cache holds a
-   readable entry for it. With a state directory, jobs at or above the fault
-   threshold checkpoint periodically; on restart the server scans the
+   one-shot CLI uses); a job is flagged cached only when that cache
+   answered it, and then it runs no engine and writes no checkpoint. With a
+   state directory, jobs at or above the fault threshold checkpoint
+   periodically; on restart the server scans the
    directory and finishes interrupted work before accepting traffic, so a
    SIGTERM mid-job costs at most [checkpoint_every] cycles of recompute and
    the result still lands in the cache for the client's retry. *)
@@ -22,8 +23,6 @@ module Cli = Tvs_harness.Cli
 module Experiments = Tvs_harness.Experiments
 module Prep = Tvs_harness.Prep
 module Circuit = Tvs_netlist.Circuit
-module Policy = Tvs_core.Policy
-module Cache = Tvs_store.Cache
 module Checkpoint = Tvs_store.Checkpoint
 module Codec = Tvs_store.Codec
 module Store_digest = Tvs_store.Digest
@@ -150,17 +149,14 @@ let run_tpi_job (job : Protocol.job) circuit (params : Protocol.tpi_params) =
       controls = params.Protocol.controls;
     }
   in
-  let cached =
-    Cache.mem ~kind:Tpi.study_kind ~key:(fun () -> Tpi.study_key ~options circuit) Tpi.decode_result
-  in
   match Tpi.run ~options circuit with
   | exception Circuit.Build_error msg -> Error msg
   | exception Failure msg -> Error msg
   | r ->
       Ok
-        ( cached,
+        ( r.Tpi.cached,
           [
-            ("cached", Json.Bool cached);
+            ("cached", Json.Bool r.Tpi.cached);
             ("tpi", Tpi.to_json r);
             ("output", Json.Str (Tpi.to_ascii r));
           ] )
@@ -212,76 +208,46 @@ let run_job t (p : pending) emit =
   | Ok (circuit, spec) when p.job.Protocol.kind = Protocol.Stitch -> (
       let job = p.job in
       let prep = prep_for t circuit in
-      let shift_policy = Option.map (fun s -> Policy.Fixed s) job.shift in
-      let key =
-        Experiments.run_key ~scheme:job.scheme ?shift:shift_policy ~selection:job.selection
-          ~label:job.label prep
+      (* A resumed job checkpoints into its own file, a fresh big one into
+         the state directory under a digest of the job; the file goes once
+         the job is done. A job the cache answers writes nothing. *)
+      let ckpt_path =
+        match (p.resume, t.state_dir) with
+        | Some (_, path), _ -> Some path
+        | None, Some dir when Array.length prep.Prep.faults >= t.checkpoint_threshold ->
+            let digest = Store_digest.of_string (Json.to_string (Protocol.json_of_job job)) in
+            Some (Filename.concat dir ("job-" ^ Store_digest.to_hex digest ^ ".ckpt"))
+        | None, _ -> None
       in
-      let key_hex = Store_digest.to_hex key in
-      let verified =
-        match p.resume with
-        | None -> Ok ()
-        | Some (ck, path) ->
-            Result.map_error
-              (Printf.sprintf "checkpoint %S: %s" path)
-              (Experiments.verify_checkpoint ck prep)
+      let save =
+        Option.map
+          (fun path ->
+            ( t.checkpoint_every,
+              fun ck ->
+                Checkpoint.save path ck;
+                emit "checkpoint" [] ))
+          ckpt_path
       in
-      match verified with
-      | Error _ as e -> e
-      | Ok () -> (
-          (* Asked before the run, because it decides checkpointing: a job
-             the cache holds skips checkpointing so [run_flow] serves it
-             straight from the cache; fresh big jobs checkpoint into the
-             state directory for crash recovery. A resumed job always
-             recomputes from its snapshot, so it is never cached. *)
-          let cached =
-            p.resume = None
-            && Cache.mem ~kind:Experiments.summary_kind ~key:(fun () -> key)
-                 Experiments.read_summary
+      match
+        Experiments.stitch ~spec ~scale:job.scale ~scheme:job.scheme ~selection:job.selection
+          ~shift:job.shift ~label:job.label ?resume:(Option.map fst p.resume) ?save prep
+      with
+      | exception Failure msg -> Error msg
+      | exception (Invalid_argument _ as e) -> Error (Printexc.to_string e)
+      | Error _ as refused -> refused
+      | Ok (summary, cached) ->
+          Option.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) ckpt_path;
+          let output =
+            Experiments.render_summary ~circuit:(Circuit.name circuit) ~scheme:job.scheme
+              ~selection:job.selection summary
           in
-          let ckpt_path =
-            match (t.state_dir, p.resume) with
-            | _, Some (_, path) -> Some path
-            | Some dir, None
-              when (not cached) && Array.length prep.Prep.faults >= t.checkpoint_threshold ->
-                Some (Filename.concat dir ("job-" ^ key_hex ^ ".ckpt"))
-            | _ -> None
-          in
-          let checkpoint =
-            Option.map
-              (fun path ->
-                let record =
-                  Experiments.checkpoint_record ~spec ~scale:job.scale ~scheme:job.scheme
-                    ~selection:job.selection ~shift:job.shift ~label:job.label prep
-                in
-                ( t.checkpoint_every,
-                  fun snapshot ->
-                    Checkpoint.save path (record snapshot);
-                    emit "checkpoint" [] ))
-              ckpt_path
-          in
-          let resume = Option.map (fun (ck, _) -> ck.Checkpoint.snapshot) p.resume in
-          match
-            Experiments.run_flow ~scheme:job.scheme ?shift:shift_policy
-              ~selection:job.selection ?resume ?checkpoint ~label:job.label prep
-          with
-          | exception Failure msg -> Error msg
-          | exception (Invalid_argument _ as e) -> Error (Printexc.to_string e)
-          | summary ->
-              Option.iter
-                (fun path -> try Sys.remove path with Sys_error _ -> ())
-                ckpt_path;
-              let output =
-                Experiments.render_summary ~circuit:(Circuit.name circuit) ~scheme:job.scheme
-                  ~selection:job.selection summary
-              in
-              Ok
-                ( cached,
-                  [
-                    ("cached", Json.Bool cached);
-                    ("summary", json_of_summary summary);
-                    ("output", Json.Str output);
-                  ] )))
+          Ok
+            ( cached,
+              [
+                ("cached", Json.Bool cached);
+                ("summary", json_of_summary summary);
+                ("output", Json.Str output);
+              ] ))
   | Ok (circuit, _) -> (
       match p.job.Protocol.kind with
       | Protocol.Tpi params -> run_tpi_job p.job circuit params

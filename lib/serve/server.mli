@@ -2,8 +2,8 @@
     {!Protocol} wire format.
 
     One scheduler thread drains a FIFO of submitted jobs and runs each
-    through {!Tvs_harness.Experiments.run_flow} — one at a time, because
-    the engine already parallelizes internally across the shared
+    stitch job through {!Tvs_harness.Experiments.stitch} — one at a time,
+    because the engine already parallelizes internally across the shared
     {!Tvs_util.Pool}. Each connection gets a reader thread; cheap verbs
     (status/metrics/ping) are answered inline, and a job's lifecycle events
     stream back over the connection that submitted it. The [done] event's
@@ -13,11 +13,13 @@
     When a result cache is installed ({!Tvs_store.Cache.install}),
     identical jobs dedupe through it: the engine runs once, repeats are
     served from disk. A job is flagged ["cached": true], and counts in
-    [serve.jobs.deduped], only when that cache holds a readable entry for
-    it; without a cache, or with a damaged entry, the job recomputes and
-    says so. With a state directory,
-    jobs whose collapsed fault list reaches [checkpoint_threshold]
-    checkpoint every [checkpoint_every] stitched cycles; at startup the
+    [serve.jobs.deduped], only when that cache answered it (the flag
+    {!Tvs_harness.Experiments.stitch}, [Tpi.result.cached] or
+    [Cec.result.cached] carries); without a cache, or with a damaged
+    entry, the job recomputes and says so. With a state directory, jobs
+    whose collapsed fault list reaches [checkpoint_threshold] checkpoint
+    every [checkpoint_every] stitched cycles, unless the cache answers
+    them; at startup the
     server replays any [*.ckpt] files it finds (digest-verified, stale ones
     deleted) before accepting connections, so a SIGTERM mid-job resumes on
     restart and the finished result lands in the cache for the client's

@@ -18,24 +18,24 @@ let entry_path t ~kind ~key =
   Filename.concat t.dir
     (Printf.sprintf "%s-v%d-%s.tvsc" kind Codec.schema_version (Digest.to_hex key))
 
-(* Decode the entry at [path]; [None] when it is absent or damaged. Torn
-   write, bit rot, or a schema change that kept the file name: a damaged
-   entry is dropped so the caller recomputes. The eviction counter records
-   files this call actually removed — if a concurrent reader already
-   unlinked the entry (the remove raises), the eviction was theirs. *)
-let read ~kind path decode =
-  if not (Sys.file_exists path) then None
-  else
-    match Codec.of_file ~kind path decode with
-    | Ok v -> Some v
-    | Error _ ->
-        (match Sys.remove path with
-        | () -> Metrics.incr m_evictions
-        | exception Sys_error _ -> ());
-        None
-
+(* [None] when the entry is absent or damaged. Torn write, bit rot, or a
+   schema change that kept the file name: a damaged entry is dropped so the
+   caller recomputes. The eviction counter records files this call actually
+   removed — if a concurrent reader already unlinked the entry (the remove
+   raises), the eviction was theirs. *)
 let find t ~kind ~key decode =
-  let v = read ~kind (entry_path t ~kind ~key) decode in
+  let path = entry_path t ~kind ~key in
+  let v =
+    if not (Sys.file_exists path) then None
+    else
+      match Codec.of_file ~kind path decode with
+      | Ok v -> Some v
+      | Error _ ->
+          (match Sys.remove path with
+          | () -> Metrics.incr m_evictions
+          | exception Sys_error _ -> ());
+          None
+  in
   Metrics.incr (if Option.is_some v then m_hits else m_misses);
   v
 
@@ -49,27 +49,17 @@ let installed : t option Atomic.t = Atomic.make None
 
 let install c = Atomic.set installed c
 
-let put ~kind ~key encode v =
-  Option.iter
-    (fun t -> store t ~kind ~key:(key ()) (fun w -> encode w v))
-    (Atomic.get installed)
-
 let memo ~kind ~key encode decode compute =
   match Atomic.get installed with
-  | None -> compute ()
+  | None -> (compute (), false)
   | Some t -> (
       let key = key () in
       match find t ~kind ~key decode with
-      | Some v -> v
+      | Some v -> (v, true)
       | None ->
           let v = compute () in
           store t ~kind ~key (fun w -> encode w v);
-          v)
-
-let mem ~kind ~key decode =
-  match Atomic.get installed with
-  | None -> false
-  | Some t -> Option.is_some (read ~kind (entry_path t ~kind ~key:(key ())) decode)
+          (v, false))
 
 let hits () = Metrics.counter_value m_hits
 let misses () = Metrics.counter_value m_misses

@@ -38,8 +38,8 @@ val store : t -> kind:string -> key:Digest.t -> (Tvs_util.Wire.writer -> unit) -
 (** {1 The installed cache} *)
 
 val install : t option -> unit
-(** Install (or, with [None], clear) the process-wide cache that {!memo},
-    {!put} and {!mem} consult. *)
+(** Install (or, with [None], clear) the process-wide cache that {!memo}
+    consults. *)
 
 val memo :
   kind:string ->
@@ -47,23 +47,15 @@ val memo :
   (Tvs_util.Wire.writer -> 'a -> unit) ->
   (Tvs_util.Wire.reader -> 'a) ->
   (unit -> 'a) ->
-  'a
+  'a * bool
 (** [memo ~kind ~key encode decode compute]: without an installed cache,
     [compute ()]. With one, the decoded entry under [key ()] ({!find});
-    on a miss, [compute ()] stored back ({!store}). [key] runs only when a
-    cache is installed. Adds no trace span and no metric of its own, and
-    may run on pool workers. *)
-
-val put :
-  kind:string -> key:(unit -> Digest.t) -> (Tvs_util.Wire.writer -> 'a -> unit) -> 'a -> unit
-(** Store a value in the installed cache, if any, without looking it up
-    first: for a result that had to be recomputed even though an entry may
-    exist (a resumed or checkpointing flow). *)
-
-val mem : kind:string -> key:(unit -> Digest.t) -> (Tvs_util.Wire.reader -> 'a) -> bool
-(** Whether the installed cache holds a readable entry under [key ()]:
-    decodes it and evicts a damaged one like {!find}, but counts no hit or
-    miss. [false] without an installed cache. *)
+    on a miss, [compute ()] stored back ({!store}). The flag is the cache's
+    answer: [true] only when the value was decoded from an entry, so
+    [false] without a cache, on a miss and on a damaged entry. It is the
+    one source of every [cached] flag a caller reports. [key] runs only
+    when a cache is installed. Adds no trace span and no metric of its
+    own, and may run on pool workers. *)
 
 val hits : unit -> int
 val misses : unit -> int

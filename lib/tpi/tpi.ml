@@ -58,6 +58,7 @@ type result = {
   converted : string list;
   caught : int;
   converted_faults : int;
+  cached : bool;
 }
 
 let final_summary r =
@@ -194,6 +195,7 @@ let run_study (options : options) c =
     converted;
     caught;
     converted_faults = 2 * List.length converted;
+    cached = false;
   }
 
 (* ---------- wire form (result cache) ---------- *)
@@ -270,7 +272,18 @@ let decode_result rd =
   let converted = Wire.read_list Wire.read_string rd in
   let caught = Wire.read_varint rd in
   let converted_faults = Wire.read_varint rd in
-  { circuit; chain_len; shift; candidates; base; points; converted; caught; converted_faults }
+  {
+    circuit;
+    chain_len;
+    shift;
+    candidates;
+    base;
+    points;
+    converted;
+    caught;
+    converted_faults;
+    cached = false;
+  }
 
 let study_key ?(options = default_options) c =
   Store_digest.combine (Store_digest.circuit c)
@@ -282,8 +295,11 @@ let study_key ?(options = default_options) c =
 let run ?(options = default_options) c =
   Trace.with_span "tpi" ~args:[ ("circuit", Circuit.name c) ] @@ fun () ->
   Metrics.incr m_studies;
-  Cache.memo ~kind:study_kind ~key:(fun () -> study_key ~options c) encode_result decode_result
-    (fun () -> run_study options c)
+  let r, cached =
+    Cache.memo ~kind:study_kind ~key:(fun () -> study_key ~options c) encode_result decode_result
+      (fun () -> run_study options c)
+  in
+  { r with cached }
 
 (* ---------- rendering ---------- *)
 

@@ -59,6 +59,10 @@ type result = {
           actually catches, confirmed by replaying the engine's stimuli
           through a {!Tvs_core.Cycle} machine *)
   converted_faults : int;  (** [2 * length converted] *)
+  cached : bool;
+      (** the installed cache's answer ({!Tvs_store.Cache.memo}): [true]
+          only when the study was read from it. Neither encoded nor
+          rendered. *)
 }
 
 val final_summary : result -> Tvs_harness.Experiments.run_summary
@@ -73,8 +77,7 @@ val schema_version : int
 (** Version of the JSON schema and the cache wire encoding. *)
 
 val study_kind : string
-(** Cache frame kind of stored studies (["TPIS"]); exposed so the serve
-    daemon can ask {!Tvs_store.Cache.mem} whether a study is cached. *)
+(** Cache frame kind of stored studies (["TPIS"]). *)
 
 val study_key : ?options:options -> Tvs_netlist.Circuit.t -> Tvs_store.Digest.t
 (** The cache key {!run} stores its study under: the circuit digest
@@ -87,7 +90,8 @@ val encode_options : Tvs_util.Wire.writer -> options -> unit
 val encode_result : Tvs_util.Wire.writer -> result -> unit
 
 val decode_result : Tvs_util.Wire.reader -> result
-(** Raises [Tvs_util.Wire.Error] on malformed input. *)
+(** Decodes with [cached = false]: only {!run} knows whether the cache
+    answered. Raises [Tvs_util.Wire.Error] on malformed input. *)
 
 val to_ascii : result -> string
 (** Header, base/final summary lines, the per-point table, and the

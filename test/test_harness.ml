@@ -148,37 +148,63 @@ let test_table5_footer_keeps_counters () =
   Alcotest.(check bool) "second call adds to the first" true (g2 > g1);
   Alcotest.(check string) "both calls print the same table" first second
 
+(* [tvs stitch s27]'s run through [Experiments.stitch], with an optional
+   checkpoint to resume and an optional writer. *)
+let stitch_s27 ?(prep = Prep.of_circuit (Tvs_circuits.S27.circuit ()))
+    ?(scheme = Tvs_scan.Xor_scheme.Nxor) ?resume ?save () =
+  Experiments.stitch ~spec:"s27" ~scale:1.0 ~scheme ~selection:(Tvs_core.Policy.Most_faults 5)
+    ~shift:None ~label:"cli" ?resume ?save prep
+
+(* The summary of a run without a cache, and its first checkpoint. *)
+let s27_first_checkpoint () =
+  let first = ref None in
+  match stitch_s27 ~save:(1, fun ck -> if !first = None then first := Some ck) () with
+  | Error msg -> Alcotest.fail msg
+  | Ok (summary, cached) ->
+      Alcotest.(check bool) "no cache: not answered" false cached;
+      (summary, Option.get !first)
+
 (* A checkpoint saved on s27 resumes only into the run it was taken from:
    another circuit or another engine configuration is refused. *)
 let test_checkpoint_identity () =
-  let module Checkpoint = Tvs_store.Checkpoint in
-  let s27 = Prep.of_circuit (Tvs_circuits.S27.circuit ()) in
-  let scheme = Tvs_scan.Xor_scheme.Nxor and selection = Tvs_core.Policy.Most_faults 5 in
-  let record =
-    Experiments.checkpoint_record ~spec:"s27" ~scale:1.0 ~scheme ~selection ~shift:None
-      ~label:"cli" s27
-  in
-  let path = Filename.temp_file "tvs-identity" ".ckpt" in
-  ignore
-    (Experiments.run_flow ~scheme ~selection
-       ~checkpoint:(1, fun snap -> Checkpoint.save path (record snap))
-       ~label:"cli" s27);
-  let ck =
-    match Checkpoint.load path with
-    | Ok ck -> ck
-    | Error e -> Alcotest.fail (Tvs_store.Codec.error_to_string e)
-  in
-  Sys.remove path;
-  let refused name ~needle result =
-    match result with
-    | Ok () -> Alcotest.fail (name ^ ": accepted")
+  let _, ck = s27_first_checkpoint () in
+  let refused name ~needle = function
+    | Ok _ -> Alcotest.fail (name ^ ": accepted")
     | Error msg -> Alcotest.(check bool) (name ^ ": " ^ msg) true (contains ~needle msg)
   in
   refused "another circuit" ~needle:"circuit digest mismatch"
-    (Experiments.verify_checkpoint ck (Prep.get "s444"));
+    (stitch_s27 ~prep:(Prep.get "s444") ~resume:ck ());
   refused "another scheme" ~needle:"configuration digest mismatch"
-    (Experiments.verify_checkpoint { ck with Checkpoint.scheme = Tvs_scan.Xor_scheme.Vxor } s27);
-  Alcotest.(check bool) "the original run" true (Experiments.verify_checkpoint ck s27 = Ok ())
+    (stitch_s27 ~scheme:Tvs_scan.Xor_scheme.Vxor ~resume:ck ());
+  Alcotest.(check bool) "the original run" true (Result.is_ok (stitch_s27 ~resume:ck ()))
+
+(* One cache lookup whatever the run: cold, [stitch] computes and the cache
+   does not answer; warm, it answers with the same summary, and neither a
+   writer nor a checkpoint to resume makes the engine run. *)
+let test_stitch_one_lookup () =
+  let module Cache = Tvs_store.Cache in
+  let reference, ck = s27_first_checkpoint () in
+  let dir = Filename.temp_file "tvs-harness-cache" "" in
+  Sys.remove dir;
+  Cache.install (Some (Result.get_ok (Cache.open_dir dir)));
+  Fun.protect ~finally:(fun () -> Cache.install None) @@ fun () ->
+  let run ?resume ?save () =
+    match stitch_s27 ?resume ?save () with Ok r -> r | Error msg -> Alcotest.fail msg
+  in
+  let answered what (summary, cached) =
+    Alcotest.(check bool) (what ^ ": same summary") true (summary = reference);
+    Alcotest.(check bool) (what ^ ": the cache answered") true cached
+  in
+  let cold = run () in
+  Alcotest.(check bool) "cold: computed" true (cold = (reference, false));
+  answered "warm" (run ());
+  let runs = Tvs_obs.Metrics.counter "engine.runs" in
+  let runs0 = Tvs_obs.Metrics.counter_value runs and writes = ref 0 in
+  answered "warm with a save" (run ~save:(1, fun _ -> incr writes) ());
+  Alcotest.(check int) "warm with a save: the writer is never called" 0 !writes;
+  Alcotest.(check int) "warm with a save: no engine run" runs0
+    (Tvs_obs.Metrics.counter_value runs);
+  answered "warm resumed" (run ~resume:ck ())
 
 (* --- CLI validation ----------------------------------------------------- *)
 
@@ -253,18 +279,21 @@ let test_cli_scale_term () =
     (eval [ "--scale"; "0.25" ] = Ok (`Ok (Some 0.25)));
   Alcotest.(check bool) "absent reads None" true (eval [] = Ok (`Ok None))
 
+let eval_term term args =
+  let open Cmdliner in
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  Cmd.eval_value ~err:quiet ~help:quiet
+    ~argv:(Array.of_list ("t" :: args))
+    (Cmd.v (Cmd.info "t") term)
+
+let rejected what r = Alcotest.(check bool) (what ^ " rejected") true (Result.is_error r)
+
 (* The profile converters the study commands share: one name, or a comma
    list in which every entry must name a profile. s27 and fig1 are circuits
    but have no profile. [--patterns] goes through [check_positive]. *)
 let test_cli_profile_terms () =
   let open Cmdliner in
-  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
-  let eval term args =
-    Cmd.eval_value ~err:quiet ~help:quiet
-      ~argv:(Array.of_list ("t" :: args))
-      (Cmd.v (Cmd.info "t") term)
-  in
-  let rejected what r = Alcotest.(check bool) (what ^ " rejected") true (Result.is_error r) in
+  let eval = eval_term in
   let one = Arg.(value & opt Cli.profile "s953" & info [ "circuit" ]) in
   let many = Arg.(value & opt (some Cli.profiles) None & info [ "circuits" ]) in
   let patterns =
@@ -294,6 +323,25 @@ let test_cli_profile_terms () =
            (fun p -> contains ~needle:p.Tvs_circuits.Profiles.name msg)
            Tvs_circuits.Profiles.all)
 
+(* [tvs lint]'s SAT knobs: [--sat-faults] takes 0 (which disables the
+   proofs) and up, [--sat-budget] 1 and up, as [tvs equiv --budget] does. *)
+let test_cli_sat_terms () =
+  let open Cmdliner in
+  let faults =
+    Arg.(value & opt (Cli.int_conv ~docv:"N" (Cli.check_non_negative "--sat-faults")) 8
+         & info [ "sat-faults" ])
+  in
+  let budget =
+    Arg.(value & opt (Cli.int_conv ~docv:"N" (Cli.check_positive "--sat-budget")) 1000
+         & info [ "sat-budget" ])
+  in
+  List.iter (fun v -> rejected ("--sat-faults " ^ v) (eval_term faults [ "--sat-faults=" ^ v ]))
+    [ "-1"; "x" ];
+  Alcotest.(check bool) "--sat-faults 0" true (eval_term faults [ "--sat-faults=0" ] = Ok (`Ok 0));
+  List.iter (fun v -> rejected ("--sat-budget " ^ v) (eval_term budget [ "--sat-budget=" ^ v ]))
+    [ "-5"; "0"; "x" ];
+  Alcotest.(check bool) "--sat-budget 1" true (eval_term budget [ "--sat-budget=1" ] = Ok (`Ok 1))
+
 let () =
   Alcotest.run "harness"
     [
@@ -316,6 +364,7 @@ let () =
           Alcotest.test_case "table 5 footer keeps counters" `Quick
             test_table5_footer_keeps_counters;
           Alcotest.test_case "checkpoint identity" `Quick test_checkpoint_identity;
+          Alcotest.test_case "stitch makes one cache lookup" `Quick test_stitch_one_lookup;
         ] );
       ( "cli",
         [
@@ -325,5 +374,6 @@ let () =
           Alcotest.test_case "table and jobs bounds" `Quick test_cli_table_and_jobs_bounds;
           Alcotest.test_case "scale term" `Quick test_cli_scale_term;
           Alcotest.test_case "profile terms" `Quick test_cli_profile_terms;
+          Alcotest.test_case "lint SAT terms" `Quick test_cli_sat_terms;
         ] );
     ]

@@ -98,6 +98,22 @@ let test_fixed_shift_out_of_range () =
       Alcotest.(check int) (Printf.sprintf "shift %d ran no cycle" s) 0 !saved)
     [ chain_len + 1; 0 ]
 
+(* A circuit with no flip-flops has no scan chain to stitch through: the
+   default variable policy is refused before the first cycle, by name. *)
+let test_no_flops_refused () =
+  let b = Circuit.Builder.create "comb" in
+  let x = Circuit.Builder.input b "x" and y = Circuit.Builder.input b "y" in
+  Circuit.Builder.mark_output b
+    (Circuit.Builder.gate b ~name:"z" Tvs_netlist.Gate.Nand [ x; y ]);
+  let c = Circuit.Builder.finish b in
+  let ctx, faults, _ = prep c in
+  let saved = ref 0 in
+  Alcotest.check_raises "refused"
+    (Failure "comb has no flip-flops: the stitched flow needs a scan chain") (fun () ->
+      ignore
+        (Engine.run ~checkpoint:(1, fun _ -> incr saved) ~rng:(Rng.of_string "comb") ctx ~faults));
+  Alcotest.(check int) "ran no cycle" 0 !saved
+
 let test_vxor_engine () =
   let c = Tvs_circuits.Synth.generate_named "s444" in
   let ctx, faults, baseline = prep c in
@@ -142,6 +158,7 @@ let () =
           Alcotest.test_case "s444 compresses" `Quick test_synth_s444_compresses;
           Alcotest.test_case "fixed shift policy" `Quick test_fixed_shift_engine;
           Alcotest.test_case "fixed shift out of range" `Quick test_fixed_shift_out_of_range;
+          Alcotest.test_case "no flip-flops refused" `Quick test_no_flops_refused;
           Alcotest.test_case "vxor scheme" `Quick test_vxor_engine;
           Alcotest.test_case "hxor scheme" `Quick test_hxor_engine;
         ] );

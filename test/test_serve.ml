@@ -446,6 +446,16 @@ let test_server_end_to_end () =
               Alcotest.(check string) "shift error names both numbers"
                 "fixed shift 4 is outside 1..3, the scan chain length of fig1" m
           | Ok _ -> Alcotest.fail "overlong shift served");
+          (* and a circuit with no flip-flops, by name *)
+          (match
+             submit_and_wait ic oc
+               (Protocol.default_job (Protocol.Bench "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"))
+           with
+          | Error m ->
+              Alcotest.(check bool) ("flop-less circuit refused: " ^ m) true
+                (String.ends_with ~suffix:"has no flip-flops: the stitched flow needs a scan chain"
+                   m)
+          | Ok _ -> Alcotest.fail "flop-less circuit served");
           (* a submit-level parse error keeps the connection alive too *)
           Protocol.write_frame oc
             (Json.Obj [ ("verb", Json.Str "submit"); ("spec", Json.Int 3) ]);
@@ -523,6 +533,42 @@ let test_server_damaged_entry () =
   Alcotest.(check bool) "entry rewritten" true
     (Cache.find cache ~kind:Experiments.summary_kind ~key Experiments.read_summary
     = Some (Experiments.run_flow ~label:"cli" prep))
+
+(* A big job the cache answers runs no engine: with a state directory and
+   threshold 0, the first job checkpoints and its repeat streams no
+   checkpoint event, leaves no .ckpt file and reads "cached": true. *)
+let test_server_cached_job_writes_no_checkpoint () =
+  let cache_dir = fresh_dir () and state_dir = fresh_dir () in
+  let ckpt_files () =
+    List.filter
+      (fun f -> Filename.check_suffix f ".ckpt")
+      (Array.to_list (Sys.readdir state_dir))
+  in
+  Cache.install (Some (Result.get_ok (Cache.open_dir cache_dir)));
+  Fun.protect
+    ~finally:(fun () -> Cache.install None)
+    (fun () ->
+      with_server ~state_dir (fun sock ->
+          let ic, oc = connect sock in
+          let submit what =
+            let checkpoints = ref 0 in
+            match
+              submit_and_wait ~checkpoints ic oc (Protocol.default_job (Protocol.Spec "fig1"))
+            with
+            | Error m -> Alcotest.failf "%s job failed: %s" what m
+            | Ok j ->
+                Alcotest.(check string) (what ^ ": output matches tvs stitch")
+                  (Lazy.force expected_fig1)
+                  (Option.value ~default:"" (str_field "output" j));
+                (bool_field "cached" j, !checkpoints)
+          in
+          let cached, checkpoints = submit "first" in
+          Alcotest.(check (option bool)) "first: computed" (Some false) cached;
+          Alcotest.(check bool) "first: checkpointed" true (checkpoints > 0);
+          Alcotest.(check (pair (option bool) int)) "repeat: cached, no checkpoint event"
+            (Some true, 0) (submit "repeat");
+          Alcotest.(check (list string)) "no .ckpt file left" [] (ckpt_files ());
+          close_out_noerr oc))
 
 let test_server_inline_bench () =
   (* A self-contained sequential netlist: inline jobs must work without any
@@ -768,6 +814,8 @@ let () =
           Alcotest.test_case "damaged cache entry recomputed" `Quick test_server_damaged_entry;
           Alcotest.test_case "inline netlist jobs" `Quick test_server_inline_bench;
           Alcotest.test_case "inline verilog jobs" `Quick test_server_inline_verilog;
+          Alcotest.test_case "cached job writes no checkpoint" `Quick
+            test_server_cached_job_writes_no_checkpoint;
           Alcotest.test_case "checkpoint recovery at startup" `Quick test_server_recovery;
           Alcotest.test_case "unusable state dir rejected" `Quick test_server_rejects_bad_state;
           Alcotest.test_case "tpi jobs" `Quick test_server_tpi;

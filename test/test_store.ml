@@ -292,8 +292,9 @@ let test_cache_hit_miss_and_key_sensitivity () =
     (Cache.find c ~kind:"TEST" ~key:(Digest.of_string "other-key") Wire.read_varint = None);
   Alcotest.(check bool) "other kind misses" true
     (Cache.find c ~kind:"OTHR" ~key Wire.read_varint = None);
-  (* [memo] against the installed cache: absent, every call computes and no
-     key is asked for; installed, the value is computed once, then decoded. *)
+  (* [memo] against the installed cache: absent, every call computes, no
+     key is asked for and the cache never answers; installed, the value is
+     computed once, then decoded, and only the decoded call reads [true]. *)
   let computed = ref 0 and keyed = ref 0 in
   let memo () =
     Cache.memo ~kind:"MEMO"
@@ -305,24 +306,26 @@ let test_cache_hit_miss_and_key_sensitivity () =
         incr computed;
         5)
   in
+  let twice () =
+    let first = memo () in
+    let second = memo () in
+    [ first; second ]
+  in
   Cache.install None;
-  Alcotest.(check (list int)) "no cache: values" [ 5; 5 ] [ memo (); memo () ];
+  Alcotest.(check (list (pair int bool))) "no cache: computed, not answered"
+    [ (5, false); (5, false) ]
+    (twice ());
   Alcotest.(check (pair int int)) "no cache: computed twice, never keyed" (2, 0)
     (!computed, !keyed);
   Cache.install (Some c);
   Fun.protect ~finally:(fun () -> Cache.install None) @@ fun () ->
   computed := 0;
-  Alcotest.(check (list int)) "cache: values" [ 5; 5 ] [ memo (); memo () ];
+  Alcotest.(check (list (pair int bool))) "cache: a miss, then the cache's answer"
+    [ (5, false); (5, true) ]
+    (twice ());
   Alcotest.(check int) "cache: computed once" 1 !computed;
   Alcotest.(check bool) "cache: stored under its kind" true
-    (Cache.find c ~kind:"MEMO" ~key:(Digest.of_string "memo-key") Wire.read_varint = Some 5);
-  (* [mem] answers from the same entries but counts no hit or miss. *)
-  let h1 = Cache.hits () and m1 = Cache.misses () in
-  Alcotest.(check (pair bool bool)) "mem: stored key held, other key not" (true, false)
-    ( Cache.mem ~kind:"MEMO" ~key:(fun () -> Digest.of_string "memo-key") Wire.read_varint,
-      Cache.mem ~kind:"MEMO" ~key:(fun () -> Digest.of_string "other-key") Wire.read_varint );
-  Alcotest.(check (pair int int)) "mem: no hit or miss counted" (h1, m1)
-    (Cache.hits (), Cache.misses ())
+    (Cache.find c ~kind:"MEMO" ~key:(Digest.of_string "memo-key") Wire.read_varint = Some 5)
 
 let test_cache_corrupt_entry_evicted () =
   let c = fresh_cache_dir () in
@@ -353,20 +356,11 @@ let test_cache_corrupt_entry_evicted () =
         incr computed;
         9)
   in
-  Alcotest.(check (pair int int)) "memo recomputes the damaged entry" (9, 1) (v, !computed);
+  Alcotest.(check (pair (pair int bool) int)) "memo recomputes the damaged entry, not answered"
+    ((9, false), 1) (v, !computed);
   Alcotest.(check int) "memo evicted it" (e0 + 1) (Cache.evictions ());
   Alcotest.(check bool) "memo stored the recomputed value" true
-    (Cache.find c ~kind:"TEST" ~key Wire.read_varint = Some 9);
-  (* [mem] evicts a damaged entry like [find], without counting a miss. *)
-  let oc = open_out_bin path in
-  output_string oc "garbage once more";
-  close_out oc;
-  let e1 = Cache.evictions () and m1 = Cache.misses () in
-  Alcotest.(check bool) "mem: damaged entry not held" false
-    (Cache.mem ~kind:"TEST" ~key:(fun () -> key) Wire.read_varint);
-  Alcotest.(check (pair int int)) "mem: evicted, no miss counted" (e1 + 1, m1)
-    (Cache.evictions (), Cache.misses ());
-  Alcotest.(check bool) "mem: entry file deleted" false (Sys.file_exists path)
+    (Cache.find c ~kind:"TEST" ~key Wire.read_varint = Some 9)
 
 (* Regression: a corrupt entry read twice evicts exactly once — the second
    read takes the missing-file path (one more miss, no double eviction),

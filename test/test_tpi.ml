@@ -254,11 +254,14 @@ let test_study_cached () =
     (fun () ->
       let c = s27 () in
       let r1 = Tpi.run c in
+      Alcotest.(check bool) "first run computes" false r1.Tpi.cached;
       Alcotest.(check bool) "study stored under TPIS" true
         (Sys.file_exists
            (Cache.entry_path cache ~kind:Tpi.study_kind ~key:(Tpi.study_key c)));
       let r2 = Tpi.run c in
-      Alcotest.(check bool) "cached study equals the computed one" true (r1 = r2);
+      Alcotest.(check bool) "repeat replays" true r2.Tpi.cached;
+      Alcotest.(check bool) "cached study equals the computed one" true
+        ({ r2 with Tpi.cached = false } = r1);
       Alcotest.(check string) "cached rendering byte-identical" (Tpi.to_ascii r1)
         (Tpi.to_ascii r2))
 
