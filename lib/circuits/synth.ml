@@ -23,9 +23,9 @@ let pick_arity rng kind =
       match Rng.int rng 10 with n when n < 6 -> 2 | n when n < 9 -> 3 | _ -> 4)
 
 (* Pick a fanin net according to the profile style. [sources] are PI/FF
-   nets; [gates] the gate nets created so far (newest last). *)
-let pick_fanin rng style sources gates =
-  let n_gates = Array.length gates in
+   nets; the first [n_gates] slots of [gates] the gate nets created so far
+   (newest last). *)
+let pick_fanin rng style sources gates n_gates =
   let from_sources () = Rng.pick rng sources in
   let recent_window = max 1 (n_gates / 4) in
   let from_recent () = gates.(n_gates - 1 - Rng.int rng recent_window) in
@@ -43,12 +43,12 @@ let pick_fanin rng style sources gates =
         else if Rng.int rng 10 < 7 then from_recent ()
         else from_any_gate ()
 
-let distinct_fanins rng style sources gates arity =
+let distinct_fanins rng style sources gates n_gates arity =
   let chosen = ref [] in
   let attempts = ref 0 in
   while List.length !chosen < arity && !attempts < arity * 8 do
     incr attempts;
-    let net = pick_fanin rng style sources gates in
+    let net = pick_fanin rng style sources gates n_gates in
     if not (List.mem net !chosen) then chosen := net :: !chosen
   done;
   (* Fall back to whatever we have; a 1-input AND is rejected by the
@@ -73,12 +73,11 @@ let generate (profile : Profiles.t) =
   let sources = Array.append pis ffs in
   let consumed = Hashtbl.create (profile.ngates * 2) in
   let consume nets = List.iter (fun n -> Hashtbl.replace consumed n ()) nets in
-  let gates = ref [] and n_gates = ref 0 in
-  let gates_arr () = Array.of_list (List.rev !gates) in
+  let gate_nets = Array.make profile.ngates (-1) in
   for g = 0 to profile.ngates - 1 do
     let kind = pick_kind rng in
     let arity = pick_arity rng kind in
-    let fanins = distinct_fanins rng profile.style sources (gates_arr ()) arity in
+    let fanins = distinct_fanins rng profile.style sources gate_nets g arity in
     (* Guarantee every primary input is consumed: the first [npi] multi-input
        gates each adopt one PI. *)
     let fanins =
@@ -89,10 +88,8 @@ let generate (profile : Profiles.t) =
     let kind = if List.length fanins = 1 then (if Rng.bool rng then Gate.Not else Gate.Buf) else kind in
     let net = Circuit.Builder.gate b ~name:(Printf.sprintf "G%d" g) kind fanins in
     consume fanins;
-    gates := net :: !gates;
-    incr n_gates
+    gate_nets.(g) <- net
   done;
-  let gate_nets = gates_arr () in
   (* Sinks prefer dangling nets so nothing is left undriven/unobserved. *)
   let dangling () =
     Array.to_list gate_nets |> List.filter (fun n -> not (Hashtbl.mem consumed n))

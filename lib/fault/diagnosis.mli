@@ -32,8 +32,9 @@ val respond :
     [fault]'s. *)
 
 val key_of : response -> string
-(** The response as one string of ['0'] and ['1'], frame after frame: equal
-    keys are equal responses. *)
+(** The response's bits packed 8 to a byte, frame after frame, then one byte
+    for the bit count modulo 8: equal keys are equal bit streams. {!build}
+    makes the same keys straight from the simulator's lane words. *)
 
 type dictionary
 

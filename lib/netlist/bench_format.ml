@@ -99,10 +99,11 @@ let line_of_net numbered =
 
 let circuit_of_statements ~name numbered =
   (* Pass 0: reject duplicate definitions up front, with both line numbers.
-     Without this, the second definition of a net would either silently race
-     pass 2's fixpoint or surface as a context-free [Build_error]; a net is
-     defined by INPUT, a DFF target, or a gate target. Duplicate OUTPUT lines
-     are rejected too — they would silently duplicate the outputs array. *)
+     Without this, the second definition of a net would either silently
+     shadow the first in pass 2's gate index or surface as a context-free
+     [Build_error]; a net is defined by INPUT, a DFF target, or a gate
+     target. Duplicate OUTPUT lines are rejected too — they would silently
+     duplicate the outputs array. *)
   let defined_at = Hashtbl.create 64 in
   let output_at = Hashtbl.create 16 in
   List.iter
@@ -132,38 +133,69 @@ let circuit_of_statements ~name numbered =
       | St_dff (q, _) -> declare q (Circuit.Builder.flop_forward b q)
       | St_output _ | St_gate _ -> ())
     numbered;
-  (* Pass 2: create gates in dependency order (gates may reference later
-     gates only through flip-flops in well-formed .bench files, but some
-     files do order gates arbitrarily, so iterate until fixpoint). *)
-  let gates_left =
-    ref
+  (* Pass 2: create gates in dependency order, whatever order the file
+     lists them in. Net numbering (and so every circuit digest, cache key
+     and checkpoint) is that of a fixpoint which sweeps the remaining gates
+     in list order, defining each whose fanins exist, until a sweep defines
+     nothing. A fanin gate listed before g can be defined earlier in g's
+     sweep, one listed after g only in an earlier sweep, so g is defined in
+     sweep pass(g) = max(1, max over gate fanins h of pass(h) + [h listed
+     after g]). Compute that in Kahn order, then declare the gates in
+     (pass, list) order: linear time, where the fixpoint took one sweep per
+     out-of-order level. *)
+  let gates =
+    Array.of_list
       (List.filter_map
          (function
            | lineno, St_gate (nm, k, ins) -> Some (lineno, nm, k, ins)
            | _, (St_input _ | St_output _ | St_dff _ | St_const _) -> None)
          numbered)
   in
-  let progress = ref true in
-  while !gates_left <> [] && !progress do
-    progress := false;
-    let deferred = ref [] in
+  let n = Array.length gates in
+  let index = Hashtbl.create (2 * n + 1) in
+  Array.iteri (fun i (_, nm, _, _) -> Hashtbl.replace index nm i) gates;
+  (* [waiting.(i)] counts gate i's fanin pins not yet defined; a pin on a
+     name nothing defines is never released. *)
+  let waiting = Array.make n 0 and readers = Array.make n [] in
+  Array.iteri
+    (fun i (_, _, _, ins) ->
+      List.iter
+        (fun nm ->
+          match Hashtbl.find_opt index nm with
+          | Some h ->
+              waiting.(i) <- waiting.(i) + 1;
+              readers.(h) <- i :: readers.(h)
+          | None -> if not (Hashtbl.mem defined nm) then waiting.(i) <- waiting.(i) + 1)
+        ins)
+    gates;
+  let pass = Array.make n 1 and queue = Queue.create () in
+  Array.iteri (fun i w -> if w = 0 then Queue.add i queue) waiting;
+  while not (Queue.is_empty queue) do
+    let h = Queue.pop queue in
     List.iter
-      (fun ((_, nm, kind, ins) as g) ->
-        if List.for_all (Hashtbl.mem defined) ins then begin
-          let fanins = List.map (Hashtbl.find defined) ins in
-          declare nm (Circuit.Builder.gate b ~name:nm kind fanins);
-          progress := true
-        end
-        else deferred := g :: !deferred)
-      !gates_left;
-    gates_left := List.rev !deferred
+      (fun i ->
+        pass.(i) <- max pass.(i) (if h > i then pass.(h) + 1 else pass.(h));
+        waiting.(i) <- waiting.(i) - 1;
+        if waiting.(i) = 0 then Queue.add i queue)
+      readers.(h)
   done;
-  (match !gates_left with
+  (* Bucket the reached gates by pass, each bucket in list order. *)
+  let buckets = Array.make (n + 1) [] in
+  for i = n - 1 downto 0 do
+    if waiting.(i) = 0 then buckets.(pass.(i)) <- i :: buckets.(pass.(i))
+  done;
+  Array.iter
+    (List.iter (fun i ->
+         let _, nm, kind, ins = gates.(i) in
+         declare nm (Circuit.Builder.gate b ~name:nm kind (List.map (Hashtbl.find defined) ins))))
+    buckets;
+  (match List.filter (fun i -> waiting.(i) > 0) (List.init n Fun.id) with
   | [] -> ()
-  | (lineno, nm, _, ins) :: _ as stalled ->
-      (* A stalled fixpoint is either a reference to a name nothing defines,
-         or gates defining each other in a combinational cycle — tell them
-         apart so the error names the real problem. *)
+  | first :: _ as stalled ->
+      (* A gate never reached is either a reference to a name nothing
+         defines, or gates defining each other in a combinational cycle —
+         tell them apart so the error names the real problem. *)
+      let lineno, nm, _, ins = gates.(first) in
       let missing = List.filter (fun i -> not (Hashtbl.mem defined i)) ins in
       let undeclared = List.filter (fun i -> not (Hashtbl.mem defined_at i)) missing in
       if undeclared <> [] then
@@ -173,7 +205,7 @@ let circuit_of_statements ~name numbered =
       else
         fail lineno
           (Printf.sprintf "combinational cycle through gate(s): %s"
-             (String.concat ", " (List.map (fun (_, g, _, _) -> g) stalled))));
+             (String.concat ", " (List.map (fun i -> let _, g, _, _ = gates.(i) in g) stalled))));
   (* Pass 3: resolve flip-flop data nets and outputs. *)
   List.iter
     (fun (lineno, st) ->

@@ -176,12 +176,14 @@ let cone_rep t n =
   reps.(n)
 
 module Builder = struct
+  (* Drivers and names live in growable arrays indexed by net, so
+     [connect_flop] is one slot write and [finish] one [Array.sub] each. *)
   type b = {
     bname : string;
-    mutable rev_drivers : driver list;
+    mutable drivers : driver array;
+    mutable names_by_net : string array;
     mutable count : int;
     names : (string, net) Hashtbl.t;
-    mutable rev_names : string list;
     mutable rev_inputs : net list;
     mutable rev_outputs : net list;
     mutable rev_flops : net list;
@@ -191,23 +193,30 @@ module Builder = struct
   let create bname =
     {
       bname;
-      rev_drivers = [];
+      drivers = Array.make 64 Primary_input;
+      names_by_net = Array.make 64 "";
       count = 0;
       names = Hashtbl.create 64;
-      rev_names = [];
       rev_inputs = [];
       rev_outputs = [];
       rev_flops = [];
       pending = Hashtbl.create 4;
     }
 
+  let grow b =
+    let cap = 2 * Array.length b.drivers in
+    let extend a fill = Array.append a (Array.make (cap - Array.length a) fill) in
+    b.drivers <- extend b.drivers Primary_input;
+    b.names_by_net <- extend b.names_by_net ""
+
   let fresh b name_opt prefix d =
     let id = b.count in
     let nm = match name_opt with Some nm -> nm | None -> Printf.sprintf "%s%d" prefix id in
     if Hashtbl.mem b.names nm then raise (Build_error (Printf.sprintf "duplicate net name %S" nm));
     Hashtbl.add b.names nm id;
-    b.rev_names <- nm :: b.rev_names;
-    b.rev_drivers <- d :: b.rev_drivers;
+    if id = Array.length b.drivers then grow b;
+    b.drivers.(id) <- d;
+    b.names_by_net.(id) <- nm;
     b.count <- id + 1;
     id
 
@@ -247,14 +256,7 @@ module Builder = struct
     if not (Hashtbl.mem b.pending q) then
       raise (Build_error (Printf.sprintf "connect_flop: net %d is not a pending flop" q));
     Hashtbl.remove b.pending q;
-    (* Drivers are stored reversed: index from the tail. *)
-    let idx_from_end = b.count - 1 - q in
-    let rec replace i = function
-      | [] -> raise (Build_error "connect_flop: internal index error")
-      | _ :: rest when i = idx_from_end -> Flip_flop d :: rest
-      | d0 :: rest -> d0 :: replace (i + 1) rest
-    in
-    b.rev_drivers <- replace 0 b.rev_drivers
+    b.drivers.(q) <- Flip_flop d
 
   let mark_output b n =
     check_net b n "output";
@@ -267,8 +269,8 @@ module Builder = struct
       in
       raise (Build_error ("unconnected forward flops: " ^ String.concat ", " missing))
     end;
-    let drivers = Array.of_list (List.rev b.rev_drivers) in
-    let net_names = Array.of_list (List.rev b.rev_names) in
+    let drivers = Array.sub b.drivers 0 b.count in
+    let net_names = Array.sub b.names_by_net 0 b.count in
     let outputs = Array.of_list (List.rev b.rev_outputs) in
     let output_set = Array.make (Array.length drivers) false in
     Array.iter (fun n -> output_set.(n) <- true) outputs;

@@ -167,6 +167,42 @@ let test_synth_scaled_runs () =
   Alcotest.(check int) "scaled FF count" 67 (Circuit.num_flops c);
   Alcotest.(check bool) "builds and levelizes" true (Circuit.depth c >= 0)
 
+(* Every bundled profile's netlist, its scan-inserted form and its .bench
+   round trip keep the digests in golden/netlist_digests.txt: cache keys and
+   checkpoints are keyed on them. *)
+let test_netlist_digests_golden () =
+  let hex c = Tvs_store.Digest.to_hex (Tvs_store.Digest.circuit c) in
+  let ic = open_in "golden/netlist_digests.txt" in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  let seen =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ spec; synth; scan; bench ] when spec.[0] <> '#' ->
+            let name, scale =
+              match String.split_on_char '@' spec with
+              | [ name; scale ] -> (name, float_of_string scale)
+              | _ -> (spec, 1.0)
+            in
+            let c = Synth.generate (Profiles.scale (Profiles.find name) scale) in
+            Alcotest.(check string) (spec ^ " name") spec (Circuit.name c);
+            Alcotest.(check string) (spec ^ " Synth.generate") synth (hex c);
+            Alcotest.(check string)
+              (spec ^ " Scan_insert.insert") scan
+              (hex (Tvs_netlist.Scan_insert.insert c).Tvs_netlist.Scan_insert.circuit);
+            Alcotest.(check string)
+              (spec ^ " .bench round trip") bench
+              (hex (Bench_format.parse_string ~name:spec (Bench_format.to_string c)));
+            Some spec
+        | _ -> None)
+      lines
+  in
+  List.iter
+    (fun (p : Profiles.t) ->
+      Alcotest.(check bool) (p.name ^ " has a golden line") true (List.mem p.name seen))
+    Profiles.all
+
 let () =
   Alcotest.run "circuits"
     [
@@ -191,5 +227,6 @@ let () =
           Alcotest.test_case "acyclic, all PIs used" `Quick test_synth_acyclic_and_consuming;
           Alcotest.test_case "styles shape depth" `Quick test_synth_styles_differ;
           Alcotest.test_case "scaled profiles run" `Quick test_synth_scaled_runs;
+          Alcotest.test_case "netlist digests match the golden" `Quick test_netlist_digests_golden;
         ] );
     ]

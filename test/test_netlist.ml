@@ -142,6 +142,28 @@ let test_flop_loop_allowed () =
   let c = Circuit.Builder.finish b in
   Alcotest.(check int) "one flop" 1 (Circuit.num_flops c)
 
+let test_builder_connect_not_pending () =
+  let b = Circuit.Builder.create "not-pending" in
+  let a = Circuit.Builder.input b "a" in
+  let q = Circuit.Builder.flop b ~name:"q" a in
+  Alcotest.check_raises "an input"
+    (Circuit.Build_error "connect_flop: net 0 is not a pending flop") (fun () ->
+      Circuit.Builder.connect_flop b a a);
+  Alcotest.check_raises "a flop declared with its data"
+    (Circuit.Build_error "connect_flop: net 1 is not a pending flop") (fun () ->
+      Circuit.Builder.connect_flop b q a)
+
+let test_builder_connect_twice () =
+  let b = Circuit.Builder.create "twice" in
+  let a = Circuit.Builder.input b "a" in
+  let q = Circuit.Builder.flop_forward b "q" in
+  Circuit.Builder.connect_flop b q a;
+  Alcotest.check_raises "second connect_flop"
+    (Circuit.Build_error "connect_flop: net 1 is not a pending flop") (fun () ->
+      Circuit.Builder.connect_flop b q a);
+  let c = Circuit.Builder.finish b in
+  Alcotest.(check bool) "first connection kept" true (Circuit.driver c q = Circuit.Flip_flop a)
+
 (* --- bench format --------------------------------------------------- *)
 
 let test_parse_s27 () =
@@ -224,6 +246,251 @@ let test_parse_comments_and_blank () =
   let text = "# header\n\nINPUT(a)  # trailing\nOUTPUT(g)\ng = BUFF(a)\n" in
   let c = Bench_format.parse_string ~name:"cmt" text in
   Alcotest.(check int) "two nets" 2 (Circuit.num_nets c)
+
+(* --- reader gate order ---------------------------------------------- *)
+
+(* The reader's former pass 2, kept as the reference for its gate order:
+   sweep the remaining gates in list order, defining each whose fanins all
+   exist, until a sweep defines nothing. Passes 0, 1 and 3 are as in
+   [Bench_format.circuit_of_statements]. *)
+let fixpoint_circuit_of_statements ~name numbered =
+  let fail line msg = raise (Bench_format.Parse_error (line, msg)) in
+  let defined_at = Hashtbl.create 64 in
+  let output_at = Hashtbl.create 16 in
+  List.iter
+    (fun (lineno, st) ->
+      let check_dup tbl what nm =
+        match Hashtbl.find_opt tbl nm with
+        | Some first ->
+            fail lineno
+              (Printf.sprintf "duplicate %s of net %S (first defined at line %d)" what nm first)
+        | None -> Hashtbl.add tbl nm lineno
+      in
+      match st with
+      | Bench_format.St_input nm
+      | Bench_format.St_dff (nm, _)
+      | Bench_format.St_gate (nm, _, _)
+      | Bench_format.St_const (nm, _) ->
+          check_dup defined_at "definition" nm
+      | Bench_format.St_output nm -> check_dup output_at "OUTPUT declaration" nm)
+    numbered;
+  let b = Circuit.Builder.create name in
+  let defined = Hashtbl.create 64 in
+  let declare nm net = Hashtbl.replace defined nm net in
+  List.iter
+    (fun (_, st) ->
+      match st with
+      | Bench_format.St_input nm -> declare nm (Circuit.Builder.input b nm)
+      | Bench_format.St_const (nm, v) -> declare nm (Circuit.Builder.const b ~name:nm v)
+      | Bench_format.St_dff (q, _) -> declare q (Circuit.Builder.flop_forward b q)
+      | Bench_format.St_output _ | Bench_format.St_gate _ -> ())
+    numbered;
+  let gates_left =
+    ref
+      (List.filter_map
+         (function
+           | lineno, Bench_format.St_gate (nm, k, ins) -> Some (lineno, nm, k, ins)
+           | _, _ -> None)
+         numbered)
+  in
+  let progress = ref true in
+  while !gates_left <> [] && !progress do
+    progress := false;
+    let deferred = ref [] in
+    List.iter
+      (fun ((_, nm, kind, ins) as g) ->
+        if List.for_all (Hashtbl.mem defined) ins then begin
+          let fanins = List.map (Hashtbl.find defined) ins in
+          declare nm (Circuit.Builder.gate b ~name:nm kind fanins);
+          progress := true
+        end
+        else deferred := g :: !deferred)
+      !gates_left;
+    gates_left := List.rev !deferred
+  done;
+  (match !gates_left with
+  | [] -> ()
+  | (lineno, nm, _, ins) :: _ as stalled ->
+      let missing = List.filter (fun i -> not (Hashtbl.mem defined i)) ins in
+      let undeclared = List.filter (fun i -> not (Hashtbl.mem defined_at i)) missing in
+      if undeclared <> [] then
+        fail lineno
+          (Printf.sprintf "gate %s references undefined net(s): %s" nm
+             (String.concat ", " undeclared))
+      else
+        fail lineno
+          (Printf.sprintf "combinational cycle through gate(s): %s"
+             (String.concat ", " (List.map (fun (_, g, _, _) -> g) stalled))));
+  List.iter
+    (fun (lineno, st) ->
+      match st with
+      | Bench_format.St_dff (q, d) -> (
+          match Hashtbl.find_opt defined d with
+          | Some dnet -> Circuit.Builder.connect_flop b (Hashtbl.find defined q) dnet
+          | None -> fail lineno (Printf.sprintf "flop %s references undefined net %s" q d))
+      | Bench_format.St_output nm -> (
+          match Hashtbl.find_opt defined nm with
+          | Some net -> Circuit.Builder.mark_output b net
+          | None -> fail lineno ("OUTPUT references undefined net " ^ nm))
+      | Bench_format.St_input _ | Bench_format.St_gate _ | Bench_format.St_const _ -> ())
+    numbered;
+  Circuit.Builder.finish b
+
+(* The canonical bytes of what a reader builds, or the error it raises. *)
+let outcome read text =
+  match read (Bench_format.statements_of_string text) with
+  | c ->
+      let w = Tvs_util.Wire.writer () in
+      Circuit.encode w c;
+      Ok (Tvs_util.Wire.contents w)
+  | exception Bench_format.Parse_error (line, msg) -> Error (line, msg)
+
+let outcome_t =
+  Alcotest.(result string (pair int string))
+
+(* A random netlist over inputs, flops and gates whose fanins are earlier
+   gates, sometimes with one fanin moved onto a later gate (which may close
+   a cycle) or onto a name nothing defines, as shuffled statements with
+   comment lines between them. *)
+let random_bench_text seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let n_in = 1 + int 4 and n_ff = int 4 and n_g = 1 + int 40 in
+  let sources =
+    Array.append
+      (Array.init n_in (Printf.sprintf "i%d"))
+      (Array.init n_ff (Printf.sprintf "q%d"))
+  in
+  let gate_name = Printf.sprintf "g%d" in
+  let fanin g =
+    if g > 0 && int 3 > 0 then gate_name (int g) else sources.(int (Array.length sources))
+  in
+  let gates =
+    Array.init n_g (fun g ->
+        let kind, arity =
+          match int 5 with
+          | 0 -> ("NOT", 1)
+          | 1 -> ("BUFF", 1)
+          | 2 -> ("XOR", 2)
+          | 3 -> ("AND", 2 + int 2)
+          | _ -> ("NOR", 2 + int 2)
+        in
+        (kind, Array.init arity (fun _ -> fanin g)))
+  in
+  (match int 5 with
+  | 0 ->
+      let g = int n_g in
+      (snd gates.(g)).(0) <- gate_name (g + int (n_g - g))
+  | 1 -> (snd gates.(int n_g)).(0) <- "nowhere"
+  | _ -> ());
+  let statements =
+    Array.concat
+      [
+        Array.map (Printf.sprintf "INPUT(%s)") (Array.sub sources 0 n_in);
+        Array.init n_ff (fun k ->
+            Printf.sprintf "q%d = DFF(%s)" k
+              (if int 2 = 0 then gate_name (int n_g) else sources.(int (Array.length sources))));
+        Array.mapi
+          (fun g (kind, ins) ->
+            Printf.sprintf "%s = %s(%s)" (gate_name g) kind (String.concat ", " (Array.to_list ins)))
+          gates;
+        Array.init (1 + int 3) (fun k -> Printf.sprintf "OUTPUT(%s)" (gate_name (n_g - 1 - k mod n_g)))
+        |> Array.to_list |> List.sort_uniq compare |> Array.of_list;
+      ]
+  in
+  for i = Array.length statements - 1 downto 1 do
+    let j = int (i + 1) in
+    let x = statements.(i) in
+    statements.(i) <- statements.(j);
+    statements.(j) <- x
+  done;
+  String.concat "\n"
+    (Array.to_list (Array.map (fun s -> if int 4 = 0 then "# gap\n" ^ s else s) statements))
+
+let qcheck_reader_matches_fixpoint =
+  QCheck.Test.make ~name:"reader order and errors equal the fixpoint's" ~count:600
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let text = random_bench_text seed in
+      let got = outcome (Bench_format.circuit_of_statements ~name:"rand") text in
+      let want = outcome (fixpoint_circuit_of_statements ~name:"rand") text in
+      if got <> want then QCheck.Test.fail_reportf "reader and fixpoint differ on:\n%s" text;
+      true)
+
+(* [n] inverters in a chain from input [a], listed last gate first: the
+   fixpoint needed one sweep per gate. *)
+let inverter_chain ?(reversed = true) n =
+  let line k = Printf.sprintf "g%d = NOT(%s)\n" k (if k = 1 then "a" else Printf.sprintf "g%d" (k - 1)) in
+  let body = List.init n (fun k -> line (if reversed then n - k else k + 1)) in
+  String.concat "" (Printf.sprintf "INPUT(a)\nOUTPUT(g%d)\n" n :: body)
+
+let test_reversed_chain_matches_fixpoint () =
+  let small = inverter_chain 300 in
+  Alcotest.check outcome_t "300 gates, reversed"
+    (outcome (fixpoint_circuit_of_statements ~name:"chain") small)
+    (outcome (Bench_format.circuit_of_statements ~name:"chain") small);
+  (* Listed in order, the fixpoint defines every gate in its first sweep;
+     listed in reverse, it defines gate k in sweep k: the same order. *)
+  Alcotest.check outcome_t "20 000 gates, reversed against in order"
+    (outcome (fixpoint_circuit_of_statements ~name:"chain") (inverter_chain ~reversed:false 20_000))
+    (outcome (Bench_format.circuit_of_statements ~name:"chain") (inverter_chain 20_000))
+
+(* --- construction growth -------------------------------------------- *)
+
+(* Bytes allocated running [prepare n] and then [prepare (4 n)]'s thunks,
+   against each other: a linear construction allocates about 4x as much at
+   4n, a quadratic one about 16x. Deterministic; reads no clock. The
+   counters behind [Gc.allocated_bytes] catch up at collections, so a minor
+   collection before each reading makes the count exact. *)
+let check_linear what prepare n =
+  let allocated () =
+    Gc.minor ();
+    Gc.allocated_bytes ()
+  in
+  let bytes m =
+    let run = prepare m in
+    let before = allocated () in
+    ignore (Sys.opaque_identity (run ()));
+    allocated () -. before
+  in
+  let ratio = bytes (4 * n) /. bytes n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s allocates %.1fx as much at n = %d as at n = %d" what ratio (4 * n) n)
+    true (ratio <= 6.0)
+
+(* [n] flops declared forward, each connected after the gate it captures. *)
+let forward_flop_chain n () =
+  let b = Circuit.Builder.create "forward" in
+  let a = Circuit.Builder.input b "a" in
+  let qs = Array.init n (fun i -> Circuit.Builder.flop_forward b (Printf.sprintf "q%d" i)) in
+  let gs =
+    Array.mapi (fun i q -> Circuit.Builder.gate b ~name:(Printf.sprintf "g%d" i) Gate.And [ a; q ]) qs
+  in
+  Array.iteri (fun i q -> Circuit.Builder.connect_flop b q gs.(i)) qs;
+  Circuit.Builder.mark_output b gs.(n - 1);
+  Circuit.Builder.finish b
+
+let test_growth_forward_flops () = check_linear "a chain of forward flops" forward_flop_chain 1000
+
+let test_growth_synth () =
+  let profile n =
+    {
+      Tvs_circuits.Profiles.name = "growth";
+      npi = 8;
+      npo = 8;
+      nff = 16;
+      ngates = n;
+      style = Tvs_circuits.Profiles.Balanced;
+    }
+  in
+  check_linear "Synth.generate" (fun n () -> Tvs_circuits.Synth.generate (profile n)) 1000
+
+let test_growth_reversed_chain () =
+  check_linear "reading a reversed inverter chain"
+    (fun n ->
+      let text = inverter_chain n in
+      fun () -> Bench_format.parse_string ~name:"chain" text)
+    1000
 
 (* --- validate ------------------------------------------------------- *)
 
@@ -331,6 +598,9 @@ let () =
           Alcotest.test_case "levels and depth" `Quick test_levels;
           Alcotest.test_case "topological order" `Quick test_topo_property;
           Alcotest.test_case "sequential loop allowed" `Quick test_flop_loop_allowed;
+          Alcotest.test_case "connect_flop on a net that is not pending" `Quick
+            test_builder_connect_not_pending;
+          Alcotest.test_case "connect_flop twice" `Quick test_builder_connect_twice;
         ] );
       ( "bench-format",
         [
@@ -341,6 +611,15 @@ let () =
           Alcotest.test_case "forward references" `Quick test_parse_forward_reference;
           Alcotest.test_case "comments and blanks" `Quick test_parse_comments_and_blank;
           Alcotest.test_case "file round-trip" `Quick test_bench_file_io;
+          Alcotest.test_case "reversed chain matches the fixpoint" `Quick
+            test_reversed_chain_matches_fixpoint;
+          QCheck_alcotest.to_alcotest qcheck_reader_matches_fixpoint;
+        ] );
+      ( "construction growth",
+        [
+          Alcotest.test_case "forward flops" `Quick test_growth_forward_flops;
+          Alcotest.test_case "synthesis" `Quick test_growth_synth;
+          Alcotest.test_case "reversed .bench chain" `Quick test_growth_reversed_chain;
         ] );
       ( "validate",
         [
