@@ -80,18 +80,26 @@ let parse_format = function
    file's basename — to the same circuit name. The digest covers the raw
    text only: the resolved format is a function of the text (or of an
    explicit field that the job digest covers separately). *)
-let inline_name text = "inline-" ^ Tvs_store.Digest.to_hex (Tvs_store.Digest.of_string text)
-
 let inline_file_name ?format text =
   let fmt = match format with Some f -> f | None -> Tvs_verilog.Loader.detect text in
-  inline_name text ^ Tvs_verilog.Loader.extension fmt
+  "inline-"
+  ^ Tvs_store.Digest.to_hex (Tvs_store.Digest.of_string text)
+  ^ Tvs_verilog.Loader.extension fmt
 
-let inline_circuit ?format text =
-  match Tvs_verilog.Loader.parse_string ?format ~name:(inline_name text) text with
+(* The file name carries everything the parse needs: its stem is the
+   circuit name, its extension the resolved format. *)
+let parse_inline ~file_name text =
+  match
+    Tvs_verilog.Loader.parse_string
+      ~format:(Tvs_verilog.Loader.detect ~path:file_name text)
+      ~name:(Filename.remove_extension file_name) text
+  with
   | c -> Ok c
   | exception Tvs_netlist.Bench_format.Parse_error (line, msg) ->
       Error (Printf.sprintf "inline netlist, line %d: %s" line msg)
   | exception Failure msg -> Error (Printf.sprintf "inline netlist: %s" msg)
+
+let inline_circuit ?format text = parse_inline ~file_name:(inline_file_name ?format text) text
 
 (* "scan_en=0,tpi_ctl_x=1": the --scan-map / serve "scan_map" vocabulary.
    Whitespace around entries is tolerated; empty entries (trailing commas)

@@ -49,12 +49,22 @@ val inline_file_name : ?format:Tvs_verilog.Loader.format -> string -> string
     the resolved format ([.bench] / [.v]): the file name serve uses to
     persist inline text, which reparses to the same circuit. *)
 
+val parse_inline : file_name:string -> string -> (Tvs_netlist.Circuit.t, string) result
+(** [parse_inline ~file_name text] parses [text] under the name
+    {!inline_file_name} gave it: the circuit is named after the file name's
+    stem, in the format its extension records. It digests nothing, so a
+    caller that already holds the file name (serve, keying its table of
+    parsed texts) pays for one digest per text. [Error] carries the source
+    line. *)
+
 val inline_circuit :
   ?format:Tvs_verilog.Loader.format -> string -> (Tvs_netlist.Circuit.t, string) result
 (** Parse an inline netlist text (a serve-protocol job with a ["bench"]
     field), named ["inline-<hex>"] after the text's content digest, so
     identical texts name (and digest) identically; format auto-detected by
-    content when absent. [Error] carries the source line. *)
+    content when absent. [Error] carries the source line.
+    [inline_circuit ?format text] is
+    [parse_inline ~file_name:(inline_file_name ?format text) text]. *)
 
 val parse_ties : string -> ((string * bool) list, string) result
 (** The [--scan-map] / serve ["scan_map"] vocabulary: comma-separated

@@ -103,8 +103,11 @@ let circuit_of_statements ~name numbered =
      shadow the first in pass 2's gate index or surface as a context-free
      [Build_error]; a net is defined by INPUT, a DFF target, or a gate
      target. Duplicate OUTPUT lines are rejected too — they would silently
-     duplicate the outputs array. *)
-  let defined_at = Hashtbl.create 64 in
+     duplicate the outputs array. Both name tables are sized from the
+     statement count, an upper bound on the nets defined, so they never
+     grow. *)
+  let statements = List.length numbered in
+  let defined_at = Hashtbl.create statements in
   let output_at = Hashtbl.create 16 in
   List.iter
     (fun (lineno, st) ->
@@ -123,7 +126,7 @@ let circuit_of_statements ~name numbered =
   let b = Circuit.Builder.create name in
   (* Pass 1: declare inputs, constants and flip-flops (forward), recording
      definitions. *)
-  let defined = Hashtbl.create 64 in
+  let defined = Hashtbl.create statements in
   let declare nm net = Hashtbl.replace defined nm net in
   List.iter
     (fun (_, st) ->

@@ -99,12 +99,22 @@ let literal cur word value =
 
 let parse_string cur =
   expect cur '"';
+  let src = cur.src in
+  let n = String.length src in
   let buf = Buffer.create 16 in
+  (* The end of the run of bytes from [i] that stand for themselves. *)
+  let rec plain i =
+    if i < n then match String.unsafe_get src i with '"' | '\\' -> i | _ -> plain (i + 1) else i
+  in
   let rec go () =
+    let stop = plain cur.pos in
+    Buffer.add_substring buf src cur.pos (stop - cur.pos);
+    cur.pos <- stop;
     match peek cur with
     | None -> error cur "unterminated string"
     | Some '"' -> advance cur
-    | Some '\\' -> (
+    | Some _ -> (
+        (* a backslash *)
         advance cur;
         match peek cur with
         | None -> error cur "unterminated escape"
@@ -143,10 +153,6 @@ let parse_string cur =
                 end
             | c -> error cur (Printf.sprintf "invalid escape \\%C" c));
             go ())
-    | Some c ->
-        advance cur;
-        Buffer.add_char buf c;
-        go ()
   in
   go ();
   Buffer.contents buf

@@ -39,6 +39,12 @@ let m_recovered = Metrics.counter ~stable:false "serve.jobs.recovered"
 let m_connections = Metrics.counter ~stable:false "serve.connections"
 let m_protocol_errors = Metrics.counter ~stable:false "serve.protocol.errors"
 let m_queue_peak = Metrics.gauge ~stable:false "serve.queue.peak"
+let m_inline_parsed = Metrics.counter ~stable:false "serve.inline.parsed"
+
+(* How many parsed inline texts the scheduler keeps. A circuit plus its
+   scan form holds 15-16 times its text (s38584's 804 KB text: 11.4 MB), so
+   this is far below [preps]' 64. *)
+let inline_capacity = 16
 
 type listen = Unix_socket of string | Tcp of int
 
@@ -62,6 +68,10 @@ type pending = {
   resume : (Checkpoint.t * string) option;  (* checkpoint and its path *)
 }
 
+(* A job's circuit, with the scan form an [equiv --scan] job checks it
+   against, built on first use. *)
+type netlist = { circuit : Circuit.t; scan_form : (Circuit.t, string) result Lazy.t }
+
 type t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
@@ -74,8 +84,10 @@ type t = {
   checkpoint_every : int;
   checkpoint_threshold : int;
   (* Scheduler-thread state: preparation is expensive and deterministic, so
-     it is memoized per circuit digest. *)
+     it is memoized per circuit digest; inline texts are parsed once per
+     lifetime, keyed by [Cli.inline_file_name] and kept with their text. *)
   preps : (string, Prep.t) Hashtbl.t;
+  inlines : (string, string * netlist) Hashtbl.t;
   wake_r : Unix.file_descr;
       (* self-pipe: the shutdown verb, a signal and the drained scheduler
          wake the accept loop *)
@@ -96,7 +108,36 @@ let prep_for t circuit =
       Hashtbl.add t.preps key prep;
       prep
 
-(* Resolve the job's circuit plus the spec string a checkpoint would record
+let netlist circuit =
+  {
+    circuit;
+    scan_form =
+      lazy
+        (match Tvs_netlist.Scan_insert.insert circuit with
+        | r -> Ok r.Tvs_netlist.Scan_insert.circuit
+        | exception Circuit.Build_error msg -> Error ("scan insertion failed: " ^ msg));
+  }
+
+(* An inline text's file name and netlist. Only inline texts are kept: they
+   are content-addressed, where a spec can name a file that changes on disk.
+   The stored text must equal the job's, so a digest collision parses
+   afresh instead of answering with another circuit; a text that fails to
+   parse is not kept. *)
+let inline t ?format text =
+  let file_name = Cli.inline_file_name ?format text in
+  match Hashtbl.find_opt t.inlines file_name with
+  | Some (seen, n) when String.equal seen text -> Ok (file_name, n)
+  | _ ->
+      Metrics.incr m_inline_parsed;
+      Result.map
+        (fun circuit ->
+          if Hashtbl.length t.inlines >= inline_capacity then Hashtbl.reset t.inlines;
+          let n = netlist circuit in
+          Hashtbl.replace t.inlines file_name (text, n);
+          (file_name, n))
+        (Cli.parse_inline ~file_name text)
+
+(* Resolve the job's netlist plus the spec string a checkpoint would record
    (what [resolve]-on-restart feeds back to [Cli.load_circuit]). Inline
    netlists are persisted into the state directory under their
    content-digest name, so a checkpoint of an inline job survives the
@@ -104,23 +145,22 @@ let prep_for t circuit =
 let resolve t (job : Protocol.job) =
   match job.source with
   | Protocol.Spec s ->
-      Result.map (fun c -> (c, s)) (Cli.load_circuit ~scale:job.scale ?format:job.format s)
-  | Protocol.Bench text -> (
-      match Cli.inline_circuit ?format:job.format text with
-      | Error _ as e -> e
-      | Ok c ->
-          let spec =
-            match t.state_dir with
-            | None -> "<inline>"
-            | Some dir ->
-                (* the persisted copy's extension pins the resolved format,
-                   so a restarted server reparses it identically even though
-                   the checkpoint has no format field *)
-                let path = Filename.concat dir (Cli.inline_file_name ?format:job.format text) in
-                if not (Sys.file_exists path) then Codec.write_file_atomic path text;
-                path
-          in
-          Ok (c, spec))
+      Result.map
+        (fun c -> (netlist c, s))
+        (Cli.load_circuit ~scale:job.scale ?format:job.format s)
+  | Protocol.Bench text ->
+      Result.map
+        (fun (file_name, n) ->
+          match t.state_dir with
+          | None -> (n, "<inline>")
+          | Some dir ->
+              (* the persisted copy's extension pins the resolved format,
+                 so a restarted server reparses it identically even though
+                 the checkpoint has no format field *)
+              let path = Filename.concat dir file_name in
+              if not (Sys.file_exists path) then Codec.write_file_atomic path text;
+              (n, path))
+        (inline t ?format:job.format text)
 
 let json_of_summary (s : Experiments.run_summary) =
   Json.Obj
@@ -165,17 +205,15 @@ let run_tpi_job (job : Protocol.job) circuit (params : Protocol.tpi_params) =
    biggest bundled profile, and the whole verdict dedupes through the CEQV
    cache kind, so a restarted client's retry is a cache hit. The result's
    own [cached] flag says whether the check was replayed. *)
-let run_equiv_job (job : Protocol.job) left (params : Protocol.equiv_params) =
+let run_equiv_job t (job : Protocol.job) left (params : Protocol.equiv_params) =
   let module Cec = Tvs_cec.Cec in
   let right =
     match params.Protocol.target with
-    | Protocol.Scan_form -> (
-        match Tvs_netlist.Scan_insert.insert left with
-        | r -> Ok r.Tvs_netlist.Scan_insert.circuit
-        | exception Circuit.Build_error msg -> Error ("scan insertion failed: " ^ msg))
+    | Protocol.Scan_form -> Lazy.force left.scan_form
     | Protocol.Netlist (Protocol.Spec s) ->
         Cli.load_circuit ~scale:job.Protocol.scale ?format:job.Protocol.format s
-    | Protocol.Netlist (Protocol.Bench text) -> Cli.inline_circuit ?format:job.Protocol.format text
+    | Protocol.Netlist (Protocol.Bench text) ->
+        Result.map (fun (_, n) -> n.circuit) (inline t ?format:job.Protocol.format text)
   in
   match right with
   | Error msg -> Error msg
@@ -186,7 +224,7 @@ let run_equiv_job (job : Protocol.job) left (params : Protocol.equiv_params) =
       let options =
         { Cec.budget = params.Protocol.budget; vectors = params.Protocol.vectors; ties }
       in
-      match Cec.check ~options left right with
+      match Cec.check ~options left.circuit right with
       | exception Cec.Mismatch msg -> Error ("interface mismatch: " ^ msg)
       | exception Circuit.Build_error msg -> Error msg
       | exception Failure msg -> Error msg
@@ -205,18 +243,22 @@ let run_equiv_job (job : Protocol.job) left (params : Protocol.equiv_params) =
 let run_job t (p : pending) emit =
   match resolve t p.job with
   | Error msg -> Error msg
-  | Ok (circuit, spec) when p.job.Protocol.kind = Protocol.Stitch -> (
+  | Ok ({ circuit; _ }, spec) when p.job.Protocol.kind = Protocol.Stitch -> (
       let job = p.job in
       let prep = prep_for t circuit in
       (* A resumed job checkpoints into its own file, a fresh big one into
          the state directory under a digest of the job; the file goes once
-         the job is done. A job the cache answers writes nothing. *)
+         the job is done. A job the cache answers writes nothing, so a fresh
+         job's file is named at its first save: the digest covers the job's
+         JSON, inline text included, and a hit should not pay for it. *)
       let ckpt_path =
         match (p.resume, t.state_dir) with
-        | Some (_, path), _ -> Some path
+        | Some (_, path), _ -> Some (Lazy.from_val path)
         | None, Some dir when Array.length prep.Prep.faults >= t.checkpoint_threshold ->
-            let digest = Store_digest.of_string (Json.to_string (Protocol.json_of_job job)) in
-            Some (Filename.concat dir ("job-" ^ Store_digest.to_hex digest ^ ".ckpt"))
+            Some
+              (lazy
+                (let digest = Store_digest.of_string (Json.to_string (Protocol.json_of_job job)) in
+                 Filename.concat dir ("job-" ^ Store_digest.to_hex digest ^ ".ckpt")))
         | None, _ -> None
       in
       let save =
@@ -224,7 +266,7 @@ let run_job t (p : pending) emit =
           (fun path ->
             ( t.checkpoint_every,
               fun ck ->
-                Checkpoint.save path ck;
+                Checkpoint.save (Lazy.force path) ck;
                 emit "checkpoint" [] ))
           ckpt_path
       in
@@ -236,7 +278,10 @@ let run_job t (p : pending) emit =
       | exception (Invalid_argument _ as e) -> Error (Printexc.to_string e)
       | Error _ as refused -> refused
       | Ok (summary, cached) ->
-          Option.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) ckpt_path;
+          Option.iter
+            (fun path ->
+              if Lazy.is_val path then try Sys.remove (Lazy.force path) with Sys_error _ -> ())
+            ckpt_path;
           let output =
             Experiments.render_summary ~circuit:(Circuit.name circuit) ~scheme:job.scheme
               ~selection:job.selection summary
@@ -248,10 +293,10 @@ let run_job t (p : pending) emit =
                 ("summary", json_of_summary summary);
                 ("output", Json.Str output);
               ] ))
-  | Ok (circuit, _) -> (
+  | Ok (n, _) -> (
       match p.job.Protocol.kind with
-      | Protocol.Tpi params -> run_tpi_job p.job circuit params
-      | Protocol.Equiv params -> run_equiv_job p.job circuit params
+      | Protocol.Tpi params -> run_tpi_job p.job n.circuit params
+      | Protocol.Equiv params -> run_equiv_job t p.job n params
       | Protocol.Stitch -> assert false (* handled by the guarded arm above *))
 
 let execute t (p : pending) =
@@ -548,6 +593,7 @@ let run ?state_dir ?(checkpoint_every = 4) ?(checkpoint_threshold = 1000) ?on_re
           checkpoint_every;
           checkpoint_threshold;
           preps = Hashtbl.create 8;
+          inlines = Hashtbl.create inline_capacity;
           wake_r;
           wake_w;
         }

@@ -27,6 +27,17 @@
     directory under the content-digest name so their checkpoints survive the
     submitting client. *)
 
+val inline_capacity : int
+(** How many inline netlists one daemon lifetime keeps parsed (16). Each
+    job's inline text is digested once and looked up under
+    {!Tvs_harness.Cli.inline_file_name}, the name [--state] persists it
+    under; a text held with equal bytes answers from the table, with its
+    circuit and the scan form an [equiv --scan] job needs, built on first
+    use. A miss parses (counted in [serve.inline.parsed]) and, when the
+    table is full, empties it first. A text that fails to parse is never
+    kept, and spec jobs are never kept: a spec can name a file that changes
+    on disk. *)
+
 type listen =
   | Unix_socket of string
       (** Listen on a Unix-domain socket at this path. A stale socket file

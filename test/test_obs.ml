@@ -247,6 +247,276 @@ let test_json_sort_keys () =
   Alcotest.(check bool) "canonical forms equal" true (Json.sort_keys a = Json.sort_keys b);
   Alcotest.(check bool) "raw forms differ" true (a <> b)
 
+(* --- json parser against its per-byte predecessor ------------------------ *)
+
+(* The parser as it was before [parse_string] copied each run of plain bytes
+   in one step: one [peek] and one [Buffer.add_char] per byte. Kept as the
+   reference for results, error messages and offsets. *)
+module Reference_json = struct
+  open Json
+
+  exception Bad of string
+
+  type cursor = { src : string; mutable pos : int }
+
+  let error cur msg = raise (Bad (Printf.sprintf "%s at offset %d" msg cur.pos))
+
+  let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
+
+  let advance cur = cur.pos <- cur.pos + 1
+
+  let skip_ws cur =
+    let n = String.length cur.src in
+    while
+      cur.pos < n
+      && match cur.src.[cur.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      advance cur
+    done
+
+  let expect cur c =
+    match peek cur with
+    | Some got when got = c -> advance cur
+    | Some got -> error cur (Printf.sprintf "expected %C, found %C" c got)
+    | None -> error cur (Printf.sprintf "expected %C, found end of input" c)
+
+  let literal cur word value =
+    let n = String.length word in
+    if cur.pos + n <= String.length cur.src && String.sub cur.src cur.pos n = word then begin
+      cur.pos <- cur.pos + n;
+      value
+    end
+    else error cur (Printf.sprintf "invalid literal (expected %s)" word)
+
+  let parse_string cur =
+    expect cur '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      match peek cur with
+      | None -> error cur "unterminated string"
+      | Some '"' -> advance cur
+      | Some '\\' -> (
+          advance cur;
+          match peek cur with
+          | None -> error cur "unterminated escape"
+          | Some c ->
+              advance cur;
+              (match c with
+              | '"' -> Buffer.add_char buf '"'
+              | '\\' -> Buffer.add_char buf '\\'
+              | '/' -> Buffer.add_char buf '/'
+              | 'b' -> Buffer.add_char buf '\b'
+              | 'f' -> Buffer.add_char buf '\012'
+              | 'n' -> Buffer.add_char buf '\n'
+              | 'r' -> Buffer.add_char buf '\r'
+              | 't' -> Buffer.add_char buf '\t'
+              | 'u' ->
+                  if cur.pos + 4 > String.length cur.src then error cur "truncated \\u escape";
+                  let hex = String.sub cur.src cur.pos 4 in
+                  let code =
+                    match int_of_string_opt ("0x" ^ hex) with
+                    | Some c -> c
+                    | None -> error cur "invalid \\u escape"
+                  in
+                  cur.pos <- cur.pos + 4;
+                  (* Encode the code point as UTF-8; surrogate pairs are left
+                     as two separate 3-byte encodings (the report and trace
+                     emitters never produce them). *)
+                  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+                  else if code < 0x800 then begin
+                    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                  end
+                  else begin
+                    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+                    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                  end
+              | c -> error cur (Printf.sprintf "invalid escape \\%C" c));
+              go ())
+      | Some c ->
+          advance cur;
+          Buffer.add_char buf c;
+          go ()
+    in
+    go ();
+    Buffer.contents buf
+
+  let parse_number cur =
+    let start = cur.pos in
+    let n = String.length cur.src in
+    let is_num_char c =
+      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+    in
+    while cur.pos < n && is_num_char cur.src.[cur.pos] do
+      advance cur
+    done;
+    let s = String.sub cur.src start (cur.pos - start) in
+    let integral = not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s) in
+    match (integral, int_of_string_opt s, float_of_string_opt s) with
+    | true, Some i, _ -> Int i
+    | _, _, Some f -> Float f
+    | _ -> error cur (Printf.sprintf "invalid number %S" s)
+
+  let rec parse_value cur =
+    skip_ws cur;
+    match peek cur with
+    | None -> error cur "unexpected end of input"
+    | Some 'n' -> literal cur "null" Null
+    | Some 't' -> literal cur "true" (Bool true)
+    | Some 'f' -> literal cur "false" (Bool false)
+    | Some '"' -> Str (parse_string cur)
+    | Some '[' ->
+        advance cur;
+        skip_ws cur;
+        if peek cur = Some ']' then begin
+          advance cur;
+          Arr []
+        end
+        else begin
+          let items = ref [ parse_value cur ] in
+          skip_ws cur;
+          while peek cur = Some ',' do
+            advance cur;
+            items := parse_value cur :: !items;
+            skip_ws cur
+          done;
+          expect cur ']';
+          Arr (List.rev !items)
+        end
+    | Some '{' ->
+        advance cur;
+        skip_ws cur;
+        if peek cur = Some '}' then begin
+          advance cur;
+          Obj []
+        end
+        else begin
+          let pair () =
+            skip_ws cur;
+            let k = parse_string cur in
+            skip_ws cur;
+            expect cur ':';
+            let v = parse_value cur in
+            (k, v)
+          in
+          let members = ref [ pair () ] in
+          skip_ws cur;
+          while peek cur = Some ',' do
+            advance cur;
+            members := pair () :: !members;
+            skip_ws cur
+          done;
+          expect cur '}';
+          Obj (List.rev !members)
+        end
+    | Some ('-' | '0' .. '9') -> parse_number cur
+    | Some c -> error cur (Printf.sprintf "unexpected character %C" c)
+
+  let parse s =
+    let cur = { src = s; pos = 0 } in
+    match parse_value cur with
+    | v ->
+        skip_ws cur;
+        if cur.pos <> String.length s then
+          Error (Printf.sprintf "trailing garbage at offset %d" cur.pos)
+        else Ok v
+    | exception Bad msg -> Error msg
+end
+
+(* Bytes that take every path through a JSON string: plain letters, control
+   bytes, quotes, backslashes, the letters of escapes and non-ASCII. *)
+let json_byte =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, char_range 'a' 'z');
+        (2, char_range '\000' '\031');
+        (2, oneofl [ '"'; '\\'; '/'; 'u'; 'n'; '0'; 'F'; '_'; ' ' ]);
+        (2, char_range '\128' '\255');
+      ])
+
+let json_tree =
+  let open QCheck.Gen in
+  let str = string_size ~gen:json_byte (int_bound 12) in
+  let leaf =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (2, map (fun i -> Json.Int i) int);
+        (1, map (fun f -> Json.Float f) float);
+        (5, map (fun s -> Json.Str s) str);
+      ]
+  in
+  let rec value depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (3, leaf);
+          (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (value (depth - 1))));
+          (1, map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair str (value (depth - 1)))));
+        ]
+  in
+  value 3
+
+(* An edit of a printed document. Inserted snippets are escapes, good and
+   bad, including [\u] escapes of every UTF-8 length. *)
+type json_edit = Truncate of int | Replace of int * char | Insert of int * string
+
+let json_edit =
+  QCheck.Gen.(
+    let pos = int_bound 4096 in
+    frequency
+      [
+        (1, map (fun k -> Truncate k) pos);
+        (2, map2 (fun k c -> Replace (k, c)) pos json_byte);
+        ( 2,
+          map2
+            (fun k s -> Insert (k, s))
+            pos
+            (oneofl
+               [
+                 "\\u0041"; "\\u00e9"; "\\u4E2D"; "\\uD83D"; "\\u001f"; "\\u00"; "\\uZZZZ";
+                 "\\u1_23"; "\\/"; "\\b"; "\\f"; "\\x"; "\\"; "\""; "\xc3\xa9";
+               ]) );
+      ])
+
+let apply_json_edit text = function
+  | Truncate k -> String.sub text 0 (k mod (String.length text + 1))
+  | Replace (_, _) when text = "" -> text
+  | Replace (k, c) ->
+      let b = Bytes.of_string text in
+      Bytes.set b (k mod Bytes.length b) c;
+      Bytes.to_string b
+  | Insert (k, s) ->
+      let k = k mod (String.length text + 1) in
+      String.sub text 0 k ^ s ^ String.sub text k (String.length text - k)
+
+let qcheck_json_parse_matches_reference =
+  QCheck.Test.make ~name:"Json.parse equals the per-byte parser, errors and offsets included"
+    ~count:3000
+    (QCheck.make
+       ~print:(fun (v, _) -> Json.to_string v)
+       QCheck.Gen.(pair json_tree (list_size (int_range 1 3) json_edit)))
+    (fun (v, edits) ->
+      let printed = Json.to_string v in
+      let texts =
+        printed
+        :: List.fold_left apply_json_edit printed edits
+        :: List.map (apply_json_edit printed) edits
+      in
+      List.iter
+        (fun text ->
+          let got = Json.parse text and want = Reference_json.parse text in
+          if compare got want <> 0 then
+            QCheck.Test.fail_reportf "parsers differ on %S:\n got  %s\n want %s" text
+              (match got with Ok j -> Json.to_string j | Error m -> "error: " ^ m)
+              (match want with Ok j -> Json.to_string j | Error m -> "error: " ^ m))
+        texts;
+      true)
+
 let () =
   Alcotest.run "obs"
     [
@@ -274,5 +544,6 @@ let () =
           Alcotest.test_case "print/parse round trip" `Quick test_json_roundtrip;
           Alcotest.test_case "malformed documents rejected" `Quick test_json_errors;
           Alcotest.test_case "sort_keys canonicalizes" `Quick test_json_sort_keys;
+          QCheck_alcotest.to_alcotest qcheck_json_parse_matches_reference;
         ] );
     ]

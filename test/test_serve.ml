@@ -570,17 +570,59 @@ let test_server_cached_job_writes_no_checkpoint () =
           Alcotest.(check (list string)) "no .ckpt file left" [] (ckpt_files ());
           close_out_noerr oc))
 
+(* --- inline netlists ---------------------------------------------------- *)
+
+(* A self-contained sequential netlist, as .bench and as structural
+   Verilog. *)
+let inline_seq_text = "INPUT(a)\nOUTPUT(y)\nf = DFF(g)\ng = NAND(a, f)\ny = NOT(f)\n"
+
+let inline_verilog_text =
+  "module inline_v (a, clk, y);\n  input a, clk;\n  output y;\n  wire f, g;\n\
+   \  tvs_dff ff (.q(f), .d(g), .clk(clk));\n  nand u1 (g, a, f);\n\
+   \  not u2 (y, f);\nendmodule\n"
+
+(* [serve.inline.parsed], read over the metrics verb. *)
+let parsed_count ic oc =
+  Protocol.write_frame oc (Protocol.json_of_request Protocol.Metrics);
+  match Json.member "metrics" (next_event ic) with
+  | Some (Json.Arr ms) -> (
+      match List.find_opt (fun m -> str_field "name" m = Some "serve.inline.parsed") ms with
+      | Some m -> (
+          match Json.member "value" m with
+          | Some (Json.Int n) -> n
+          | _ -> Alcotest.fail "serve.inline.parsed without an integer value")
+      | None -> Alcotest.fail "metrics event without serve.inline.parsed")
+  | _ -> Alcotest.fail "metrics event without a registry"
+
+let inline_stitch ?format ?(label = "cli") text =
+  { (Protocol.default_job (Protocol.Bench text)) with Protocol.format; label }
+
+let inline_equiv text =
+  Protocol.default_job ~kind:(Protocol.Equiv Protocol.default_equiv_params) (Protocol.Bench text)
+
+(* What `tvs stitch` and `tvs equiv --scan` print for an inline text. *)
+let stitch_reference ?(label = "cli") text =
+  let c = Result.get_ok (Cli.inline_circuit text) in
+  Experiments.render_summary ~circuit:(Circuit.name c) ~scheme:Xor_scheme.Nxor
+    ~selection:(Policy.Most_faults 5)
+    (Experiments.run_flow ~label (Prep.of_circuit c))
+
+let equiv_reference text =
+  let module Cec = Tvs_cec.Cec in
+  let c = Result.get_ok (Cli.inline_circuit text) in
+  Cec.to_ascii (Cec.check c (Tvs_netlist.Scan_insert.insert c).Tvs_netlist.Scan_insert.circuit)
+
+(* A done event without its job id, for comparing the responses to two
+   submissions of one job. *)
+let response j =
+  match j with
+  | Json.Obj fields -> Json.to_string (Json.Obj (List.remove_assoc "id" fields))
+  | _ -> Alcotest.fail "done event is not an object"
+
 let test_server_inline_bench () =
-  (* A self-contained sequential netlist: inline jobs must work without any
-     file on the server side. *)
-  let text = "INPUT(a)\nOUTPUT(y)\nf = DFF(g)\ng = NAND(a, f)\ny = NOT(f)\n" in
-  let expected =
-    let c = Result.get_ok (Cli.inline_circuit text) in
-    let prep = Prep.of_circuit c in
-    let r = Experiments.run_flow ~label:"cli" prep in
-    Experiments.render_summary ~circuit:(Circuit.name c) ~scheme:Xor_scheme.Nxor
-      ~selection:(Policy.Most_faults 5) r
-  in
+  (* Inline jobs must work without any file on the server side. *)
+  let text = inline_seq_text in
+  let expected = stitch_reference text in
   with_server (fun sock ->
       let ic, oc = connect sock in
       (match submit_and_wait ic oc (Protocol.default_job (Protocol.Bench text)) with
@@ -598,18 +640,8 @@ let test_server_inline_verilog () =
   (* The same sequential netlist as the inline-bench test, written in
      structural Verilog and auto-detected from the content — no format
      field, no file. *)
-  let text =
-    "module inline_v (a, clk, y);\n  input a, clk;\n  output y;\n  wire f, g;\n\
-     \  tvs_dff ff (.q(f), .d(g), .clk(clk));\n  nand u1 (g, a, f);\n\
-     \  not u2 (y, f);\nendmodule\n"
-  in
-  let expected =
-    let c = Result.get_ok (Cli.inline_circuit text) in
-    let prep = Prep.of_circuit c in
-    let r = Experiments.run_flow ~label:"cli" prep in
-    Experiments.render_summary ~circuit:(Circuit.name c) ~scheme:Xor_scheme.Nxor
-      ~selection:(Policy.Most_faults 5) r
-  in
+  let text = inline_verilog_text in
+  let expected = stitch_reference text in
   with_server (fun sock ->
       let ic, oc = connect sock in
       (match submit_and_wait ic oc (Protocol.default_job (Protocol.Bench text)) with
@@ -627,6 +659,122 @@ let test_server_inline_verilog () =
        with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "verilog text served as .bench");
+      close_out_noerr oc)
+
+(* Nine jobs on one text, three of each kind: one parse answers them all,
+   the equiv jobs share one scan form, and every response is the first
+   one of its kind and the in-process rendering. *)
+let test_server_inline_parsed_once () =
+  let text = inline_seq_text in
+  let kinds =
+    [
+      ("equiv --scan", inline_equiv text, equiv_reference text);
+      ("stitch cli", inline_stitch text, stitch_reference text);
+      ("stitch other", inline_stitch ~label:"other" text, stitch_reference ~label:"other" text);
+    ]
+  in
+  with_server (fun sock ->
+      let ic, oc = connect sock in
+      let p0 = parsed_count ic oc in
+      let first = Hashtbl.create 3 in
+      for round = 1 to 3 do
+        List.iter
+          (fun (kind, job, expected) ->
+            let what = Printf.sprintf "%s, round %d" kind round in
+            match submit_and_wait ic oc job with
+            | Error m -> Alcotest.failf "%s failed: %s" what m
+            | Ok j -> (
+                Alcotest.(check string) (what ^ ": output matches the in-process run") expected
+                  (Option.value ~default:"" (str_field "output" j));
+                match Hashtbl.find_opt first kind with
+                | None -> Hashtbl.add first kind (response j)
+                | Some r -> Alcotest.(check string) (what ^ ": response equals the first") r (response j)))
+          kinds
+      done;
+      Alcotest.(check int) "one parse for nine jobs" (p0 + 1) (parsed_count ic oc);
+      close_out_noerr oc)
+
+(* The resolved format is part of the key: a .bench text forced to Verilog
+   is its own entry with its own parse (which fails), while an explicit
+   format equal to the detected one shares the detected entry. *)
+let test_server_inline_format_keys () =
+  let verilog = inline_verilog_text in
+  let bench_out = stitch_reference inline_seq_text and verilog_out = stitch_reference verilog in
+  with_server (fun sock ->
+      let ic, oc = connect sock in
+      let p0 = parsed_count ic oc in
+      let served what expected parsed job =
+        (match submit_and_wait ic oc job with
+        | Error m -> Alcotest.failf "%s failed: %s" what m
+        | Ok j ->
+            Alcotest.(check string) (what ^ ": output") expected
+              (Option.value ~default:"" (str_field "output" j)));
+        Alcotest.(check int) (what ^ ": parses so far") (p0 + parsed) (parsed_count ic oc)
+      in
+      served ".bench, detected" bench_out 1 (inline_stitch inline_seq_text);
+      served ".bench, format bench" bench_out 1
+        (inline_stitch ~format:Tvs_verilog.Loader.Bench inline_seq_text);
+      (match
+         submit_and_wait ic oc (inline_stitch ~format:Tvs_verilog.Loader.Verilog inline_seq_text)
+       with
+      | Error m ->
+          Alcotest.(check bool) (".bench as verilog: a Verilog parse error: " ^ m) true
+            (String.starts_with ~prefix:"inline netlist, line 1:" m)
+      | Ok _ -> Alcotest.fail ".bench text served as Verilog");
+      Alcotest.(check int) ".bench as verilog: its own parse" (p0 + 2) (parsed_count ic oc);
+      served "verilog, detected" verilog_out 3 (inline_stitch verilog);
+      served "verilog, format verilog" verilog_out 3
+        (inline_stitch ~format:Tvs_verilog.Loader.Verilog verilog);
+      close_out_noerr oc)
+
+(* A text that fails to parse is not kept: the same error every time, and
+   a parse every time. *)
+let test_server_inline_errors_not_kept () =
+  with_server (fun sock ->
+      let ic, oc = connect sock in
+      let p0 = parsed_count ic oc in
+      let errors =
+        List.init 3 (fun _ ->
+            match submit_and_wait ic oc (inline_stitch "y = NOT(\n") with
+            | Error m -> m
+            | Ok _ -> Alcotest.fail "malformed netlist served")
+      in
+      Alcotest.(check (list string)) "the same error three times"
+        (List.init 3 (fun _ -> List.hd errors))
+        errors;
+      Alcotest.(check int) "three parses" (p0 + 3) (parsed_count ic oc);
+      close_out_noerr oc)
+
+(* One text more than the table holds: the last insertion empties the
+   table, so the first text parses again, with the same response, while
+   the last one is still held. *)
+let test_server_inline_table_resets () =
+  let texts =
+    Array.init (Server.inline_capacity + 1) (fun k ->
+        Printf.sprintf "# variant %d\n%s" k inline_seq_text)
+  in
+  let last = Array.length texts - 1 in
+  with_server (fun sock ->
+      let ic, oc = connect sock in
+      let submit k =
+        match submit_and_wait ic oc (inline_equiv texts.(k)) with
+        | Error m -> Alcotest.failf "text %d failed: %s" k m
+        | Ok j -> j
+      in
+      let p0 = parsed_count ic oc in
+      let first = Array.init (Array.length texts) submit in
+      Alcotest.(check int) "one parse per text" (p0 + Array.length texts) (parsed_count ic oc);
+      Alcotest.(check string) "first text: output matches the in-process run"
+        (equiv_reference texts.(0))
+        (Option.value ~default:"" (str_field "output" first.(0)));
+      Alcotest.(check string) "first text again: same response" (response first.(0))
+        (response (submit 0));
+      Alcotest.(check int) "first text again: parsed again" (p0 + Array.length texts + 1)
+        (parsed_count ic oc);
+      Alcotest.(check string) "last text again: same response" (response first.(last))
+        (response (submit last));
+      Alcotest.(check int) "last text again: still held" (p0 + Array.length texts + 1)
+        (parsed_count ic oc);
       close_out_noerr oc)
 
 (* Crash recovery: a checkpoint left behind by a killed server is replayed
@@ -814,6 +962,13 @@ let () =
           Alcotest.test_case "damaged cache entry recomputed" `Quick test_server_damaged_entry;
           Alcotest.test_case "inline netlist jobs" `Quick test_server_inline_bench;
           Alcotest.test_case "inline verilog jobs" `Quick test_server_inline_verilog;
+          Alcotest.test_case "inline text parsed once" `Quick test_server_inline_parsed_once;
+          Alcotest.test_case "inline format is part of the key" `Quick
+            test_server_inline_format_keys;
+          Alcotest.test_case "inline parse errors not kept" `Quick
+            test_server_inline_errors_not_kept;
+          Alcotest.test_case "inline table resets when full" `Quick
+            test_server_inline_table_resets;
           Alcotest.test_case "cached job writes no checkpoint" `Quick
             test_server_cached_job_writes_no_checkpoint;
           Alcotest.test_case "checkpoint recovery at startup" `Quick test_server_recovery;

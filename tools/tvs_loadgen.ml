@@ -11,6 +11,7 @@
      --one SPEC        submit one job, print its "output" bytes to stdout
      --one-bench FILE  same, submitting FILE's contents as an inline netlist
      --status          print the server's status event JSON
+     --metrics         print the server's metrics event JSON
      --wait-idle       poll status until the queue is empty and nothing runs
      --shutdown        ask the server to drain and exit *)
 
@@ -30,6 +31,7 @@ let verify = ref false
 let one = ref ""
 let one_bench = ref ""
 let status = ref false
+let metrics = ref false
 let wait_idle = ref false
 let shutdown = ref false
 
@@ -44,6 +46,7 @@ let specs =
     ("--one", Arg.Set_string one, "SPEC submit one job and print its output to stdout");
     ("--one-bench", Arg.Set_string one_bench, "FILE submit FILE as an inline netlist job");
     ("--status", Arg.Set status, " print the server's status event and exit");
+    ("--metrics", Arg.Set metrics, " print the server's metrics event and exit");
     ("--wait-idle", Arg.Set wait_idle, " poll status until the server is idle");
     ("--shutdown", Arg.Set shutdown, " ask the server to drain its queue and exit");
   ]
@@ -192,10 +195,13 @@ let run_wait_idle () =
 
 let () =
   Arg.parse specs (fun a -> die "unexpected argument %S" a) usage;
-  if !status then
-    match request_event Protocol.Status "status" with
+  let print_event verb name =
+    match request_event verb name with
     | Ok j -> print_endline (Json.to_string j)
-    | Error m -> die "status failed: %s" m
+    | Error m -> die "%s failed: %s" name m
+  in
+  if !status then print_event Protocol.Status "status"
+  else if !metrics then print_event Protocol.Metrics "metrics"
   else if !wait_idle then run_wait_idle ()
   else if !shutdown then
     match request_event Protocol.Shutdown "shutting-down" with
