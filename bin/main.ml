@@ -812,7 +812,8 @@ let serve_cmd =
   in
   let port_arg =
     let doc = "Listen on 127.0.0.1 at TCP port $(docv)." in
-    Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc)
+    Arg.(value & opt (some (Cli.int_conv ~docv:"PORT" Cli.check_port)) None
+         & info [ "port" ] ~docv:"PORT" ~doc)
   in
   let state_arg =
     let doc =
@@ -827,7 +828,10 @@ let serve_cmd =
       "Minimum collapsed-fault count for a job to checkpoint at all (smaller jobs rerun cheaper \
        than they checkpoint). Needs $(b,--state)."
     in
-    Arg.(value & opt int 1000 & info [ "checkpoint-threshold" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (Cli.int_conv ~docv:"N" (Cli.check_non_negative "--checkpoint-threshold")) 1000
+      & info [ "checkpoint-threshold" ] ~docv:"N" ~doc)
   in
   let run () () () socket port state every threshold =
     let listen =
@@ -841,10 +845,6 @@ let serve_cmd =
           prerr_endline "tvs: serve needs --socket PATH or --port PORT";
           exit Cmd.Exit.cli_error
     in
-    if threshold < 0 then begin
-      prerr_endline "tvs: --checkpoint-threshold must be >= 0";
-      exit Cmd.Exit.cli_error
-    end;
     match
       Tvs_serve.Server.run ?state_dir:state ~checkpoint_every:every
         ~checkpoint_threshold:threshold

@@ -6,19 +6,6 @@ module Sat = Tvs_util.Sat
 
 type result = Detected of Cube.t | Untestable | Unknown
 
-(* CNF construction state: variable 0 is unused; net [n]'s fault-free copy
-   is variable [n + 1]; further variables are allocated on demand. *)
-type builder = { mutable nvars : int; mutable clauses : int list list }
-
-let fresh b =
-  b.nvars <- b.nvars + 1;
-  b.nvars
-
-let add b clause = b.clauses <- clause :: b.clauses
-
-let encode_gate b ~out kind ins =
-  Tseitin.encode_gate ~fresh:(fun () -> fresh b) ~add:(add b) ~out kind ins
-
 (* The fault's combinational output cone (as in Podem.mark_tfo). *)
 let fanout_cone c (fault : Fault.t) =
   let cone = Hashtbl.create 64 in
@@ -45,16 +32,17 @@ let fanout_cone c (fault : Fault.t) =
   (cone, obs_flops)
 
 let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
-  let n = Circuit.num_nets c in
-  let b = { nvars = n; clauses = [] } in
+  (* Net [n]'s fault-free copy is variable [n + 1]; the faulty cone and the
+     difference variables are allocated after them. *)
+  let cnf = Tseitin.create ~nvars:(Circuit.num_nets c) () in
   let good net = net + 1 in
   (* Fault-free copy: the whole combinational core. *)
   Array.iter
     (fun net ->
       match Circuit.driver c net with
       | Circuit.Gate_node (kind, ins) ->
-          encode_gate b ~out:(good net) kind (Array.to_list (Array.map good ins))
-      | Circuit.Const v -> add b [ (if v then good net else -(good net)) ]
+          Tseitin.gate cnf ~out:(good net) kind (Array.to_list (Array.map good ins))
+      | Circuit.Const v -> Tseitin.add cnf [ (if v then good net else -(good net)) ]
       | Circuit.Primary_input | Circuit.Flip_flop _ -> ())
     (Circuit.topo_order c);
   (* Scan-cell constraints. *)
@@ -68,8 +56,8 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
         (fun i v ->
           match v with
           | Ternary.X -> ()
-          | Ternary.One -> add b [ good flops.(i) ]
-          | Ternary.Zero -> add b [ -(good flops.(i)) ])
+          | Ternary.One -> Tseitin.add cnf [ good flops.(i) ]
+          | Ternary.Zero -> Tseitin.add cnf [ -(good flops.(i)) ])
         arr);
   (* Faulty copy over the cone. *)
   let cone, obs_flops = fanout_cone c fault in
@@ -78,7 +66,7 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
     match Hashtbl.find_opt faulty_var net with
     | Some v -> v
     | None ->
-        let v = fresh b in
+        let v = Tseitin.fresh cnf in
         Hashtbl.add faulty_var net v;
         v
   in
@@ -89,15 +77,15 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
       match fault.branch with Some (s, p) -> s = sink && p = pin | None -> false
     in
     if is_branch then begin
-      let v = fresh b in
-      add b [ stuck_lit v ];
+      let v = Tseitin.fresh cnf in
+      Tseitin.add cnf [ stuck_lit v ];
       v
     end
     else if (fault.branch = None && src = fault.stem) || Hashtbl.mem cone src then faulty src
     else good src
   in
   (match fault.branch with
-  | None -> add b [ stuck_lit (faulty fault.stem) ]
+  | None -> Tseitin.add cnf [ stuck_lit (faulty fault.stem) ]
   | Some _ -> ());
   Array.iter
     (fun net ->
@@ -105,14 +93,14 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
         match Circuit.driver c net with
         | Circuit.Gate_node (kind, ins) ->
             let f_ins = Array.to_list (Array.mapi (fun pin src -> faulty_input ~sink:net ~pin src) ins) in
-            encode_gate b ~out:(faulty net) kind f_ins
+            Tseitin.gate cnf ~out:(faulty net) kind f_ins
         | Circuit.Primary_input | Circuit.Flip_flop _ | Circuit.Const _ -> ())
     (Circuit.topo_order c);
   (* Detection: some observation point differs. *)
   let diffs = ref [] in
   let add_diff glit flit =
-    let d = fresh b in
-    Tseitin.encode_xor2 ~add:(add b) d glit flit;
+    let d = Tseitin.fresh cnf in
+    Tseitin.xor2 cnf d glit flit;
     diffs := d :: !diffs
   in
   Array.iter
@@ -132,8 +120,8 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
             let flit =
               match fault.branch with
               | Some (sink, pin) when sink = fnet && pin = 0 ->
-                  let v = fresh b in
-                  add b [ stuck_lit v ];
+                  let v = Tseitin.fresh cnf in
+                  Tseitin.add cnf [ stuck_lit v ];
                   v
               | Some _ | None ->
                   if Hashtbl.mem cone d || (fault.branch = None && d = fault.stem) then faulty d
@@ -145,12 +133,12 @@ let generate_stats ?constraints ?(max_decisions = 200_000) c (fault : Fault.t) =
     (Circuit.flops c);
   if !diffs = [] then (Untestable, Sat.no_stats)
   else begin
-    add b !diffs;
+    Tseitin.add cnf !diffs;
     let decision_order =
       Array.to_list (Array.map good (Circuit.inputs c))
       @ Array.to_list (Array.map good (Circuit.flops c))
     in
-    match Sat.solve_stats ~decision_order ~max_decisions ~nvars:b.nvars b.clauses with
+    match Tseitin.solve ~decision_order ~max_decisions cnf with
     | Sat.Unknown, stats -> (Unknown, stats)
     | Sat.Unsat, stats -> (Untestable, stats)
     | Sat.Sat model, stats ->

@@ -1,4 +1,5 @@
 module Circuit = Tvs_netlist.Circuit
+module Gate = Tvs_netlist.Gate
 module Sat = Tvs_util.Sat
 module Pool = Tvs_util.Pool
 module Rng = Tvs_util.Rng
@@ -227,6 +228,19 @@ let sig_key words =
   Array.iter (fun w -> Buffer.add_string b (string_of_int w ^ ",")) words;
   Buffer.contents b
 
+(* A net's signature class: the key of its canonicalized words, and whether
+   the net is the complement of the class's stored form. *)
+let class_of sigs n =
+  let words, phase = canonicalize sigs.(n) in
+  (sig_key words, phase)
+
+(* A class index keeps the first four members of each class, in the order
+   they were added: the candidates a proof step tries. *)
+let add_member index sigs n =
+  let key, phase = class_of sigs n in
+  let prior = try Hashtbl.find index key with Not_found -> [] in
+  if List.length prior < 4 then Hashtbl.replace index key (prior @ [ (n, phase) ])
+
 let simulate ~(options : options) ~m left right =
   let rounds = max 1 options.vectors in
   let nl = Circuit.num_nets left and nr = Circuit.num_nets right in
@@ -284,52 +298,51 @@ let simulate ~(options : options) ~m left right =
    bulk of a transformed netlist outright, leaving SAT for the genuinely
    rewritten spots; without it, the per-output miter of two identical wide
    cones is exponential for a chronological DPLL. *)
-type skey = K of Tvs_netlist.Gate.kind * int list | X of int list
+type skey = K of Gate.kind * int list | X of int list
 
 let signed_lit (l, neg) = if neg then -(l + 1) else l + 1
 
-let struct_key kind signed =
+(* The signed left literal that a gate of [kind] over the signed left
+   fanin literals [signed] computes, when structure alone decides it: BUF
+   forwards and NOT negates its one fanin, and a gate of the same kind over
+   the same literals is found in [tbl]. [Error] carries the table key of a
+   miss, with the gate's output parity. *)
+let struct_lookup ~canon tbl kind signed =
+  let find key parity =
+    match Hashtbl.find_opt tbl key with
+    | Some (rep, rep_parity) ->
+        (* the table entry may itself have been merged into another
+           representative by the left self-sweep *)
+        let rep', p' = canon.(rep) in
+        Ok (rep', p' <> rep_parity <> parity)
+    | None -> Error (key, parity)
+  in
   match kind with
-  | Tvs_netlist.Gate.And | Tvs_netlist.Gate.Nand | Tvs_netlist.Gate.Or | Tvs_netlist.Gate.Nor
-    ->
-      Some (K (kind, List.sort compare (List.map signed_lit signed)), false)
-  | Tvs_netlist.Gate.Xor | Tvs_netlist.Gate.Xnor ->
+  | Gate.Buf -> Ok (List.hd signed)
+  | Gate.Not ->
+      let l, p = List.hd signed in
+      Ok (l, not p)
+  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor ->
+      find (K (kind, List.sort compare (List.map signed_lit signed))) false
+  | Gate.Xor | Gate.Xnor ->
       let parity =
-        List.fold_left
-          (fun p (_, neg) -> if neg then not p else p)
-          (kind = Tvs_netlist.Gate.Xnor) signed
+        List.fold_left (fun p (_, neg) -> if neg then not p else p) (kind = Gate.Xnor) signed
       in
-      Some (X (List.sort compare (List.map fst signed)), parity)
-  | Tvs_netlist.Gate.Buf | Tvs_netlist.Gate.Not -> None
+      find (X (List.sort compare (List.map fst signed))) parity
 
-let struct_match ~canon ~tbl ~m ~subst right r =
-  match Circuit.driver right r with
-  | Circuit.Gate_node (kind, ins) -> (
-      let map f =
-        if m.source_map.(f) >= 0 then Some canon.(m.source_map.(f)) else subst.(f)
-      in
-      let rec all acc = function
-        | [] -> Some (List.rev acc)
-        | f :: rest -> ( match map f with Some s -> all (s :: acc) rest | None -> None)
-      in
-      match all [] (Array.to_list ins) with
-      | None -> None
-      | Some signed -> (
-          match (kind, signed) with
-          | Tvs_netlist.Gate.Buf, [ s ] -> Some s
-          | Tvs_netlist.Gate.Not, [ (l, p) ] -> Some (l, not p)
-          | _ -> (
-              match struct_key kind signed with
-              | None -> None
-              | Some (key, parity) -> (
-                  match Hashtbl.find_opt tbl key with
-                  | Some (rep, rep_parity) ->
-                      (* the table entry may itself have been merged into
-                         another representative by the left self-sweep *)
-                      let rep', p' = canon.(rep) in
-                      Some (rep', p' <> rep_parity <> parity)
-                  | None -> None))))
-  | _ -> None
+type effort = { mutable calls : int; mutable decisions : int; mutable propagations : int }
+
+let tally e (st : Sat.stats) =
+  e.calls <- e.calls + 1;
+  e.decisions <- e.decisions + st.decisions;
+  e.propagations <- e.propagations + st.propagations
+
+type swept = {
+  canon : (Circuit.net * bool) array;
+  subst : (Circuit.net * bool) option array;
+  classes : int;
+  proved : int;
+}
 
 (* SAT-sweep the internal nets, in two passes over one signature space.
 
@@ -345,25 +358,35 @@ let struct_match ~canon ~tbl ~m ~subst right r =
    free, and every remaining right gate net whose signature class contains
    a left net is a candidate; an UNSAT cone-local miter promotes the pair
    into the substitution table, shrinking every later cone. *)
-let sweep ~(options : options) ~m left right sig_l sig_r =
+let sweep ~(options : options) ~m ~effort left right sig_l sig_r =
   let budget = max 2_000 (options.budget / 100) in
-  let index = Hashtbl.create 256 in
-  let add_candidate n (words : int array array) =
-    let canon, phase = canonicalize words.(n) in
-    let key = sig_key canon in
-    let prior = try Hashtbl.find index key with Not_found -> [] in
-    if List.length prior < 4 then Hashtbl.replace index key (prior @ [ (n, phase) ])
-  in
-  Array.iter (fun n -> add_candidate n sig_l) (Circuit.inputs left);
-  Array.iter (fun n -> add_candidate n sig_l) (Circuit.flops left);
-  Array.iter (fun n -> add_candidate n sig_l) (Circuit.topo_order left);
-  let subst = Array.make (Circuit.num_nets right) None in
-  let classes = Hashtbl.create 64 in
-  let proved = ref 0 and calls = ref 0 and decisions = ref 0 and propagations = ref 0 in
-  let count (st : Sat.stats) =
-    incr calls;
-    decisions := !decisions + st.Sat.decisions;
-    propagations := !propagations + st.Sat.propagations
+  let nl = Circuit.num_nets left in
+  let canon = Array.init nl (fun i -> (i, false)) in
+  let classes = Hashtbl.create 64 and proved = ref 0 in
+  (* The proof step: try at most two members of [net]'s class in [index],
+     each with a fresh miter, and return the first one proven equal to
+     [net] as a canonical left literal, so that later structural lookups
+     keep resolving through it. *)
+  let prove index sigs miter net =
+    let key, phase_n = class_of sigs net in
+    match Hashtbl.find_opt index key with
+    | None -> None
+    | Some candidates ->
+        Hashtbl.replace classes key ();
+        let rec attempt tried = function
+          | (l, phase_l) :: rest when tried < 2 -> (
+              let phase = phase_l <> phase_n in
+              let v, st = Miter.check_pair (miter ()) ~budget ~left:l ~right:net ~phase in
+              tally effort st;
+              match v with
+              | Miter.Proven ->
+                  incr proved;
+                  let rep, rep_phase = canon.(l) in
+                  Some (rep, rep_phase <> phase)
+              | Miter.Refuted _ | Miter.Undecided -> attempt (tried + 1) rest)
+          | _ -> None
+        in
+        attempt 0 candidates
   in
   (* Pass one: canonicalize the left circuit. One topological walk folds
      BUF/NOT chains, collapses structural duplicates (same kind over the
@@ -375,9 +398,8 @@ let sweep ~(options : options) ~m left right sig_l sig_r =
      final representative (candidates are never re-merged), so consumers
      resolve in one step. [selfsubst] lets a proof miter borrow the
      already-encoded canonical literal for every fanin, so each attempt
-     encodes exactly one new gate on its right side. *)
-  let nl = Circuit.num_nets left in
-  let canon = Array.init nl (fun i -> (i, false)) in
+     encodes exactly one new gate on its right side. The class index holds
+     representatives only, each added once its own proof step has failed. *)
   let struct_tbl = Hashtbl.create 256 in
   let id_source_map =
     Array.init nl (fun n ->
@@ -386,108 +408,59 @@ let sweep ~(options : options) ~m left right sig_l sig_r =
         | Circuit.Gate_node _ | Circuit.Const _ -> -1)
   in
   let selfsubst = Array.make nl None in
-  let lindex = Hashtbl.create 256 in
-  let class_of n =
-    let words, phase = canonicalize sig_l.(n) in
-    (sig_key words, phase)
+  let self_miter () =
+    Miter.create ~left ~right:left ~canon ~source_map:id_source_map ~subst:selfsubst
+      ~tie_left:m.tie_left ~tie_right:m.tie_left ()
   in
-  let add_rep n =
-    let key, phase = class_of n in
-    let prior = try Hashtbl.find lindex key with Not_found -> [] in
-    if List.length prior < 4 then Hashtbl.replace lindex key (prior @ [ (n, phase) ])
-  in
-  Array.iter add_rep (Circuit.inputs left);
-  Array.iter add_rep (Circuit.flops left);
+  let reps = Hashtbl.create 256 in
+  Array.iter (add_member reps sig_l) (Circuit.inputs left);
+  Array.iter (add_member reps sig_l) (Circuit.flops left);
   Array.iter
     (fun g ->
       (match Circuit.driver left g with
       | Circuit.Gate_node (kind, ins) -> (
           let signed = List.map (fun f -> canon.(f)) (Array.to_list ins) in
-          (match (kind, signed) with
-          | Tvs_netlist.Gate.Buf, [ s ] -> canon.(g) <- s
-          | Tvs_netlist.Gate.Not, [ (l, p) ] -> canon.(g) <- (l, not p)
-          | _ -> (
-              match struct_key kind signed with
-              | None -> ()
-              | Some (key, parity) -> (
-                  match Hashtbl.find_opt struct_tbl key with
-                  | Some (rep, rep_parity) ->
-                      let rep', p' = canon.(rep) in
-                      canon.(g) <- (rep', p' <> rep_parity <> parity)
-                  | None -> Hashtbl.add struct_tbl key (g, parity))));
-          if fst canon.(g) = g then begin
-            let key, phase_g = class_of g in
-            (match Hashtbl.find_opt lindex key with
-            | None -> ()
-            | Some candidates ->
-                Hashtbl.replace classes key ();
-                let tried = ref 0 in
-                List.iter
-                  (fun (l, phase_l) ->
-                    if fst canon.(g) = g && l <> g && !tried < 2 then begin
-                      incr tried;
-                      let miter =
-                        Miter.create ~left ~right:left ~canon ~source_map:id_source_map
-                          ~subst:selfsubst ~tie_left:m.tie_left ~tie_right:m.tie_left ()
-                      in
-                      let phase = phase_l <> phase_g in
-                      let v, st = Miter.check_pair miter ~budget ~left:l ~right:g ~phase in
-                      count st;
-                      match v with
-                      | Miter.Proven ->
-                          canon.(g) <- (l, phase);
-                          incr proved
-                      | Miter.Refuted _ | Miter.Undecided -> ()
-                    end)
-                  candidates);
-            if fst canon.(g) = g then add_rep g
-          end)
+          (match struct_lookup ~canon struct_tbl kind signed with
+          | Ok s -> canon.(g) <- s
+          | Error (key, parity) -> Hashtbl.add struct_tbl key (g, parity));
+          if fst canon.(g) = g then
+            match prove reps sig_l self_miter g with
+            | Some s -> canon.(g) <- s
+            | None -> add_member reps sig_l g)
       | _ -> ());
       selfsubst.(g) <- Some canon.(g))
     (Circuit.topo_order left);
-  (* Pass two: sweep the right circuit against the merged left space. *)
+  (* Pass two: sweep the right circuit against the merged left space, every
+     left net a candidate. *)
+  let index = Hashtbl.create 256 in
+  Array.iter (add_member index sig_l) (Circuit.inputs left);
+  Array.iter (add_member index sig_l) (Circuit.flops left);
+  Array.iter (add_member index sig_l) (Circuit.topo_order left);
+  let subst = Array.make (Circuit.num_nets right) None in
+  let miter () =
+    Miter.create ~left ~right ~canon ~source_map:m.source_map ~subst ~tie_left:m.tie_left
+      ~tie_right:m.tie_right ()
+  in
+  (* A right net's signed left literal, for a matched source or a net
+     already substituted. *)
+  let resolved f = if m.source_map.(f) >= 0 then Some canon.(m.source_map.(f)) else subst.(f) in
   Array.iter
     (fun r ->
       match Circuit.driver right r with
-      | Circuit.Gate_node _ when m.source_map.(r) < 0 -> (
-          match struct_match ~canon ~tbl:struct_tbl ~m ~subst right r with
-          | Some (l, phase) ->
-              subst.(r) <- Some (l, phase);
+      | Circuit.Gate_node (kind, ins) -> (
+          let signed = List.filter_map resolved (Array.to_list ins) in
+          let structural =
+            if List.length signed < Array.length ins then None
+            else Result.to_option (struct_lookup ~canon struct_tbl kind signed)
+          in
+          match structural with
+          | Some s ->
+              subst.(r) <- Some s;
               incr proved
-          | None -> (
-              let words, phase_r = canonicalize sig_r.(r) in
-              let key = sig_key words in
-              match Hashtbl.find_opt index key with
-              | None -> ()
-              | Some candidates ->
-                  Hashtbl.replace classes key ();
-                  let tried = ref 0 in
-                  List.iter
-                    (fun (l, phase_l) ->
-                      if subst.(r) = None && !tried < 2 then begin
-                        incr tried;
-                        let miter =
-                          Miter.create ~left ~right ~canon ~source_map:m.source_map ~subst
-                            ~tie_left:m.tie_left ~tie_right:m.tie_right ()
-                        in
-                        let phase = phase_l <> phase_r in
-                        let v, st = Miter.check_pair miter ~budget ~left:l ~right:r ~phase in
-                        incr calls;
-                        decisions := !decisions + st.Sat.decisions;
-                        propagations := !propagations + st.Sat.propagations;
-                        match v with
-                        | Miter.Proven ->
-                            (* store canonically so downstream structural
-                               matches keep resolving *)
-                            let rep, rep_phase = canon.(l) in
-                            subst.(r) <- Some (rep, rep_phase <> phase);
-                            incr proved
-                        | Miter.Refuted _ | Miter.Undecided -> ()
-                      end)
-                    candidates))
+          | None -> subst.(r) <- prove index sig_r miter r)
       | _ -> ())
     (Circuit.topo_order right);
-  (canon, subst, Hashtbl.length classes, !proved, !calls, !decisions, !propagations)
+  { canon; subst; classes = Hashtbl.length classes; proved = !proved }
 
 (* ------------------------------------------------------------------ *)
 (* Per-output miters                                                  *)
@@ -691,9 +664,8 @@ let count_verdict = function
 let compute ~options left right =
   let m = build_matching ~options left right in
   let sig_l, sig_r = simulate ~options ~m left right in
-  let canon, subst, classes, proved, s_calls, s_decisions, s_propagations =
-    sweep ~options ~m left right sig_l sig_r
-  in
+  let effort = { calls = 0; decisions = 0; propagations = 0 } in
+  let { canon; subst; classes; proved } = sweep ~options ~m ~effort left right sig_l sig_r in
   let pts = observation_points m in
   let n = Array.length pts in
   (* Phase B: independent cone-local miters, one per observation point,
@@ -705,13 +677,7 @@ let compute ~options left right =
     Pool.parallel_map_chunks pool ~n (fun ~slot:_ i ->
         check_point ~options ~m ~canon ~subst left right pts.(i))
   in
-  let calls = ref s_calls and decisions = ref s_decisions and propagations = ref s_propagations in
-  Array.iter
-    (fun (_, st) ->
-      incr calls;
-      decisions := !decisions + st.Sat.decisions;
-      propagations := !propagations + st.Sat.propagations)
-    checks;
+  Array.iter (fun (_, st) -> tally effort st) checks;
   let first_diff = ref None and undecided = ref [] in
   Array.iteri
     (fun i (check, _) ->
@@ -741,9 +707,9 @@ let compute ~options left right =
     extra_flops = m.extra_flops;
     classes;
     proved;
-    sat_calls = !calls;
-    decisions = !decisions;
-    propagations = !propagations;
+    sat_calls = effort.calls;
+    decisions = effort.decisions;
+    propagations = effort.propagations;
     cached = false;
   }
 

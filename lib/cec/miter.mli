@@ -1,11 +1,14 @@
 (** Cone-local miter CNF over two circuits.
 
-    A miter instance lazily Tseitin-encodes the fanin cones of whatever nets
-    a {!check_pair} call touches — nothing outside the cones ever reaches the
-    solver. The two circuits share variables at matched sources (primary
-    inputs and flip-flop Q nets under the full-scan abstraction), right-side
-    nets with a proven substitution borrow the left literal instead of
-    encoding their own cone, and tied sources carry unit clauses.
+    A miter instance lazily Tseitin-encodes, into one
+    {!Tvs_netlist.Tseitin} store, the fanin cones of whatever nets a
+    {!check_pair} call touches — nothing outside the cones ever reaches the
+    solver. One cone walker serves both sides: left nets resolve through
+    their canonical representative; on the right, matched sources (primary
+    inputs and flip-flop Q nets under the full-scan abstraction) share the
+    left variable and nets with a proven substitution borrow the left
+    literal instead of encoding their own cone. Tied sources carry unit
+    clauses.
 
     Instances are one-shot: build, run one {!check_pair}, read values. The
     sweep in {!Cec} builds a fresh instance per proof attempt, which keeps
@@ -51,8 +54,9 @@ val check_pair :
 (** Decide [left = right] ([phase = false]) or [left = not right]
     ([phase = true]) for all assignments of the shared/free sources that
     satisfy the ties. Encodes both cones, asserts the XOR difference and
-    solves with sources as the decision order. Call at most once per
-    instance. *)
+    decides every variable in reverse allocation order: the difference
+    variable and the gates next to the miter first, the cone sources last.
+    Call at most once per instance. *)
 
 val left_value : t -> bool array -> Tvs_netlist.Circuit.net -> bool
 (** Value of a left net under a {!Refuted} model: its CNF variable if the

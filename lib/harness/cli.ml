@@ -67,6 +67,10 @@ let check_non_negative name n =
 
 let check_shift = check_positive "shift"
 
+let check_port n =
+  if n >= 1 && n <= 65535 then Ok n
+  else Error (Printf.sprintf "--port must be in 1..65535 (got %d)" n)
+
 let parse_format = function
   | "auto" -> Ok None
   | s -> (

@@ -44,6 +44,9 @@ val check_non_negative : string -> int -> (int, string) result
 val check_shift : int -> (int, string) result
 (** Fixed shift size: at least 1. *)
 
+val check_port : int -> (int, string) result
+(** A TCP port for [tvs serve --port]: 1 to 65535. *)
+
 val inline_file_name : ?format:Tvs_verilog.Loader.format -> string -> string
 (** The circuit name {!inline_circuit} gives the text plus the extension of
     the resolved format ([.bench] / [.v]): the file name serve uses to

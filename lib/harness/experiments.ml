@@ -255,9 +255,9 @@ let table5_default_scale = function
   | "s9234" -> 0.5
   | _ -> 1.0
 
-(* Tables 2-4 run s9234 at half scale by default; its full profile costs
-   ~10 CPU minutes per engine run (EXPERIMENTS.md records a full-scale
-   reference measurement). *)
+(* Tables 2-4 run s9234 at half scale by default: its full profile takes
+   ≈44 s per stitched run at one job, and each table runs it three or four
+   times (EXPERIMENTS.md E5 records the full-scale measurements). *)
 let table24_default_scale = function "s9234" -> 0.5 | _ -> 1.0
 
 let mean values =

@@ -1,46 +1,62 @@
+(* Clauses are kept newest first: the list handed to the solver is the
+   reverse of the order they were added in. *)
+type t = { mutable nvars : int; mutable clauses : int list list }
+
+let create ?(nvars = 0) () = { nvars; clauses = [] }
+let nvars t = t.nvars
+
+let fresh t =
+  t.nvars <- t.nvars + 1;
+  t.nvars
+
+let add t clause = t.clauses <- clause :: t.clauses
+
 (* out <-> AND(ins); NAND/OR/NOR fall out by negating literals. *)
-let encode_and ~add out ins =
-  List.iter (fun i -> add [ -out; i ]) ins;
-  add (out :: List.map (fun i -> -i) ins)
+let encode_and t out ins =
+  List.iter (fun i -> add t [ -out; i ]) ins;
+  add t (out :: List.map (fun i -> -i) ins)
 
-let encode_or ~add out ins =
-  List.iter (fun i -> add [ out; -i ]) ins;
-  add (-out :: ins)
+let encode_or t out ins =
+  List.iter (fun i -> add t [ out; -i ]) ins;
+  add t (-out :: ins)
 
-let encode_xor2 ~add out a b =
-  add [ -out; a; b ];
-  add [ -out; -a; -b ];
-  add [ out; -a; b ];
-  add [ out; a; -b ]
+let xor2 t out a b =
+  add t [ -out; a; b ];
+  add t [ -out; -a; -b ];
+  add t [ out; -a; b ];
+  add t [ out; a; -b ]
 
-let encode_equal ~add x y =
-  add [ -x; y ];
-  add [ x; -y ]
+let encode_equal t x y =
+  add t [ -x; y ];
+  add t [ x; -y ]
 
 (* out <-> XOR(ins) via a chain of auxiliaries. *)
-let encode_xor ~fresh ~add out = function
+let encode_xor t out = function
   | [] -> invalid_arg "Tseitin: empty xor"
-  | [ single ] -> encode_equal ~add out single
+  | [ single ] -> encode_equal t out single
   | first :: rest ->
       let acc =
         List.fold_left
           (fun acc i ->
-            let t = fresh () in
-            encode_xor2 ~add t acc i;
-            t)
+            let v = fresh t in
+            xor2 t v acc i;
+            v)
           first rest
       in
-      encode_equal ~add out acc
+      encode_equal t out acc
 
-let encode_gate ~fresh ~add ~out kind ins =
+let gate t ~out kind ins =
   match kind with
-  | Gate.And -> encode_and ~add out ins
-  | Gate.Nand -> encode_and ~add (-out) ins
-  | Gate.Or -> encode_or ~add out ins
-  | Gate.Nor -> encode_or ~add (-out) ins
-  | Gate.Xor -> encode_xor ~fresh ~add out ins
-  | Gate.Xnor -> encode_xor ~fresh ~add (-out) ins
+  | Gate.And -> encode_and t out ins
+  | Gate.Nand -> encode_and t (-out) ins
+  | Gate.Or -> encode_or t out ins
+  | Gate.Nor -> encode_or t (-out) ins
+  | Gate.Xor -> encode_xor t out ins
+  | Gate.Xnor -> encode_xor t (-out) ins
   | Gate.Buf -> (
-      match ins with [ i ] -> encode_equal ~add out i | _ -> invalid_arg "Tseitin: BUF arity")
+      match ins with [ i ] -> encode_equal t out i | _ -> invalid_arg "Tseitin: BUF arity")
   | Gate.Not -> (
-      match ins with [ i ] -> encode_equal ~add (-out) i | _ -> invalid_arg "Tseitin: NOT arity")
+      match ins with [ i ] -> encode_equal t (-out) i | _ -> invalid_arg "Tseitin: NOT arity")
+
+let solve ?decision_order ?max_decisions t =
+  Tvs_util.Sat.solve_stats ?decision_order ?max_decisions ~nvars:t.nvars t.clauses

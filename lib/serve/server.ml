@@ -89,8 +89,7 @@ type t = {
   preps : (string, Prep.t) Hashtbl.t;
   inlines : (string, string * netlist) Hashtbl.t;
   wake_r : Unix.file_descr;
-      (* self-pipe: the shutdown verb, a signal and the drained scheduler
-         wake the accept loop *)
+      (* self-pipe: a signal and the drained scheduler wake the accept loop *)
   wake_w : Unix.file_descr;
 }
 
@@ -390,19 +389,19 @@ let metrics_json () =
              (Metrics.snapshot ~all:true ())) );
     ]
 
-let wake_accept_loop t = ignore (Unix.write t.wake_w (Bytes.of_string "x") 0 1)
-
 let handle_request t conn = function
   | Protocol.Status -> send conn (status_json t)
   | Protocol.Metrics -> send conn (metrics_json ())
   | Protocol.Ping -> send conn (Protocol.event "pong" [])
   | Protocol.Shutdown ->
+      (* No wake of the accept loop here: [run] may have returned and closed
+         the pipe by the time this thread writes. The scheduler wakes it
+         once the queue has drained, before [run] closes anything. *)
       send conn (Protocol.event "shutting-down" []);
       Mutex.lock t.mutex;
       t.stopping <- true;
       Condition.broadcast t.nonempty;
-      Mutex.unlock t.mutex;
-      wake_accept_loop t
+      Mutex.unlock t.mutex
   | Protocol.Submit job ->
       let rejected =
         Mutex.protect t.mutex (fun () ->
@@ -464,13 +463,25 @@ let scan_recovery t dir =
               (Codec.error_to_string e);
             (try Sys.remove path with Sys_error _ -> ())
         | Ok ck ->
+            (* The checkpointed spec is a resolved server-side path whose
+               extension pins the format. A persisted inline text resumes as
+               the inline job that wrote it, parsed under its file name, so
+               the circuit keeps its inline-<hex> name and digest (a Verilog
+               file would be named after its module). *)
+            let spec = ck.Checkpoint.spec in
+            let source, format =
+              if not (String.starts_with ~prefix:"inline-" (Filename.basename spec)) then
+                (Protocol.Spec spec, None)
+              else
+                match In_channel.with_open_bin spec In_channel.input_all with
+                | text -> (Protocol.Bench text, Some (Tvs_verilog.Loader.detect ~path:spec text))
+                | exception Sys_error _ -> (Protocol.Spec spec, None)
+            in
             let job =
               {
-                Protocol.source = Protocol.Spec ck.Checkpoint.spec;
+                Protocol.source;
                 kind = Protocol.Stitch;
-                (* the checkpointed spec is a resolved server-side path whose
-                   extension already pins the format *)
-                format = None;
+                format;
                 scale = ck.Checkpoint.scale;
                 scheme = ck.Checkpoint.scheme;
                 selection = ck.Checkpoint.selection;
@@ -605,19 +616,20 @@ let run ?state_dir ?(checkpoint_every = 4) ?(checkpoint_threshold = 1000) ?on_re
           (fun t ->
             Fun.protect ~finally:(fun () ->
                 Atomic.set drained true;
-                wake_accept_loop t)
+                ignore (Unix.write t.wake_w (Bytes.of_string "x") 0 1))
             @@ fun () -> scheduler_loop t)
           t
       in
       Option.iter (fun f -> f ()) on_ready;
-      (* Until the shutdown verb, accept connections; then keep waking on
-         the pipe alone until the scheduler has drained the queue, so a
-         signal during the drain still exits at once. *)
+      (* Accept connections until the scheduler has drained the queue after
+         the shutdown verb (a submission in the meantime is rejected); the
+         drained scheduler wakes the loop through the pipe, and a signal
+         wakes it to exit at once. *)
       let buf = Bytes.create 64 in
       let rec accept_loop () =
         let stopping = Mutex.protect t.mutex (fun () -> t.stopping) in
         if not (stopping && Atomic.get drained) then begin
-          match Unix.select (if stopping then [ t.wake_r ] else [ fd; t.wake_r ]) [] [] (-1.0) with
+          match Unix.select [ fd; t.wake_r ] [] [] (-1.0) with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
           | readable, _, _ ->
               if List.mem t.wake_r readable then begin

@@ -342,6 +342,33 @@ let test_cli_sat_terms () =
     [ "-5"; "0"; "x" ];
   Alcotest.(check bool) "--sat-budget 1" true (eval_term budget [ "--sat-budget=1" ] = Ok (`Ok 1))
 
+(* [tvs serve]'s integers are usage errors at parse time too:
+   [--checkpoint-threshold] takes 0 and up, [--port] 1 to 65535. *)
+let test_cli_serve_terms () =
+  let open Cmdliner in
+  let threshold =
+    Arg.(value
+         & opt (Cli.int_conv ~docv:"N" (Cli.check_non_negative "--checkpoint-threshold")) 1000
+         & info [ "checkpoint-threshold" ])
+  in
+  let port =
+    Arg.(value & opt (some (Cli.int_conv ~docv:"PORT" Cli.check_port)) None & info [ "port" ])
+  in
+  List.iter
+    (fun v ->
+      rejected ("--checkpoint-threshold " ^ v)
+        (eval_term threshold [ "--checkpoint-threshold=" ^ v ]))
+    [ "-1"; "x" ];
+  Alcotest.(check bool) "--checkpoint-threshold 0" true
+    (eval_term threshold [ "--checkpoint-threshold=0" ] = Ok (`Ok 0));
+  List.iter (fun v -> rejected ("--port " ^ v) (eval_term port [ "--port=" ^ v ]))
+    [ "0"; "70000"; "-1"; "x" ];
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "--port %d" n) true
+        (eval_term port [ Printf.sprintf "--port=%d" n ] = Ok (`Ok (Some n))))
+    [ 1; 65535 ]
+
 let () =
   Alcotest.run "harness"
     [
@@ -375,5 +402,6 @@ let () =
           Alcotest.test_case "scale term" `Quick test_cli_scale_term;
           Alcotest.test_case "profile terms" `Quick test_cli_profile_terms;
           Alcotest.test_case "lint SAT terms" `Quick test_cli_sat_terms;
+          Alcotest.test_case "serve integer terms" `Quick test_cli_serve_terms;
         ] );
     ]

@@ -550,6 +550,7 @@ let test_scan_insert_names_preserved () =
    forced to the opposite value. *)
 let test_tseitin_truth_tables () =
   let module Sat = Tvs_util.Sat in
+  let module Tseitin = Tvs_netlist.Tseitin in
   List.iter
     (fun kind ->
       for arity = 1 to 4 do
@@ -557,16 +558,14 @@ let test_tseitin_truth_tables () =
           for bits = 0 to (1 lsl arity) - 1 do
             let inputs = Array.init arity (fun i -> bits land (1 lsl i) <> 0) in
             let out = arity + 1 in
-            let nvars = ref out and clauses = ref [] in
-            let fresh () =
-              incr nvars;
-              !nvars
+            let solve v =
+              let cnf = Tseitin.create ~nvars:out () in
+              Tseitin.gate cnf ~out kind (List.init arity (fun i -> i + 1));
+              Array.iteri (fun i b -> Tseitin.add cnf [ (if b then i + 1 else -(i + 1)) ]) inputs;
+              Tseitin.add cnf [ (if v then out else -out) ];
+              fst (Tseitin.solve cnf)
             in
-            let add clause = clauses := clause :: !clauses in
-            Tvs_netlist.Tseitin.encode_gate ~fresh ~add ~out kind (List.init arity (fun i -> i + 1));
-            Array.iteri (fun i b -> add [ (if b then i + 1 else -(i + 1)) ]) inputs;
             let expect = Gate.eval_bool kind inputs in
-            let solve v = Sat.solve ~nvars:!nvars ([ (if v then out else -out) ] :: !clauses) in
             let case = Printf.sprintf "%s arity %d inputs %d" (Gate.to_string kind) arity bits in
             (match solve expect with
             | Sat.Sat _ -> ()

@@ -333,6 +333,8 @@ let with_server ?state_dir f =
           with Unix.Unix_error _ -> Unix.close fd)
        with Unix.Unix_error _ -> ());
       Thread.join th;
+      (* [run] has unlinked the socket, so the directory is empty *)
+      (try Sys.rmdir dir with Sys_error _ -> ());
       match !outcome with
       | Ok () -> ()
       | Error m -> Alcotest.failf "server run failed: %s" m)
@@ -777,15 +779,10 @@ let test_server_inline_table_resets () =
         (parsed_count ic oc);
       close_out_noerr oc)
 
-(* Crash recovery: a checkpoint left behind by a killed server is replayed
-   at startup — digest-verified — and its result lands in the cache, so the
-   client's retry is a dedupe hit with the exact one-shot bytes. *)
-let test_server_recovery () =
-  let state_dir = fresh_dir () and cache_dir = fresh_dir () in
-  let c = Result.get_ok (Cli.load_circuit "fig1") in
+(* Save a genuine first-cycle checkpoint of [c]'s default stitch job under
+   [spec], the way a dying server would have left it. *)
+let save_first_checkpoint path ~spec c =
   let prep = Prep.of_circuit c in
-  (* Capture a genuine first-cycle snapshot the way a dying server would
-     have left it. *)
   let snap = ref None in
   ignore
     (Experiments.run_flow
@@ -795,10 +792,9 @@ let test_server_recovery () =
     match !snap with Some s -> s | None -> Alcotest.fail "no snapshot captured"
   in
   let config = Experiments.config_for prep in
-  Checkpoint.save
-    (Filename.concat state_dir "job-interrupted.ckpt")
+  Checkpoint.save path
     {
-      Checkpoint.spec = "fig1";
+      Checkpoint.spec;
       scale = 1.0;
       scheme = Xor_scheme.Nxor;
       selection = Policy.Most_faults 5;
@@ -807,7 +803,27 @@ let test_server_recovery () =
       circuit_digest = Digest.circuit c;
       config_digest = Digest.config ~config ~label:"cli";
       snapshot;
-    };
+    }
+
+(* Recovery jobs are queued before on_ready; wait until they have run. *)
+let rec await_idle ic oc =
+  Protocol.write_frame oc (Protocol.json_of_request Protocol.Status);
+  let s = next_event ic in
+  let queue = match Json.member "queue" s with Some (Json.Int n) -> n | _ -> -1 in
+  if not (queue = 0 && bool_field "running" s = Some false) then begin
+    Thread.yield ();
+    await_idle ic oc
+  end
+
+(* Crash recovery: a checkpoint left behind by a killed server is replayed
+   at startup — digest-verified — and its result lands in the cache, so the
+   client's retry is a dedupe hit with the exact one-shot bytes. *)
+let test_server_recovery () =
+  let state_dir = fresh_dir () and cache_dir = fresh_dir () in
+  save_first_checkpoint
+    (Filename.concat state_dir "job-interrupted.ckpt")
+    ~spec:"fig1"
+    (Result.get_ok (Cli.load_circuit "fig1"));
   (* And one damaged file, which startup must drop instead of crash on. *)
   let oc = open_out_bin (Filename.concat state_dir "job-damaged.ckpt") in
   output_string oc "not a checkpoint";
@@ -818,19 +834,9 @@ let test_server_recovery () =
     (fun () ->
       with_server ~state_dir (fun sock ->
           let ic, oc = connect sock in
-          (* The recovery job was queued before on_ready; once it finishes,
-             the same submission must be served from the cache. *)
-          let rec await_idle () =
-            Protocol.write_frame oc (Protocol.json_of_request Protocol.Status);
-            let s = next_event ic in
-            let queue = match Json.member "queue" s with Some (Json.Int n) -> n | _ -> -1 in
-            if queue = 0 && bool_field "running" s = Some false then ()
-            else begin
-              Thread.yield ();
-              await_idle ()
-            end
-          in
-          await_idle ();
+          (* once the recovery job finishes, the same submission must be
+             served from the cache *)
+          await_idle ic oc;
           Alcotest.(check bool) "resumed checkpoint removed" false
             (Sys.file_exists (Filename.concat state_dir "job-interrupted.ckpt"));
           Alcotest.(check bool) "damaged checkpoint dropped" false
@@ -844,6 +850,54 @@ let test_server_recovery () =
                 (Lazy.force expected_fig1)
                 (Option.value ~default:"" (str_field "output" j)));
           close_out_noerr oc))
+
+(* An inline Verilog job's checkpoint resumes too. Its spec is the text the
+   daemon persisted as inline-<hex>.v, which must reparse under that file
+   name: loaded as a Verilog file, the circuit would be named after its
+   module, miss the checkpoint's digest and be abandoned. *)
+let test_server_inline_verilog_recovery () =
+  let state_dir = fresh_dir () and cache_dir = fresh_dir () in
+  let text =
+    (Tvs_verilog.Emitter.emit (Result.get_ok (Cli.load_circuit "s27"))).Tvs_verilog.Emitter.text
+  in
+  let spec = Filename.concat state_dir (Cli.inline_file_name text) in
+  Out_channel.with_open_bin spec (fun oc -> output_string oc text);
+  let ckpt = Filename.concat state_dir "job-inline.ckpt" in
+  save_first_checkpoint ckpt ~spec (Result.get_ok (Cli.inline_circuit text));
+  Cache.install (Some (Result.get_ok (Cache.open_dir cache_dir)));
+  Fun.protect
+    ~finally:(fun () -> Cache.install None)
+    (fun () ->
+      with_server ~state_dir (fun sock ->
+          let ic, oc = connect sock in
+          await_idle ic oc;
+          Alcotest.(check bool) "resumed checkpoint removed" false (Sys.file_exists ckpt);
+          (match submit_and_wait ic oc (Protocol.default_job (Protocol.Bench text)) with
+          | Error m -> Alcotest.failf "inline job failed: %s" m
+          | Ok j ->
+              Alcotest.(check (option bool)) "served from the recovered result" (Some true)
+                (bool_field "cached" j);
+              Alcotest.(check string) "recovered output byte-identical" (stitch_reference text)
+                (Option.value ~default:"" (str_field "output" j)));
+          close_out_noerr oc))
+
+(* A client that sends shutdown and hangs up at once, as [with_server] ends
+   every lifetime: no server thread may die of an uncaught exception, such
+   as a connection thread writing to the wake pipe [run] has already
+   closed. *)
+let test_server_shutdown_and_hang_up () =
+  let uncaught = Atomic.make 0 in
+  Thread.set_uncaught_exception_handler (fun _ -> Atomic.incr uncaught);
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.set_uncaught_exception_handler Thread.default_uncaught_exception_handler)
+    (fun () ->
+      for _ = 1 to 100 do
+        with_server (fun _ -> ())
+      done;
+      (* a connection thread can outlive [run]: give a late one time to die *)
+      Thread.delay 0.1;
+      Alcotest.(check int) "uncaught exceptions in server threads" 0 (Atomic.get uncaught))
 
 (* A tpi job end-to-end: the done event carries the study document and the
    exact bytes `tvs tpi` would print; an identical resubmission dedupes
@@ -972,6 +1026,10 @@ let () =
           Alcotest.test_case "cached job writes no checkpoint" `Quick
             test_server_cached_job_writes_no_checkpoint;
           Alcotest.test_case "checkpoint recovery at startup" `Quick test_server_recovery;
+          Alcotest.test_case "inline verilog checkpoint resumes" `Quick
+            test_server_inline_verilog_recovery;
+          Alcotest.test_case "shutdown and hang up, 100 lifetimes" `Quick
+            test_server_shutdown_and_hang_up;
           Alcotest.test_case "unusable state dir rejected" `Quick test_server_rejects_bad_state;
           Alcotest.test_case "tpi jobs" `Quick test_server_tpi;
           Alcotest.test_case "equiv jobs" `Quick test_server_equiv;
