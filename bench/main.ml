@@ -124,20 +124,25 @@ let micro_tests () =
            ignore (Tvs_fault.Fault_sim.detected_matrix s444_sim ~vectors:s444_vecs s444_faults)));
   ]
 
-(* The fault-simulation work done since the snapshot [since]. *)
-let faultsim_work ~(since : Tvs_fault.Fault_sim.counters) =
-  let now = Tvs_fault.Fault_sim.counters () in
-  let evals = now.gate_evals - since.gate_evals
-  and skipped = now.gates_skipped - since.gates_skipped in
-  let skip_pct =
-    if evals + skipped = 0 then 0.0
-    else 100.0 *. float_of_int skipped /. float_of_int (evals + skipped)
+(* The fault-simulation work done from this call until the returned
+   function is called, read from the registry's [faultsim.*] counters. *)
+let faultsim_work () =
+  let reading name = Tvs_obs.Metrics.(counter_value (counter ("faultsim." ^ name))) in
+  let since =
+    List.map
+      (fun name -> (name, reading name))
+      [ "chunks"; "events_fired"; "gate_evals"; "gates_skipped"; "faults_dropped" ]
   in
-  Printf.sprintf "%d event runs, %d events fired, %d gate evals (%.1f%% skipped), %d faults dropped"
-    (now.event_runs - since.event_runs)
-    (now.events_fired - since.events_fired)
-    evals skip_pct
-    (now.faults_dropped - since.faults_dropped)
+  fun () ->
+    let delta name = reading name - List.assoc name since in
+    let evals = delta "gate_evals" and skipped = delta "gates_skipped" in
+    let skip_pct =
+      if evals + skipped = 0 then 0.0
+      else 100.0 *. float_of_int skipped /. float_of_int (evals + skipped)
+    in
+    Printf.sprintf
+      "%d event runs, %d events fired, %d gate evals (%.1f%% skipped), %d faults dropped"
+      (delta "chunks") (delta "events_fired") evals skip_pct (delta "faults_dropped")
 
 let run_micro () =
   let tests = micro_tests () in
@@ -146,7 +151,7 @@ let run_micro () =
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true () in
   let buf = Buffer.create 1024 in
   let benches = ref [] in
-  let since = Tvs_fault.Fault_sim.counters () in
+  let work = faultsim_work () in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg [ instance ] test in
@@ -161,7 +166,7 @@ let run_micro () =
         analysis)
     tests;
   Buffer.add_string buf
-    (Printf.sprintf "faultsim counters: %s\n" (faultsim_work ~since));
+    (Printf.sprintf "faultsim counters: %s\n" (work ()));
   (Buffer.contents buf, List.rev !benches)
 
 (* ------------------------------------------------------------------ *)

@@ -332,9 +332,8 @@ let or_die f = try f () with Failure msg -> die msg
    produce byte-identical summaries for the same run (CI diffs a resumed run
    and a served response against an uninterrupted run on exactly this
    block). *)
-let print_stitch_summary prep scheme selection (r : Experiments.run_summary) =
-  print_string
-    (Experiments.render_summary ~circuit:(Circuit.name prep.Prep.circuit) ~scheme ~selection r)
+let print_stitch_summary c scheme selection (r : Experiments.run_summary) =
+  print_string (Experiments.render_summary ~circuit:(Circuit.name c) ~scheme ~selection r)
 
 let checkpoint_file_arg =
   let doc =
@@ -362,14 +361,14 @@ let preflight_arg =
 
 let stitch_cmd =
   let run () () () spec scale scheme selection shift preflight ckpt every =
-    let prep = prep_of ?scale spec in
-    let save = Option.map (fun file -> (every, Checkpoint.save file)) ckpt in
+    let c = load_circuit ?scale spec in
+    let save _ = Option.map (fun file -> (every, Checkpoint.save file)) ckpt in
     match
       or_die (fun () ->
           Experiments.stitch ~spec ~scale:(Option.value scale ~default:1.0) ~scheme ~selection
-            ~shift ~label:"cli" ~preflight ?save prep)
+            ~shift ~label:"cli" ~preflight ~save c)
     with
-    | Ok (r, _) -> print_stitch_summary prep scheme selection r
+    | Ok (r, _) -> print_stitch_summary c scheme selection r
     | Error msg -> die msg
   in
   Cmd.v (Cmd.info "stitch" ~doc:"Run the stitched compression flow")
@@ -394,15 +393,15 @@ let resume_cmd =
           | Ok s -> s
           | Error msg -> die (Printf.sprintf "checkpoint circuit unavailable: %s" msg)
         in
-        let prep = prep_of ~scale:ck.Checkpoint.scale spec in
-        let save = Option.map (fun file -> (every, Checkpoint.save file)) ckpt in
+        let c = load_circuit ~scale:ck.Checkpoint.scale spec in
+        let save _ = Option.map (fun file -> (every, Checkpoint.save file)) ckpt in
         match
           or_die (fun () ->
               Experiments.stitch ~spec ~scale:ck.Checkpoint.scale ~scheme:ck.Checkpoint.scheme
                 ~selection:ck.Checkpoint.selection ~shift:ck.Checkpoint.shift
-                ~label:ck.Checkpoint.label ~resume:ck ?save prep)
+                ~label:ck.Checkpoint.label ~resume:ck ~save c)
         with
-        | Ok (r, _) -> print_stitch_summary prep ck.Checkpoint.scheme ck.Checkpoint.selection r
+        | Ok (r, _) -> print_stitch_summary c ck.Checkpoint.scheme ck.Checkpoint.selection r
         | Error msg -> die (Printf.sprintf "cannot resume from %S: %s" file msg))
   in
   Cmd.v

@@ -50,34 +50,16 @@ let create ?jobs circuit =
 
 let circuit t = Event.circuit t.ev
 
-type counters = {
-  event_runs : int;
-  events_fired : int;
-  gate_evals : int;
-  gates_skipped : int;
-  faults_dropped : int;
-}
-
-(* The historical global counter record now lives in the metrics registry:
-   workers record into their own domain shards (lock-free), and the record is
-   rebuilt on demand by summing shards. Pool completion gives the submitter a
-   happens-before edge over every worker write, so a snapshot taken between
-   batches sees exact totals. *)
+(* Work counters in the metrics registry: workers record into their own
+   domain shards (lock-free), and a read sums the shards. Pool completion
+   gives the submitter a happens-before edge over every worker write, so a
+   snapshot taken between batches sees exact totals. *)
 let m_events_fired = Metrics.counter "faultsim.events_fired"
 let m_gate_evals = Metrics.counter "faultsim.gate_evals"
 let m_gates_skipped = Metrics.counter "faultsim.gates_skipped"
 let m_faults_dropped = Metrics.counter "faultsim.faults_dropped"
 let m_chunks = Metrics.counter "faultsim.chunks"
 let m_batches = Metrics.counter "faultsim.batches"
-
-let counters () =
-  {
-    event_runs = Metrics.counter_value m_chunks;
-    events_fired = Metrics.counter_value m_events_fired;
-    gate_evals = Metrics.counter_value m_gate_evals;
-    gates_skipped = Metrics.counter_value m_gates_skipped;
-    faults_dropped = Metrics.counter_value m_faults_dropped;
-  }
 
 let note_dropped n = Metrics.add m_faults_dropped n
 

@@ -26,9 +26,13 @@
     per region root that some fault reaches screen every fault against the
     whole pack. Calls with too few vectors use the first kernel instead.
 
-    Work done and skipped is tallied in {!counters}. Property tests check
-    every entry point against a naive bool-level single-fault simulator, and
-    {!detected_matrix} against per-fault {!Tvs_sim.Parallel.run} as well.
+    Work done and skipped is tallied in the [faultsim.*] counters of the
+    {!Tvs_obs.Metrics} registry: [chunks] (engine runs: chunks of up to 62
+    faults, and the root-flip runs of {!detected_matrix}), [events_fired],
+    [gate_evals], [gates_skipped] (evaluations avoided against full passes)
+    and [faults_dropped]. Property tests check every entry point against a
+    naive bool-level single-fault simulator, and {!detected_matrix} against
+    per-fault {!Tvs_sim.Parallel.run} as well.
 
     Chunks and packs are independent, so they fan out across a
     {!Tvs_util.Pool} domain pool when [jobs > 1]: each pool slot owns a
@@ -60,26 +64,6 @@ val create : ?jobs:int -> Tvs_netlist.Circuit.t -> t
     inline on the caller's domain. *)
 
 val circuit : t -> Tvs_netlist.Circuit.t
-
-(** Cumulative work counters across all contexts. The numbers live in the
-    [faultsim.*] counters of the {!Tvs_obs.Metrics} registry (per-domain
-    shards, merged by summation); this record is a point-in-time snapshot
-    for callers that sample deltas (the engine per cycle, the bench
-    harness). *)
-type counters = {
-  event_runs : int;
-      (** engine runs ([faultsim.chunks]): chunk runs of up to 62 faults,
-          and the root-flip runs of {!detected_matrix} *)
-  events_fired : int;  (** net-value changes propagated *)
-  gate_evals : int;  (** gates evaluated *)
-  gates_skipped : int;  (** gate evaluations avoided vs. full passes *)
-  faults_dropped : int;  (** faults permanently dropped once caught *)
-}
-
-val counters : unit -> counters
-(** Snapshot the cumulative totals. Taken between batches (the entry points
-    are submitter-side), the pool's completion barrier guarantees every
-    worker contribution is visible. *)
 
 val note_dropped : int -> unit
 (** Record that [n] caught faults were dropped from further simulation. *)

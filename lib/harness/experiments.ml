@@ -42,9 +42,10 @@ type run_summary = {
    and the host are free to differ between the writing and the reading
    run. *)
 
-let config_for ?scheme ?shift ?selection ?preflight (prep : Prep.t) =
-  let chain_len = Circuit.num_flops prep.circuit in
-  let base = Engine.default_config ~chain_len in
+(* A run's engine configuration reads only the circuit's scan chain length,
+   so its key comes from the circuit alone: a cache hit needs no [Prep]. *)
+let config_of ?scheme ?shift ?selection ?preflight circuit =
+  let base = Engine.default_config ~chain_len:(Circuit.num_flops circuit) in
   {
     base with
     Engine.scheme = Option.value ~default:base.Engine.scheme scheme;
@@ -53,9 +54,12 @@ let config_for ?scheme ?shift ?selection ?preflight (prep : Prep.t) =
     preflight = Option.value ~default:base.Engine.preflight preflight;
   }
 
-let run_key ?scheme ?shift ?selection ~label (prep : Prep.t) =
-  Store_digest.combine (Store_digest.circuit prep.circuit)
-    (Store_digest.config ~config:(config_for ?scheme ?shift ?selection prep) ~label)
+let config_for ?scheme ?shift ?selection ?preflight (prep : Prep.t) =
+  config_of ?scheme ?shift ?selection ?preflight prep.circuit
+
+let run_key ?scheme ?shift ?selection ~label circuit =
+  Store_digest.combine (Store_digest.circuit circuit)
+    (Store_digest.config ~config:(config_of ?scheme ?shift ?selection circuit) ~label)
 
 let summary_kind = "EXPR"
 
@@ -132,18 +136,8 @@ let run_engine ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label (
     ~fallback:prep.baseline.Baseline.vectors ?resume ?checkpoint
     ~rng:(Prep.engine_seed prep label) prep.ctx ~faults:prep.testable
 
-(* The one cached stitched run behind [run_flow] and [stitch]: one
-   [Cache.memo] call whether the run starts fresh, checkpoints or resumes.
-   A resumed run's summary equals the uninterrupted run's, and a run the
-   cache answers has nothing left to snapshot. *)
-let memo_flow ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label (prep : Prep.t) =
-  Tvs_obs.Trace.with_span "flow"
-    ~args:[ ("circuit", Circuit.name prep.Prep.circuit); ("label", label) ]
-  @@ fun () ->
-  Cache.memo ~kind:summary_kind
-    ~key:(fun () -> run_key ?scheme ?shift ?selection ~label prep)
-    write_summary read_summary
-  @@ fun () ->
+(* A stitched run computed: the engine on [prep], summarized. *)
+let flow ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label (prep : Prep.t) =
   let r = run_engine ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label prep in
   let ratios = Cost.ratios r.Engine.schedule ~baseline_nvec:prep.baseline.Baseline.num_vectors in
   {
@@ -156,21 +150,31 @@ let memo_flow ?scheme ?shift ?selection ?preflight ?resume ?checkpoint ~label (p
     peak_hidden = r.Engine.peak_hidden;
   }
 
-let run_flow ?scheme ?shift ?selection ?preflight ?checkpoint ~label prep =
-  fst (memo_flow ?scheme ?shift ?selection ?preflight ?checkpoint ~label prep)
+(* The one cached stitched run behind [run_flow] and [stitch]: one
+   [Cache.memo] call whether the run starts fresh, checkpoints or resumes.
+   A resumed run's summary equals the uninterrupted run's, and a run the
+   cache answers never reaches [compute], so it has nothing to snapshot. *)
+let memo_flow ~label circuit ~key compute =
+  Tvs_obs.Trace.with_span "flow" ~args:[ ("circuit", Circuit.name circuit); ("label", label) ]
+  @@ fun () -> Cache.memo ~kind:summary_kind ~key write_summary read_summary compute
 
-(* A checkpoint carries the run's identity plus the digests of the circuit
-   and engine configuration it rebuilds. They are computed once, and only
-   when a snapshot is saved or a checkpoint is checked. *)
-let stitch ~spec ~scale ~scheme ~selection ~shift ~label ?preflight ?resume ?save (prep : Prep.t) =
+let run_flow ?scheme ?shift ?selection ?preflight ?checkpoint ~label (prep : Prep.t) =
+  fst
+    (memo_flow ~label prep.circuit
+       ~key:(fun () -> run_key ?scheme ?shift ?selection ~label prep.circuit)
+       (fun () -> flow ?scheme ?shift ?selection ?preflight ?checkpoint ~label prep))
+
+(* A stitched run is identified by its circuit: one circuit digest keys the
+   cache entry, the checkpoint and the preparation memo, and only a miss
+   prepares the circuit. *)
+let stitch ~spec ~scale ~scheme ~selection ~shift ~label ?preflight ?resume ?(save = fun _ -> None)
+    circuit =
   let shift_policy = Option.map (fun s -> Policy.Fixed s) shift in
-  let digests =
-    lazy
-      (let config = config_for ~scheme ?shift:shift_policy ~selection prep in
-       (Store_digest.circuit prep.circuit, Store_digest.config ~config ~label))
+  let circuit_digest = Store_digest.circuit circuit in
+  let config_digest =
+    Store_digest.config ~config:(config_of ~scheme ?shift:shift_policy ~selection circuit) ~label
   in
   let record snapshot =
-    let circuit_digest, config_digest = Lazy.force digests in
     {
       Checkpoint.spec;
       scale;
@@ -184,7 +188,6 @@ let stitch ~spec ~scale ~scheme ~selection ~shift ~label ?preflight ?resume ?sav
     }
   in
   let mismatch (ck : Checkpoint.t) =
-    let circuit_digest, config_digest = Lazy.force digests in
     if not (Store_digest.equal circuit_digest ck.circuit_digest) then
       Some
         (Printf.sprintf
@@ -198,10 +201,15 @@ let stitch ~spec ~scale ~scheme ~selection ~shift ~label ?preflight ?resume ?sav
   | Some msg -> Error msg
   | None ->
       Ok
-        (memo_flow ~scheme ?shift:shift_policy ~selection ?preflight
-           ?resume:(Option.map (fun (ck : Checkpoint.t) -> ck.snapshot) resume)
-           ?checkpoint:(Option.map (fun (every, write) -> (every, fun s -> write (record s))) save)
-           ~label prep)
+        (memo_flow ~label circuit
+           ~key:(fun () -> Store_digest.combine circuit_digest config_digest)
+           (fun () ->
+             let prep = Prep.memo ~digest:circuit_digest circuit in
+             flow ~scheme ?shift:shift_policy ~selection ?preflight
+               ?resume:(Option.map (fun (ck : Checkpoint.t) -> ck.snapshot) resume)
+               ?checkpoint:
+                 (Option.map (fun (every, write) -> (every, fun s -> write (record s))) (save prep))
+               ~label prep))
 
 (* --- baseline fault-simulation coverage ---------------------------------
 

@@ -44,17 +44,19 @@ val config_for :
   ?preflight:bool ->
   Prep.t ->
   Tvs_core.Engine.config
-(** The exact engine configuration {!run_flow} would run with. *)
+(** The exact engine configuration {!run_flow} would run with. It reads only
+    the circuit's scan chain length. *)
 
 val run_key :
   ?scheme:Tvs_scan.Xor_scheme.t ->
   ?shift:Tvs_core.Policy.shift_policy ->
   ?selection:Tvs_core.Policy.selection ->
   label:string ->
-  Prep.t ->
+  Tvs_netlist.Circuit.t ->
   Tvs_store.Digest.t
-(** The result-cache key of the {!run_flow} call with the same arguments:
-    the circuit digest combined with the configuration digest. *)
+(** The result-cache key of the {!run_flow} call with the same arguments on a
+    preparation of this circuit, and of the {!stitch} of the same run: the
+    circuit digest combined with the configuration digest. *)
 
 val lint_report :
   ?options:Tvs_lint.Lint.options ->
@@ -102,6 +104,7 @@ val run_flow :
     The run makes one {!Tvs_store.Cache.memo} call: with a cache installed
     ({!Tvs_store.Cache.install}), a prior identical run's summary is
     returned without running the engine, and a computed one is stored.
+    Without a cache it computes no digest and consults no memo.
     [checkpoint] passes through to {!Tvs_core.Engine.run}, so a run the
     cache answers takes no snapshot. *)
 
@@ -114,26 +117,31 @@ val stitch :
   label:string ->
   ?preflight:bool ->
   ?resume:Tvs_store.Checkpoint.t ->
-  ?save:int * (Tvs_store.Checkpoint.t -> unit) ->
-  Prep.t ->
+  ?save:(Prep.t -> (int * (Tvs_store.Checkpoint.t -> unit)) option) ->
+  Tvs_netlist.Circuit.t ->
   (run_summary * bool, string) result
 (** The stitched run behind [tvs stitch], [tvs resume] and serve's stitch
-    jobs: {!run_flow} on [prep] under the run's identity ([spec] and
-    [scale] name the circuit [prep] was built from, [shift] is a fixed
-    shift or [None] for the variable policy, [label] seeds the engine).
-    Returns the summary and the cache's answer ({!Tvs_store.Cache.memo}):
-    [true] only when the summary was read from the installed cache.
+    jobs, on a circuit under the run's identity ([spec] and [scale] name the
+    circuit it was built from, [shift] is a fixed shift or [None] for the
+    variable policy, [label] seeds the engine). Returns the summary and the
+    cache's answer ({!Tvs_store.Cache.memo}): [true] only when the summary
+    was read from the installed cache.
+
+    The circuit is digested once; the digest keys the cache entry (the key
+    of {!run_key}), the checkpoint and {!Prep.memo}. A hit reads one entry
+    and prepares nothing: only a miss gets the circuit's {!Prep.t}, from
+    {!Prep.memo}, and runs {!run_flow}'s engine on it.
 
     [resume] continues from a checkpoint's snapshot once the identity
     rebuilds both digests it carries; otherwise [Error] says which differs
     (resuming into another circuit or configuration would continue into
     silently wrong results). A resumed run's summary equals the
-    uninterrupted run's, so the cache may answer it too. [save] is
-    [(every, write)]: every [every] stitched cycles, [write] gets the full
-    checkpoint of the run so far. The digests are computed once, and only
-    for a save or a resume check. A run the cache answers runs no engine
-    and saves nothing. Raises [Failure] when the engine refuses the
-    configuration ({!Tvs_core.Engine.run}). *)
+    uninterrupted run's, so the cache may answer it too. [save] is called
+    on a miss with the preparation, before the engine starts; [Some (every,
+    write)] makes [write] get the full checkpoint of the run so far every
+    [every] stitched cycles, and [None] (the default) takes no snapshot. A
+    run the cache answers runs no engine and saves nothing. Raises [Failure]
+    when the engine refuses the configuration ({!Tvs_core.Engine.run}). *)
 
 type detection = { detected : int; faults : int; vectors : int }
 

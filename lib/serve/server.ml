@@ -43,7 +43,7 @@ let m_inline_parsed = Metrics.counter ~stable:false "serve.inline.parsed"
 
 (* How many parsed inline texts the scheduler keeps. A circuit plus its
    scan form holds 15-16 times its text (s38584's 804 KB text: 11.4 MB), so
-   this is far below [preps]' 64. *)
+   this is far below [Prep.capacity]. *)
 let inline_capacity = 16
 
 type listen = Unix_socket of string | Tcp of int
@@ -83,10 +83,9 @@ type t = {
   state_dir : string option;
   checkpoint_every : int;
   checkpoint_threshold : int;
-  (* Scheduler-thread state: preparation is expensive and deterministic, so
-     it is memoized per circuit digest; inline texts are parsed once per
-     lifetime, keyed by [Cli.inline_file_name] and kept with their text. *)
-  preps : (string, Prep.t) Hashtbl.t;
+  (* Scheduler-thread state: inline texts are parsed once per lifetime,
+     keyed by [Cli.inline_file_name] and kept with their text. A stitch miss
+     prepares its circuit through [Prep.memo], from this thread only. *)
   inlines : (string, string * netlist) Hashtbl.t;
   wake_r : Unix.file_descr;
       (* self-pipe: a signal and the drained scheduler wake the accept loop *)
@@ -94,18 +93,6 @@ type t = {
 }
 
 (* --- job execution (scheduler thread only) ------------------------------ *)
-
-let prep_for t circuit =
-  let key = Store_digest.to_hex (Store_digest.circuit circuit) in
-  match Hashtbl.find_opt t.preps key with
-  | Some prep -> prep
-  | None ->
-      (* A server fed an unbounded stream of distinct circuits must not
-         hold every preparation forever. *)
-      if Hashtbl.length t.preps >= 64 then Hashtbl.reset t.preps;
-      let prep = Prep.of_circuit circuit in
-      Hashtbl.add t.preps key prep;
-      prep
 
 let netlist circuit =
   {
@@ -244,43 +231,35 @@ let run_job t (p : pending) emit =
   | Error msg -> Error msg
   | Ok ({ circuit; _ }, spec) when p.job.Protocol.kind = Protocol.Stitch -> (
       let job = p.job in
-      let prep = prep_for t circuit in
-      (* A resumed job checkpoints into its own file, a fresh big one into
-         the state directory under a digest of the job; the file goes once
-         the job is done. A job the cache answers writes nothing, so a fresh
-         job's file is named at its first save: the digest covers the job's
-         JSON, inline text included, and a hit should not pay for it. *)
-      let ckpt_path =
-        match (p.resume, t.state_dir) with
-        | Some (_, path), _ -> Some (Lazy.from_val path)
+      (* A resumed job checkpoints into its own file. A fresh one does so
+         only when the miss that runs it prepares at least the threshold's
+         collapsed faults, into the state directory under a digest of the
+         job; a job the cache answers prepares nothing and writes nothing.
+         The file goes once the job is done. *)
+      let ckpt_path = ref (Option.map snd p.resume) in
+      let save (prep : Prep.t) =
+        (match (!ckpt_path, t.state_dir) with
         | None, Some dir when Array.length prep.Prep.faults >= t.checkpoint_threshold ->
-            Some
-              (lazy
-                (let digest = Store_digest.of_string (Json.to_string (Protocol.json_of_job job)) in
-                 Filename.concat dir ("job-" ^ Store_digest.to_hex digest ^ ".ckpt")))
-        | None, _ -> None
-      in
-      let save =
+            let digest = Store_digest.of_string (Json.to_string (Protocol.json_of_job job)) in
+            ckpt_path := Some (Filename.concat dir ("job-" ^ Store_digest.to_hex digest ^ ".ckpt"))
+        | _ -> ());
         Option.map
           (fun path ->
             ( t.checkpoint_every,
               fun ck ->
-                Checkpoint.save (Lazy.force path) ck;
+                Checkpoint.save path ck;
                 emit "checkpoint" [] ))
-          ckpt_path
+          !ckpt_path
       in
       match
         Experiments.stitch ~spec ~scale:job.scale ~scheme:job.scheme ~selection:job.selection
-          ~shift:job.shift ~label:job.label ?resume:(Option.map fst p.resume) ?save prep
+          ~shift:job.shift ~label:job.label ?resume:(Option.map fst p.resume) ~save circuit
       with
       | exception Failure msg -> Error msg
       | exception (Invalid_argument _ as e) -> Error (Printexc.to_string e)
       | Error _ as refused -> refused
       | Ok (summary, cached) ->
-          Option.iter
-            (fun path ->
-              if Lazy.is_val path then try Sys.remove (Lazy.force path) with Sys_error _ -> ())
-            ckpt_path;
+          Option.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) !ckpt_path;
           let output =
             Experiments.render_summary ~circuit:(Circuit.name circuit) ~scheme:job.scheme
               ~selection:job.selection summary
@@ -603,7 +582,6 @@ let run ?state_dir ?(checkpoint_every = 4) ?(checkpoint_threshold = 1000) ?on_re
           state_dir;
           checkpoint_every;
           checkpoint_threshold;
-          preps = Hashtbl.create 8;
           inlines = Hashtbl.create inline_capacity;
           wake_r;
           wake_w;

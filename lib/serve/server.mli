@@ -16,10 +16,12 @@
     [serve.jobs.deduped], only when that cache answered it (the flag
     {!Tvs_harness.Experiments.stitch}, [Tpi.result.cached] or
     [Cec.result.cached] carries); without a cache, or with a damaged
-    entry, the job recomputes and says so. With a state directory, jobs
-    whose collapsed fault list reaches [checkpoint_threshold] checkpoint
-    every [checkpoint_every] stitched cycles, unless the cache answers
-    them; at startup the
+    entry, the job recomputes and says so. A stitch job the cache answers
+    prepares nothing; a miss prepares its circuit through
+    {!Tvs_harness.Prep.memo}. With a state directory, jobs whose collapsed
+    fault list reaches [checkpoint_threshold] checkpoint every
+    [checkpoint_every] stitched cycles, unless the cache answers them (the
+    threshold is read from the preparation a miss builds); at startup the
     server replays any [*.ckpt] files it finds (digest-verified, stale ones
     deleted) before accepting connections, so a SIGTERM mid-job resumes on
     restart and the finished result lands in the cache for the client's

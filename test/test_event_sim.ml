@@ -223,6 +223,12 @@ let qcheck_jobs_equivalence =
 
 let reset_counters () = Tvs_obs.Metrics.reset ~prefix:"faultsim." ()
 
+(* The registry's [faultsim.*] readings. *)
+let faultsim_snapshot () =
+  List.filter
+    (fun (name, _) -> String.starts_with ~prefix:"faultsim." name)
+    (Tvs_obs.Metrics.snapshot ())
+
 (* 5. Regression: the per-cycle work counters are merged in chunk order by
    the submitter, so a multi-domain run must tally exactly what the
    sequential run tallies. s444's 763 collapsed faults span 13 chunks —
@@ -238,7 +244,7 @@ let test_counters_merge_across_jobs () =
     let flags =
       Array.map (fun (pi, state) -> Fault_sim.detected_faults sim ~pi ~state faults) stimuli
     in
-    (flags, Fault_sim.counters ())
+    (flags, faultsim_snapshot ())
   in
   let flags1, ctr1 = tally 1 in
   List.iter
@@ -347,7 +353,7 @@ let test_counters_merge_across_batches () =
     let sim = Fault_sim.create ~jobs c in
     reset_counters ();
     let matrix = Fault_sim.detected_matrix sim ~vectors faults in
-    (matrix, Fault_sim.counters ())
+    (matrix, faultsim_snapshot ())
   in
   let matrix1, ctr1 = tally 1 in
   List.iter

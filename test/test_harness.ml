@@ -27,6 +27,22 @@ let test_prep_memoized () =
   Alcotest.(check bool) "scaled prep distinct" true (a != scaled);
   Alcotest.(check string) "scaled name" "s444@0.5" (Circuit.name scaled.Prep.circuit)
 
+(* The memo holds [Prep.capacity] preparations: one insertion past that
+   empties it, so the first circuit is prepared again. *)
+let test_prep_memo_bounded () =
+  let tiny k =
+    Result.get_ok
+      (Tvs_harness.Cli.inline_circuit
+         (Printf.sprintf "# memo %d\nINPUT(a)\nOUTPUT(y)\nf = DFF(a)\ny = NOT(f)\n" k))
+  in
+  let first = tiny 0 in
+  let a = Prep.memo first in
+  Alcotest.(check bool) "held" true (a == Prep.memo first);
+  for k = 1 to Prep.capacity do
+    ignore (Prep.memo (tiny k))
+  done;
+  Alcotest.(check bool) "emptied when full" true (a != Prep.memo first)
+
 let test_prep_seed_streams () =
   let prep = Prep.get "s444" in
   let a = Tvs_util.Rng.next_int64 (Prep.engine_seed prep "x") in
@@ -100,6 +116,30 @@ let test_golden_summaries () =
       bits "coverage" (fun r -> r.Experiments.coverage))
     golden_summaries
 
+(* Cache keys, pinned: a refactor that moves one orphans every cache
+   directory written before it (the s5378 entry is the file
+   EXPR-v2-65b6cdf44d657d8a.tvsc). *)
+let test_cache_keys_pinned () =
+  let module Store_digest = Tvs_store.Digest in
+  let circuit spec = Result.get_ok (Tvs_harness.Cli.load_circuit spec) in
+  let check what want key = Alcotest.(check string) what want (Store_digest.to_hex key) in
+  List.iter
+    (fun (spec, want) ->
+      check (spec ^ " run key") want (Experiments.run_key ~label:"cli" (circuit spec)))
+    [
+      ("s27", "0255fbc88b026fb4");
+      ("s444", "e775e7de7d89586b");
+      ("s1423", "7de8715a5e6ee22b");
+      ("s5378", "65b6cdf44d657d8a");
+    ];
+  check "s444 VXOR, fixed shift 5" "d982deb92ed536e9"
+    (Experiments.run_key ~scheme:Tvs_scan.Xor_scheme.Vxor ~shift:(Tvs_core.Policy.Fixed 5)
+       ~label:"t3:VXOR" (circuit "s444"));
+  List.iter
+    (fun (spec, want) ->
+      check (spec ^ " circuit digest") want (Store_digest.circuit (circuit spec)))
+    [ ("s444", "77ca2bc52930492b"); ("s5378", "0c46a3985eb0da53") ]
+
 let test_table1_text () =
   let out = Experiments.table1 () in
   List.iter
@@ -137,7 +177,7 @@ let test_comparison_renders () =
    call adds to them. It prints no work of its own, so both calls print the
    same table. *)
 let test_table5_footer_keeps_counters () =
-  let gate_evals () = (Tvs_fault.Fault_sim.counters ()).Tvs_fault.Fault_sim.gate_evals in
+  let gate_evals () = Tvs_obs.Metrics.(counter_value (counter "faultsim.gate_evals")) in
   let table5 () = Experiments.table5 ~scale:0.25 ~circuits:[ "s444" ] () in
   let g0 = gate_evals () in
   let first = table5 () in
@@ -150,10 +190,12 @@ let test_table5_footer_keeps_counters () =
 
 (* [tvs stitch s27]'s run through [Experiments.stitch], with an optional
    checkpoint to resume and an optional writer. *)
-let stitch_s27 ?(prep = Prep.of_circuit (Tvs_circuits.S27.circuit ()))
-    ?(scheme = Tvs_scan.Xor_scheme.Nxor) ?resume ?save () =
+let stitch_s27 ?(circuit = Tvs_circuits.S27.circuit ()) ?(scheme = Tvs_scan.Xor_scheme.Nxor)
+    ?resume ?save () =
   Experiments.stitch ~spec:"s27" ~scale:1.0 ~scheme ~selection:(Tvs_core.Policy.Most_faults 5)
-    ~shift:None ~label:"cli" ?resume ?save prep
+    ~shift:None ~label:"cli" ?resume
+    ?save:(Option.map (fun save _ -> Some save) save)
+    circuit
 
 (* The summary of a run without a cache, and its first checkpoint. *)
 let s27_first_checkpoint () =
@@ -173,14 +215,15 @@ let test_checkpoint_identity () =
     | Error msg -> Alcotest.(check bool) (name ^ ": " ^ msg) true (contains ~needle msg)
   in
   refused "another circuit" ~needle:"circuit digest mismatch"
-    (stitch_s27 ~prep:(Prep.get "s444") ~resume:ck ());
+    (stitch_s27 ~circuit:(Prep.get "s444").Prep.circuit ~resume:ck ());
   refused "another scheme" ~needle:"configuration digest mismatch"
     (stitch_s27 ~scheme:Tvs_scan.Xor_scheme.Vxor ~resume:ck ());
   Alcotest.(check bool) "the original run" true (Result.is_ok (stitch_s27 ~resume:ck ()))
 
 (* One cache lookup whatever the run: cold, [stitch] computes and the cache
    does not answer; warm, it answers with the same summary, and neither a
-   writer nor a checkpoint to resume makes the engine run. *)
+   writer nor a checkpoint to resume makes the engine run or the circuit be
+   prepared (no PODEM call at all). *)
 let test_stitch_one_lookup () =
   let module Cache = Tvs_store.Cache in
   let reference, ck = s27_first_checkpoint () in
@@ -199,12 +242,15 @@ let test_stitch_one_lookup () =
   Alcotest.(check bool) "cold: computed" true (cold = (reference, false));
   answered "warm" (run ());
   let runs = Tvs_obs.Metrics.counter "engine.runs" in
-  let runs0 = Tvs_obs.Metrics.counter_value runs and writes = ref 0 in
+  let calls = Tvs_obs.Metrics.counter "atpg.calls" in
+  let runs0 = Tvs_obs.Metrics.counter_value runs and calls0 = Tvs_obs.Metrics.counter_value calls in
+  let writes = ref 0 in
   answered "warm with a save" (run ~save:(1, fun _ -> incr writes) ());
   Alcotest.(check int) "warm with a save: the writer is never called" 0 !writes;
   Alcotest.(check int) "warm with a save: no engine run" runs0
     (Tvs_obs.Metrics.counter_value runs);
-  answered "warm resumed" (run ~resume:ck ())
+  answered "warm resumed" (run ~resume:ck ());
+  Alcotest.(check int) "warm: no PODEM call" calls0 (Tvs_obs.Metrics.counter_value calls)
 
 (* --- CLI validation ----------------------------------------------------- *)
 
@@ -377,6 +423,7 @@ let () =
           Alcotest.test_case "structure" `Quick test_prep_structure;
           Alcotest.test_case "memoization" `Quick test_prep_memoized;
           Alcotest.test_case "seed streams" `Quick test_prep_seed_streams;
+          Alcotest.test_case "memo is bounded" `Quick test_prep_memo_bounded;
         ] );
       ( "experiments",
         [
@@ -392,6 +439,7 @@ let () =
             test_table5_footer_keeps_counters;
           Alcotest.test_case "checkpoint identity" `Quick test_checkpoint_identity;
           Alcotest.test_case "stitch makes one cache lookup" `Quick test_stitch_one_lookup;
+          Alcotest.test_case "cache keys pinned" `Quick test_cache_keys_pinned;
         ] );
       ( "cli",
         [

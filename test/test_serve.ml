@@ -507,7 +507,7 @@ let test_server_damaged_entry () =
   let cache_dir = fresh_dir () and state_dir = fresh_dir () in
   let cache = Result.get_ok (Cache.open_dir cache_dir) in
   let prep = Prep.of_circuit (Result.get_ok (Cli.load_circuit "fig1")) in
-  let key = Experiments.run_key ~label:"cli" prep in
+  let key = Experiments.run_key ~label:"cli" prep.Prep.circuit in
   let path = Cache.entry_path cache ~kind:Experiments.summary_kind ~key in
   let oc = open_out_bin path in
   output_string oc "damaged entry";
@@ -779,6 +779,62 @@ let test_server_inline_table_resets () =
         (parsed_count ic oc);
       close_out_noerr oc)
 
+(* A hit prepares nothing: with the entry filled in-process, a fresh daemon
+   on the same cache answers the job with the one-shot bytes and not one
+   PODEM call (no fault collapsing, no baseline ATPG). *)
+let test_server_hit_prepares_nothing () =
+  let cache_dir = fresh_dir () in
+  Cache.install (Some (Result.get_ok (Cache.open_dir cache_dir)));
+  Fun.protect
+    ~finally:(fun () -> Cache.install None)
+    (fun () ->
+      let c = Result.get_ok (Cli.load_circuit "s27") in
+      let expected =
+        Experiments.render_summary ~circuit:(Circuit.name c) ~scheme:Xor_scheme.Nxor
+          ~selection:(Policy.Most_faults 5)
+          (Experiments.run_flow ~label:"cli" (Prep.of_circuit c))
+      in
+      let calls = Tvs_obs.Metrics.counter "atpg.calls" in
+      let calls0 = Tvs_obs.Metrics.counter_value calls in
+      with_server (fun sock ->
+          let ic, oc = connect sock in
+          (match submit_and_wait ic oc (Protocol.default_job (Protocol.Spec "s27")) with
+          | Error m -> Alcotest.failf "job failed: %s" m
+          | Ok j ->
+              Alcotest.(check (option bool)) "answered by the cache" (Some true)
+                (bool_field "cached" j);
+              Alcotest.(check string) "output matches tvs stitch" expected
+                (Option.value ~default:"" (str_field "output" j)));
+          Alcotest.(check int) "no PODEM call" calls0 (Tvs_obs.Metrics.counter_value calls);
+          close_out_noerr oc))
+
+(* Two misses on one circuit under two labels prepare it once: the daemon's
+   stitch jobs share the process's one preparation memo. *)
+let test_server_misses_prepare_once () =
+  let text = "# prepared once\n" ^ inline_seq_text in
+  let name = Circuit.name (Result.get_ok (Cli.inline_circuit text)) in
+  let preps () =
+    List.length
+      (List.filter
+         (fun { Tvs_obs.Trace.name = span; args; _ } ->
+           span = "prep" && List.assoc_opt "circuit" args = Some name)
+         (Tvs_obs.Trace.spans ()))
+  in
+  Tvs_obs.Trace.start ();
+  Fun.protect ~finally:Tvs_obs.Trace.reset (fun () ->
+      with_server (fun sock ->
+          let ic, oc = connect sock in
+          List.iter
+            (fun label ->
+              match submit_and_wait ic oc (inline_stitch ~label text) with
+              | Error m -> Alcotest.failf "label %s failed: %s" label m
+              | Ok j ->
+                  Alcotest.(check (option bool)) (label ^ ": computed") (Some false)
+                    (bool_field "cached" j))
+            [ "cli"; "other" ];
+          close_out_noerr oc);
+      Alcotest.(check int) "one preparation for two misses" 1 (preps ()))
+
 (* Save a genuine first-cycle checkpoint of [c]'s default stitch job under
    [spec], the way a dying server would have left it. *)
 let save_first_checkpoint path ~spec c =
@@ -1033,5 +1089,7 @@ let () =
           Alcotest.test_case "unusable state dir rejected" `Quick test_server_rejects_bad_state;
           Alcotest.test_case "tpi jobs" `Quick test_server_tpi;
           Alcotest.test_case "equiv jobs" `Quick test_server_equiv;
+          Alcotest.test_case "a hit prepares nothing" `Quick test_server_hit_prepares_nothing;
+          Alcotest.test_case "two misses prepare once" `Quick test_server_misses_prepare_once;
         ] );
     ]
